@@ -1,24 +1,24 @@
 """No-arbitrage decision via faithful martingale-state feasibility.
 
-A state rho is a martingale state iff tr(rho G_m) = 0 for an orthonormal
-family G_m generated from the attainable-claim space.  Arbitrage-freeness
-is decided by maximizing the minimum eigenvalue of rho over the affine
-slice {rho Hermitian : tr rho = 1, tr(rho G_m) = 0}: a strictly positive
-optimum certifies a faithful (risk-neutral) witness, a non-positive one
-triggers a search for a positive attainable claim as the opposing
-certificate.
+A state rho is a martingale state iff tr(rho G_m) = 0 for every element
+G_m of an orthonormal basis of the attainable-claim space, which the
+market builds once (see :class:`qmarket.market.AttainableSpace`).
+Arbitrage-freeness is decided by maximizing the minimum eigenvalue of rho
+over the affine slice {rho Hermitian : tr rho = 1, tr(rho G_m) = 0}: a
+strictly positive optimum certifies a faithful (risk-neutral) witness, a
+non-positive one triggers a search for a positive attainable claim as the
+opposing certificate.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .errors import ValidationError
-from .market import _gram_schmidt, attainable_generators, discount
-from .operators import herm_to_vec, hs_inner, vec_to_herm
+from .market import attainable_space, discount
+from .operators import as_hermitian, herm_to_vec, vec_to_herm
 from .quantum import DensityState
 
 FAITHFUL_STATE_FOUND = "FAITHFUL_STATE_FOUND"
@@ -33,11 +33,20 @@ DEFAULT_MAX_ITERS = 50_000
 
 @dataclass
 class MartingaleConstraintSet:
-    """Orthonormal Hermitian functionals G_m with tr(rho G_m) = 0 required."""
+    """Orthonormal Hermitian functionals G_m with tr(rho G_m) = 0 required.
+
+    ``operators`` is a sequence of d x d matrices; ``vecs`` holds their
+    herm-vec rows and is derived when not given.
+    """
 
     dim: int
     operators: list
-    provenance: list = field(default_factory=list)
+    vecs: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.vecs is None:
+            mats = np.asarray(self.operators, dtype=complex).reshape(-1, self.dim, self.dim)
+            self.vecs = herm_to_vec(mats)
 
     def __len__(self):
         return len(self.operators)
@@ -56,26 +65,18 @@ class FeasibilityResult:
 def build_constraints(market):
     """Martingale-state constraints of a discounted market.
 
-    The constraint family equals an orthonormalized basis of the attainable
-    space: rho is a martingale state iff it annihilates every element.
+    The constraint family is the orthonormal basis of the attainable space:
+    rho is a martingale state iff it annihilates every element.
     """
-    gens = attainable_generators(market)
-    vecs, weights = _gram_schmidt(gens)
-    d = market.dim
-    ops = [vec_to_herm(v, d) for v in vecs]
-    prov = []
-    for w in weights:
-        pivot = int(np.nonzero(np.abs(w) > 1e-14)[0].max())
-        g = gens[pivot]
-        prov.append((g.period, g.asset, g.kind, g.pair))
-    return MartingaleConstraintSet(d, ops, prov)
+    space = attainable_space(market)
+    return MartingaleConstraintSet(space.dim, space.operators, space.vecs)
 
 
 def is_martingale_state(rho, market, tol=1e-8):
     """True iff rho annihilates every (unit-norm) martingale constraint."""
     cs = build_constraints(discount(market))
-    mat = rho.mat if isinstance(rho, DensityState) else rho
-    return all(abs(hs_inner(mat, g)) <= tol for g in cs.operators)
+    mat = as_hermitian(rho.mat if isinstance(rho, DensityState) else rho)
+    return bool(np.all(np.abs(cs.vecs @ herm_to_vec(mat)) <= tol))
 
 
 # --- concave spectral solver ------------------------------------------------
@@ -89,15 +90,16 @@ def maximize_lambda_min(x0, basis, max_iters=DEFAULT_MAX_ITERS):
     with increasing beta, each maximized by quasi-Newton steps using the
     exact eigenprojector gradient.  Returns (lambda, c, evaluations).
     """
-    if not basis:
+    if len(basis) == 0:
         return float(np.linalg.eigvalsh(x0)[0]), np.zeros(0), 1
     stack = np.array(basis)
     sigma = max(1.0, float(np.linalg.norm(x0, 2)))
     x0n = np.asarray(x0, dtype=complex) / sigma
-    stackn = stack / sigma
+    flat = stack.reshape(len(stack), -1) / sigma
+    flat_conj = flat.conj()
 
     def objective(c, beta):
-        rho = x0n + np.tensordot(c, stackn, axes=1)
+        rho = x0n + (c @ flat).reshape(x0n.shape)
         vals, vecs = np.linalg.eigh(rho)
         m = vals[0]
         z = np.exp(-beta * (vals - m))
@@ -105,7 +107,8 @@ def maximize_lambda_min(x0, basis, max_iters=DEFAULT_MAX_ITERS):
         f = m - np.log(s) / beta
         w = z / s
         big_w = (vecs * w) @ vecs.conj().T
-        grad = np.einsum("ab,iab->i", big_w.conj(), stackn).real
+        # Re tr(W B_i) for Hermitian B_i
+        grad = (flat_conj @ big_w.reshape(-1)).real
         return -f, -grad
 
     c = np.zeros(len(basis))
@@ -132,22 +135,21 @@ def martingale_affine_slice(constraints):
 
     The slice is {X Hermitian : tr X = 1, tr(X G_m) = 0}; the particular
     point is the least-squares projection of I/d onto it.  Returns
-    (x0, basis_ops) or None when the slice is empty.
+    (x0, basis_ops) with the basis as a (k, d, d) array, or None when the
+    slice is empty.
     """
     d = constraints.dim
-    eye = np.eye(d, dtype=complex)
-    rows = [herm_to_vec(eye)] + [herm_to_vec(g) for g in constraints.operators]
-    mat = np.array(rows)
-    rhs = np.zeros(len(rows))
+    eye = herm_to_vec(np.eye(d, dtype=complex))
+    mat = np.vstack([eye, constraints.vecs])
+    rhs = np.zeros(len(mat))
     rhs[0] = 1.0
-    v0 = herm_to_vec(eye / d)
+    v0 = eye / d
     corr, *_ = np.linalg.lstsq(mat, rhs - mat @ v0, rcond=None)
     v = v0 + corr
     if np.linalg.norm(mat @ v - rhs) > AFFINE_RESIDUAL_TOL:
         return None
     null = scipy.linalg.null_space(mat)
-    basis = [vec_to_herm(null[:, i], d) for i in range(null.shape[1])]
-    return vec_to_herm(v, d), basis
+    return vec_to_herm(v, d), vec_to_herm(null.T, d)
 
 
 def max_min_eig_over_slice(constraints, objective_shift=None, max_iters=DEFAULT_MAX_ITERS):
@@ -159,7 +161,7 @@ def max_min_eig_over_slice(constraints, objective_shift=None, max_iters=DEFAULT_
     if objective_shift is not None:
         x0 = x0 + objective_shift
     lam, c, evals = maximize_lambda_min(x0, basis, max_iters)
-    rho = x0 + sum(ci * b for ci, b in zip(c, basis)) if len(basis) else x0
+    rho = x0 + np.tensordot(c, basis, axes=1)
     witness = None
     status = NO_FAITHFUL_STATE
     if lam > FEASIBILITY_THRESHOLD and objective_shift is None:
@@ -172,19 +174,17 @@ def max_min_eig_over_slice(constraints, objective_shift=None, max_iters=DEFAULT_
 
 def _positive_claim_search(constraints, max_iters):
     """Maximize lambda_min(K) over {K in span(K-basis), tr K = 1}."""
-    ops = constraints.operators
-    traces = np.array([float(np.trace(g).real) for g in ops])
+    d = constraints.dim
+    vecs = constraints.vecs
+    traces = vecs @ herm_to_vec(np.eye(d, dtype=complex))
     nrm2 = float(traces @ traces)
     if nrm2 <= 1e-20:
         return None, 0.0, 0
-    c0 = traces / nrm2
-    x0 = np.tensordot(c0, np.array(ops), axes=1)
+    x0 = vec_to_herm((traces / nrm2) @ vecs, d)
     null = scipy.linalg.null_space(traces.reshape(1, -1))
-    basis = [
-        np.tensordot(null[:, i], np.array(ops), axes=1) for i in range(null.shape[1])
-    ]
+    basis = vec_to_herm(null.T @ vecs, d)
     lam, c, evals = maximize_lambda_min(x0, basis, max_iters)
-    claim = x0 + sum(ci * b for ci, b in zip(c, basis)) if len(basis) else x0
+    claim = x0 + np.tensordot(c, basis, axes=1)
     return claim, lam, evals
 
 

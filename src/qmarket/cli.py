@@ -35,7 +35,7 @@ from .binomial import (
     sample_disk_states,
 )
 from .errors import InternalConsistencyError, QMarketError, SolverError, ValidationError
-from .market import Filtration, MarketModel, OperatorAlgebra, discount
+from .market import Filtration, MarketModel, OperatorAlgebra, discount, gain_process
 from .operators import apply_function
 from .pricing import arbitrage_free_prices, optional_decomposition, replicate
 
@@ -47,6 +47,9 @@ EXIT_INDETERMINATE = 3
 EXIT_INCONSISTENT = 4
 
 COMMANDS = ("check-arbitrage", "price", "interval", "replicate", "decompose", "disk", "crr")
+
+# libyaml's loader when PyYAML was built with it; both give the same tree
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _decode_matrix(rows, where):
@@ -75,7 +78,7 @@ def _require(mapping, key, where):
 def parse_scenario(text):
     """Parse and validate a YAML scenario into a canonical dict."""
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ValidationError(f"scenario syntax error: {exc}") from exc
     if not isinstance(raw, dict):
@@ -216,6 +219,27 @@ def _witness_payload(state):
     return {"matrix": _encode_matrix(state.mat)}
 
 
+def _decompose_values(cls, payoff, market):
+    """A supermartingale ending at the payoff, for the decompose command.
+
+    One period: the super-hedging price, then the payoff.  Longer horizons:
+    the replicating value process alpha I + (H # S)_t, which needs an
+    attainable claim.
+    """
+    d = market.dim
+    if market.horizon == 1:
+        return [cls.interval.upper * np.eye(d, dtype=complex), payoff]
+    rep = cls.replication
+    if not rep.attainable:
+        raise ValidationError(
+            f"decompose at horizon {market.horizon} supports attainable claims only: "
+            f"replication residual {rep.residual:.3e}; no value process is built "
+            "for a claim that cannot be replicated when the horizon is 2 or more"
+        )
+    eye = np.eye(d, dtype=complex)
+    return [rep.alpha * eye + g for g in gain_process(rep.strategy, market)]
+
+
 def run(command, scenario, samples=100):
     """Dispatch a command against a parsed scenario; returns (report, exit_code)."""
     max_iters = int(os.environ.get("QMARKET_MAX_ITERS", scenario["solver"]["max_iters"]))
@@ -253,15 +277,19 @@ def run(command, scenario, samples=100):
                 }
             elif command == "decompose":
                 cls = arbitrage_free_prices(payoff, dmkt, max_iters=max_iters)
-                d = dmkt.dim
-                values = [cls.interval.upper * np.eye(d, dtype=complex)] * market.horizon
-                values.append(payoff)
+                values = _decompose_values(cls, payoff, dmkt)
                 dec = optional_decomposition(values, dmkt, max_iters=max_iters)
+                recon = (
+                    dec.v0 * np.eye(dmkt.dim)
+                    + gain_process(dec.strategy, dmkt)[-1]
+                    - dec.consumption[-1]
+                )
                 results[entry["name"]] = {
                     "v0": dec.v0,
                     "consumption_norms": [
                         float(np.linalg.norm(c)) for c in dec.consumption
                     ],
+                    "reconstruction_residual": float(np.linalg.norm(recon - values[-1])),
                     "strategy_terms": sum(len(v) for v in dec.strategy.terms.values()),
                 }
             else:

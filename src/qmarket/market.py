@@ -4,22 +4,37 @@ A market is a bank account plus adapted positive asset operators over a
 filtration of unital *-subalgebras.  Trading strategies are per-period
 biprocesses sum_k a_k A_k* (.) A_k with coefficients from the previous
 algebra; their cumulative action on asset increments is the gain process.
-The real span of all terminal gains (claims attainable at price zero) is
-generated by polarization over an algebra basis and orthonormalized by
-Gram-Schmidt in the trace inner product.
+
+The claims attainable at price zero form the real span K = sum_t K_t with
+K_t = span{A* dS_t A : A in A_{t-1}}.  Over a basis A_p of A_{t-1} every
+element of K_t is sum_pq h_pq A_p* dS_t A_q for a Hermitian coefficient
+matrix h, so K_t is the image of one linear map on Herm(n), rank-revealed
+by an SVD.  For factor algebras B(C^m) (x) I_k the map is taken on the
+k x k blocks of dS_t, which gives K_t = Herm(M_m) (x) W_t without forming
+the pairs.  :class:`AttainableSpace` holds the orthonormal basis of K with
+the h-matrix preimage of every element and is built once per discounted
+market.
 """
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ValidationError
-from .operators import as_hermitian, check_matrix, herm_to_vec, hs_inner, min_eigenvalue
+from .operators import (
+    as_hermitian,
+    check_matrix,
+    herm_to_vec,
+    min_eigenvalue,
+    upper_indices,
+    vec_to_herm,
+)
 
 SPAN_TOL = 1e-9
 POSITIVITY_TOL = 1e-10
-GS_TOL = 1e-9
+RANK_TOL = 1e-9
+
+_SQRT2 = np.sqrt(2.0)
 
 
 class OperatorAlgebra:
@@ -218,6 +233,8 @@ class MarketModel:
                         raise ValidationError(f"asset {j} not positive at t={t}")
                     if not filtration[t].contains(s):
                         raise ValidationError(f"asset {j} not adapted at t={t}")
+        self._discounted = None
+        self._attainable = None
 
     @property
     def dim(self):
@@ -239,14 +256,23 @@ class MarketModel:
 
 
 def discount(market):
-    """Replace (B, S) by (1, S_t / B_t); the filtration is unchanged."""
-    assets = [
-        [proc[t] / market.bank[t] for t in range(market.horizon + 1)]
-        for proc in market.assets
-    ]
-    return MarketModel(
-        market.filtration, [1.0] * (market.horizon + 1), assets, check=False
-    )
+    """Replace (B, S) by (1, S_t / B_t); the filtration is unchanged.
+
+    A discounted market is returned as it is.  Otherwise the discounted
+    market is built once and kept on ``market``, so repeated calls share
+    one attainable space.
+    """
+    if market.is_discounted():
+        return market
+    if market._discounted is None:
+        assets = [
+            [proc[t] / market.bank[t] for t in range(market.horizon + 1)]
+            for proc in market.assets
+        ]
+        market._discounted = MarketModel(
+            market.filtration, [1.0] * (market.horizon + 1), assets, check=False
+        )
+    return market._discounted
 
 
 class TradingStrategy:
@@ -349,89 +375,178 @@ def value_process(beta, strategy, market):
     return values
 
 
-@dataclass
-class GainGenerator:
-    """One polarization generator of the attainable space, with provenance.
+def _pair_images(blocks):
+    """herm_to_vec of sum_pq h_pq X_pq for each h in the herm-vec basis of Herm(n).
 
-    The operator is A_p* dS A_q + A_q* dS A_p (kind "sym") or
-    i(A_p* dS A_q - A_q* dS A_p) (kind "asym"); ``terms`` is a strategy
-    realization of it as a real combination of compressions A* dS A.
+    ``blocks`` has shape (n, n, D, D) with X_qp = X_pq*, so every image is
+    Hermitian.  Row g of the result is the image of vec_to_herm(e_g, n).
+    """
+    n = blocks.shape[0]
+    diag = np.arange(n)
+    iu, ju = upper_indices(n)
+    upper, lower = blocks[iu, ju], blocks[ju, iu]
+    images = np.concatenate(
+        [blocks[diag, diag], (upper + lower) / _SQRT2, 1j * (upper - lower) / _SQRT2]
+    )
+    return herm_to_vec(images)
+
+
+def _orthonormal_rows(mat):
+    """Rank-revealing SVD: (coords, rows) with rows = coords.T @ mat orthonormal.
+
+    Singular values up to RANK_TOL * max(1, s_max) are dropped.  Each
+    singular pair's sign is fixed by its largest coordinate, so the basis
+    does not depend on the sign choices of the LAPACK driver.
+    """
+    u, s, vt = np.linalg.svd(mat, full_matrices=False)
+    rank = int(np.count_nonzero(s > RANK_TOL * max(1.0, s[0])))
+    u, s, vt = u[:, :rank], s[:rank], vt[:rank]
+    signs = np.sign(u[np.abs(u).argmax(axis=0), np.arange(rank)])
+    return u * (signs / s), vt * signs[:, None]
+
+
+def _unvec_pair(f, m):
+    """h[(a,b),(c,d)] = sum_gs f[g, s] E_g[a, c] E_s[b, d] over herm-vec units E of Herm(m)."""
+    z = vec_to_herm(f, m).transpose(1, 2, 0)  # (b, d, g)
+    h = vec_to_herm(z.real, m) + 1j * vec_to_herm(z.imag, m)  # (b, d, a, c)
+    return h.transpose(2, 0, 3, 1).reshape(m * m, m * m)
+
+
+class PeriodSpan:
+    """K_t with an h-matrix preimage for each element.
+
+    A period-t strategy is one Hermitian coefficient matrix h per asset
+    over the basis A_p of A_{t-1}; its gain is sum_pq h_pq A_p* dS A_q.
+    ``vecs`` is an orthonormal herm-vec basis of K_t.  Over a generic
+    basis, ``_hmaps[j]`` sends coefficients over ``vecs`` to the herm-vec
+    of asset j's h.
+
+    For a factor algebra B(C^m) (x) I_k with A_p = E_ab (x) I,
+    A_p* X A_q = E_bd (x) X_ac where X_ac are the k x k blocks of X.  So
+    K_t = Herm(M_m) (x) W_t, with W_t the span of sum_ac g_ac X_ac over
+    Hermitian g, and P (x) w has the preimage h = g (x) P.  The SVD then
+    runs on the m^2 block combinations instead of the m^4 basis pairs, and
+    ``_hmaps[j]`` sends coefficients over the W_t basis to asset j's g.
     """
 
-    period: int
-    asset: int
-    kind: str
-    pair: tuple
-    operator: np.ndarray
-    terms: list = field(default_factory=list)
+    def __init__(self, period, algebra, increments):
+        d = algebra.dim
+        self.period = period
+        self.dim = d
+        if algebra.is_factor:
+            m = algebra.factor_dim
+            self._units, self._basis = (m, d // m), None
+            blocks = [x.reshape(m, d // m, m, d // m).transpose(0, 2, 1, 3) for x in increments]
+        else:
+            self._units, self._basis = None, np.array(algebra.basis)
+            left = self._basis.conj().transpose(0, 2, 1)
+            blocks = [(left @ x)[:, None] @ self._basis[None, :] for x in increments]
+        hmap, rows = _orthonormal_rows(np.concatenate([_pair_images(b) for b in blocks]))
+        self._hmaps = np.split(hmap, len(blocks))
+        if self._basis is not None:
+            self.vecs = rows
+        else:
+            m, k = self._units
+            w = vec_to_herm(rows, k)
+            units = vec_to_herm(np.eye(m * m), m)
+            prod = np.einsum("aij,bkl->abikjl", units, w).reshape(-1, d, d)
+            self.vecs = herm_to_vec(prod)
 
-    def strategy(self, scale=1.0):
-        return TradingStrategy(
-            {(self.period, self.asset): [(scale * a, m) for a, m in self.terms]}
-        )
+    @property
+    def rank(self):
+        return len(self.vecs)
 
+    @cached_property
+    def operators(self):
+        return vec_to_herm(self.vecs, self.dim)
 
-def attainable_generators(market, periods=None):
-    """Raw polarization generators of span{ A* dS A : A in A_{t-1} }."""
-    if not market.is_discounted():
-        raise ValidationError("attainable space requires a discounted market")
-    gens = []
-    period_range = periods if periods is not None else range(1, market.horizon + 1)
-    for t in period_range:
-        basis = market.filtration[t - 1].basis
-        for j in range(market.n_assets):
-            ds = market.increment(j, t)
-            if np.abs(ds).max() == 0.0:
+    def coefficient_matrices(self, coeffs):
+        """Per asset, the Hermitian h whose gain is sum_i coeffs_i K_{t,i}."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        if self._basis is not None:
+            n = len(self._basis)
+            return [vec_to_herm(hmap @ coeffs, n) for hmap in self._hmaps]
+        m = self._units[0]
+        grid = coeffs.reshape(m * m, -1).T  # (W_t basis, Herm(M_m) unit)
+        return [_unvec_pair(hmap @ grid, m) for hmap in self._hmaps]
+
+    def terms(self, coeffs):
+        """Strategy terms {(t, j): [(a, A)]}: one eigenpair of h_j per pair."""
+        out = {}
+        for j, h in enumerate(self.coefficient_matrices(coeffs)):
+            lam, vecs = np.linalg.eigh(h)
+            keep = np.abs(lam) > 1e-14 * np.abs(lam).max(initial=0.0)
+            if not keep.any():
                 continue
-            for p in range(len(basis)):
-                ap = basis[p]
-                for q in range(p, len(basis)):
-                    aq = basis[q]
-                    cross = ap.conj().T @ ds @ aq
-                    sym = cross + cross.conj().T
-                    gens.append(
-                        GainGenerator(
-                            t, j, "sym", (p, q), 0.5 * (sym + sym.conj().T),
-                            # polarization: A_p* dS A_q + A_q* dS A_p
-                            #   = ((Ap+Aq)* dS (Ap+Aq) - (Ap-Aq)* dS (Ap-Aq)) / 2
-                            [(0.5, ap + aq), (-0.5, ap - aq)],
-                        )
-                    )
-                    if q > p:
-                        asym = 1j * (cross - cross.conj().T)
-                        gens.append(
-                            GainGenerator(
-                                t, j, "asym", (p, q), 0.5 * (asym + asym.conj().T),
-                                [(0.5, ap + 1j * aq), (-0.5, ap - 1j * aq)],
-                            )
-                        )
-    return gens
+            # h = sum_k lam_k v_k v_k*, so the gain is sum_k lam_k A_k* dS A_k
+            # with A_k = sum_q conj(v_kq) A_q
+            weights = vecs[:, keep].conj().T
+            if self._basis is not None:
+                mats = np.tensordot(weights, self._basis, axes=1)
+            else:
+                m, k = self._units
+                mats = np.einsum(
+                    "kab,ij->kaibj", weights.reshape(-1, m, m), np.eye(k)
+                ).reshape(-1, self.dim, self.dim)
+            out[(self.period, j)] = list(zip(lam[keep], mats))
+        return out
 
 
-def _gram_schmidt(generators, tol=GS_TOL):
-    """Orthonormalize generator operators, tracking raw-combination weights."""
-    basis = []
-    weights = []
-    n = len(generators)
-    for r, gen in enumerate(generators):
-        v = herm_to_vec(gen.operator)
-        w = np.zeros(n)
-        w[r] = 1.0
-        orig = np.linalg.norm(v)
-        for b, wb in zip(basis, weights):
-            c = float(v @ b)
-            v = v - c * b
-            w = w - c * wb
-        # re-orthogonalize once for numerical safety
-        for b, wb in zip(basis, weights):
-            c = float(v @ b)
-            v = v - c * b
-            w = w - c * wb
-        nrm = np.linalg.norm(v)
-        if nrm > tol * max(1.0, orig):
-            basis.append(v / nrm)
-            weights.append(w / nrm)
-    return basis, weights
+class AttainableSpace:
+    """K = sum_t K_t of a discounted market, with a strategy for each element.
+
+    ``vecs`` is an orthonormal herm-vec basis of K, rank-revealed by one SVD
+    of the stacked period bases; ``periods`` holds the K_t.  A coefficient
+    vector over ``vecs`` maps to coefficients over the period bases by one
+    matvec, and from there to one h-matrix per period and asset.  Nothing
+    here refers back to the market, which keeps this object.
+    """
+
+    def __init__(self, market):
+        d = market.dim
+        self.dim = d
+        self.periods = [
+            PeriodSpan(
+                t,
+                market.filtration[t - 1],
+                # a market without assets attains nothing: one zero increment
+                [market.increment(j, t) for j in range(market.n_assets)]
+                or [np.zeros((d, d), dtype=complex)],
+            )
+            for t in range(1, market.horizon + 1)
+        ]
+        stack = np.concatenate([np.zeros((0, d * d))] + [p.vecs for p in self.periods])
+        if len(self.periods) <= 1 or len(stack) == 0:
+            self.vecs = stack
+            self._coords = np.eye(len(stack))
+        else:
+            self._coords, self.vecs = _orthonormal_rows(stack)
+        self._offsets = np.cumsum([0] + [p.rank for p in self.periods])
+
+    @property
+    def rank(self):
+        return len(self.vecs)
+
+    @cached_property
+    def operators(self):
+        return vec_to_herm(self.vecs, self.dim)
+
+    def strategy(self, coeffs):
+        """A TradingStrategy whose terminal gain is sum_i coeffs_i K_i."""
+        local = self._coords @ np.asarray(coeffs, dtype=float)
+        terms = {}
+        for p, lo, hi in zip(self.periods, self._offsets, self._offsets[1:]):
+            terms.update(p.terms(local[lo:hi]))
+        return TradingStrategy(terms)
+
+
+def attainable_space(market):
+    """The AttainableSpace of a discounted market, built on first use and kept on it."""
+    if market._attainable is None:
+        if not market.is_discounted():
+            raise ValidationError("attainable space requires a discounted market")
+        market._attainable = AttainableSpace(market)
+    return market._attainable
 
 
 def attainable_space_basis(market, with_preimages=False):
@@ -440,16 +555,8 @@ def attainable_space_basis(market, with_preimages=False):
     With ``with_preimages=True`` also returns, per basis element, a
     TradingStrategy whose terminal gain equals that element.
     """
-    gens = attainable_generators(market)
-    vecs, weights = _gram_schmidt(gens)
-    d = market.dim
-    from .operators import vec_to_herm
-
-    basis = [vec_to_herm(v, d) for v in vecs]
+    space = attainable_space(market)
+    basis = list(space.operators)
     if not with_preimages:
         return basis
-    strategies = []
-    for w in weights:
-        parts = [gens[r].strategy(w[r]) for r in np.nonzero(np.abs(w) > 1e-14)[0]]
-        strategies.append(TradingStrategy.combine(parts, [1.0] * len(parts)))
-    return basis, strategies
+    return basis, [space.strategy(e) for e in np.eye(space.rank)]

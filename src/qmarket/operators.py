@@ -8,6 +8,7 @@ the real inner-product geometry of the Hermitian space is exposed through
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -169,32 +170,44 @@ def min_eigenvalue(x):
 #
 # herm_to_vec maps d x d Hermitian operators isometrically onto R^{d^2}:
 # the diagonal, then sqrt(2) * real and sqrt(2) * imag of the upper triangle,
-# so that dot(herm_to_vec(A), herm_to_vec(B)) == hs_inner(A, B).
+# so that dot(herm_to_vec(A), herm_to_vec(B)) == hs_inner(A, B).  Both maps
+# act on the trailing axes, so a stack of operators maps to a stack of rows.
 
 _SQRT2 = np.sqrt(2.0)
 
 
+@lru_cache(maxsize=None)
+def upper_indices(d):
+    """Read-only (rows, cols) of the strict upper triangle of a d x d matrix."""
+    iu, ju = np.triu_indices(d, k=1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
 def herm_to_vec(x):
     x = np.asarray(x, dtype=complex)
-    d = x.shape[0]
-    iu, ju = np.triu_indices(d, k=1)
+    d = x.shape[-1]
+    iu, ju = upper_indices(d)
+    upper = x[..., iu, ju]
     return np.concatenate(
-        [np.diag(x).real, _SQRT2 * x[iu, ju].real, _SQRT2 * x[iu, ju].imag]
+        [np.diagonal(x, axis1=-2, axis2=-1).real, _SQRT2 * upper.real, _SQRT2 * upper.imag],
+        axis=-1,
     )
 
 
 def vec_to_herm(v, d):
     v = np.asarray(v, dtype=float)
-    if v.size != d * d:
-        raise ValidationError(f"vector of size {v.size} is not a dim-{d} Hermitian")
-    out = np.zeros((d, d), dtype=complex)
-    out[np.diag_indices(d)] = v[:d]
-    iu, ju = np.triu_indices(d, k=1)
+    size = v.shape[-1] if v.ndim else v.size
+    if size != d * d:
+        raise ValidationError(f"vector of size {size} is not a dim-{d} Hermitian")
+    out = np.zeros(v.shape[:-1] + (d, d), dtype=complex)
+    diag = np.arange(d)
+    out[..., diag, diag] = v[..., :d]
+    iu, ju = upper_indices(d)
     m = d * (d - 1) // 2
-    re = v[d : d + m] / _SQRT2
-    im = v[d + m :] / _SQRT2
-    out[iu, ju] = re + 1j * im
-    out[ju, iu] = re - 1j * im
+    upper = (v[..., d : d + m] + 1j * v[..., d + m :]) / _SQRT2
+    out[..., iu, ju] = upper
+    out[..., ju, iu] = upper.conj()
     return out
 
 

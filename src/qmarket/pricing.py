@@ -7,7 +7,7 @@ tau-path converge to the closed-set optima, which by density of the
 faithful states equal the sup/inf over risk-neutral states.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -22,13 +22,8 @@ from .arbitrage import (
     maximize_lambda_min,
 )
 from .errors import ArbitrageError, InternalConsistencyError, SolverError, ValidationError
-from .market import (
-    TradingStrategy,
-    _gram_schmidt,
-    attainable_generators,
-    gain_process,
-)
-from .operators import as_hermitian, hs_inner, vec_to_herm
+from .market import TradingStrategy, attainable_space
+from .operators import as_hermitian, herm_to_vec, hs_inner
 from .quantum import DensityState
 
 ATTAINABLE_RESIDUAL_TOL = 1e-8
@@ -57,6 +52,7 @@ class PriceInterval:
     attainable: bool
     witness_states: tuple = (None, None)
     interval_open: bool = True
+    replication: Optional[Replication] = field(default=None, repr=False)
 
     @property
     def width(self):
@@ -96,34 +92,20 @@ def _require_terminal_observable(a, market):
     return a
 
 
-def _attainable_basis_with_preimages(market, periods=None):
-    gens = attainable_generators(market, periods)
-    vecs, weights = _gram_schmidt(gens)
-    basis = [vec_to_herm(v, market.dim) for v in vecs]
-    strategies = []
-    for w in weights:
-        parts = [gens[r].strategy(w[r]) for r in np.nonzero(np.abs(w) > 1e-14)[0]]
-        strategies.append(TradingStrategy.combine(parts, [1.0] * len(parts)))
-    return basis, strategies
-
-
 def replicate(a, market):
     """Replicate A = alpha I + sum_i c_i K_i; alpha is the candidate price."""
     _require_discounted(market)
     a = _require_terminal_observable(a, market)
-    basis, strategies = _attainable_basis_with_preimages(market)
-    d = market.dim
-    eye = np.eye(d, dtype=complex)
-    cols = np.column_stack(
-        [eye.reshape(-1)] + [k.reshape(-1) for k in basis]
-    )
-    coef, *_ = np.linalg.lstsq(cols, a.reshape(-1), rcond=None)
-    coef = coef.real
-    residual = float(np.linalg.norm(cols @ coef - a.reshape(-1)))
-    alpha = float(coef[0])
-    strategy = TradingStrategy.combine(strategies, coef[1:])
+    space = attainable_space(market)
+    target = herm_to_vec(a)
+    cols = np.column_stack([herm_to_vec(np.eye(market.dim, dtype=complex)), space.vecs.T])
+    coef, *_ = np.linalg.lstsq(cols, target, rcond=None)
+    residual = float(np.linalg.norm(cols @ coef - target))
     return Replication(
-        alpha, strategy, residual, scale=max(1.0, float(np.linalg.norm(a)))
+        float(coef[0]),
+        space.strategy(coef[1:]),
+        residual,
+        scale=max(1.0, float(np.linalg.norm(a))),
     )
 
 
@@ -132,10 +114,10 @@ def replicate(a, market):
 
 def _barrier_maximize(x0, basis, objective, start_c, tau_floor=1e-10):
     """max tr(rho(c) A) + tau logdet rho(c) along tau = 1, 0.5, ..., floor."""
-    if not basis:
+    if len(basis) == 0:
         return float(hs_inner(x0, objective)), np.zeros(0)
-    stack = np.array(basis)
-    q = np.array([hs_inner(b, objective) for b in basis])
+    stack = np.asarray(basis)
+    q = herm_to_vec(stack) @ herm_to_vec(objective)
     c = np.array(start_c, dtype=float)
 
     def assemble(cv):
@@ -167,10 +149,10 @@ def _barrier_maximize(x0, basis, objective, start_c, tau_floor=1e-10):
                 break
             t = 1.0
             f0 = f_value(c, tau)
-            while t > 1e-14:
-                if f_value(c + t * step, tau) > f0 - 1e-18:
-                    break
+            while t > 1e-14 and f_value(c + t * step, tau) <= f0 - 1e-18:
                 t *= 0.5
+            if t <= 1e-14:
+                break  # no ascent step left at this tau
             c = c + t * step
         tau *= 0.5
     rho = assemble(c)
@@ -197,9 +179,7 @@ def price_bounds(a, market, max_iters=DEFAULT_MAX_ITERS):
     x0, basis = slice_
     if na.witness_state is not None:
         # re-express the interior witness in slice coordinates for a warm start
-        start = np.array(
-            [hs_inner(na.witness_state.mat - x0, b) for b in basis]
-        )
+        start = herm_to_vec(basis) @ herm_to_vec(na.witness_state.mat - x0)
     else:
         start = np.zeros(len(basis))
 
@@ -208,8 +188,7 @@ def price_bounds(a, market, max_iters=DEFAULT_MAX_ITERS):
     lower = -lower_neg
 
     def state_at(cv):
-        rho = x0 + (np.tensordot(cv, np.array(basis), axes=1) if len(basis) else 0.0)
-        return DensityState(rho)
+        return DensityState(x0 + np.tensordot(cv, basis, axes=1))
 
     rep = replicate(a, market)
     scale = max(1.0, abs(upper))
@@ -225,13 +204,14 @@ def price_bounds(a, market, max_iters=DEFAULT_MAX_ITERS):
         attainable=rep.attainable,
         witness_states=(state_at(c_lo), state_at(c_hi)),
         interval_open=not rep.attainable,
+        replication=rep,
     )
 
 
 def arbitrage_free_prices(a, market, max_iters=DEFAULT_MAX_ITERS):
     """Classify the price set: singleton (attainable) or open interval."""
     interval = price_bounds(a, market, max_iters=max_iters)
-    rep = replicate(a, market)
+    rep = interval.replication
     unique = None
     if interval.attainable:
         scale = max(1.0, abs(interval.upper))
@@ -250,13 +230,9 @@ def arbitrage_free_prices(a, market, max_iters=DEFAULT_MAX_ITERS):
 def is_complete(market):
     """Rank test: span{I} + span(K) against the Hermitian part of A_T."""
     _require_discounted(market)
-    from .market import attainable_space_basis
-    from .operators import herm_to_vec
-
-    basis = attainable_space_basis(market)
-    d = market.dim
-    rows = [herm_to_vec(np.eye(d, dtype=complex))] + [herm_to_vec(k) for k in basis]
-    affine_dim = int(np.linalg.matrix_rank(np.array(rows), tol=1e-9))
+    eye = herm_to_vec(np.eye(market.dim, dtype=complex))
+    rows = np.vstack([eye, attainable_space(market).vecs])
+    affine_dim = int(np.linalg.matrix_rank(rows, tol=1e-9))
     obs_dim = market.filtration[market.horizon].herm_dim()
     return CompletenessReport(affine_dim == obs_dim, affine_dim, obs_dim)
 
@@ -305,26 +281,20 @@ def optional_decomposition(values, market, max_iters=DEFAULT_MAX_ITERS):
             "value process is not a supermartingale under the risk-neutral witness"
         )
 
-    eye_zero = np.zeros((d, d), dtype=complex)
-    consumption = [eye_zero]
-    period_strategies = []
-    for t in range(1, horizon + 1):
+    space = attainable_space(market)
+    consumption = [np.zeros((d, d), dtype=complex)]
+    terms = {}
+    for period in space.periods:
+        t = period.period
         dv = vals[t] - vals[t - 1]
-        basis, strategies = _attainable_basis_with_preimages(market, periods=[t])
-        lam, c, _ = maximize_lambda_min(-dv, basis, max_iters)
+        lam, c, _ = maximize_lambda_min(-dv, period.operators, max_iters)
         if lam < -CONSUMPTION_PSD_TOL:
             raise SolverError(
                 f"one-period super-replication infeasible at t={t}: "
                 f"best minimum eigenvalue {lam:.3e}"
             )
-        if basis:
-            hedge_gain = np.tensordot(c, np.array(basis), axes=1)
-            period_strategies.append(TradingStrategy.combine(strategies, c))
-        else:
-            hedge_gain = eye_zero
+        hedge_gain = np.tensordot(c, period.operators, axes=1)
+        terms.update(period.terms(c))
         dc = hedge_gain - dv
         consumption.append(consumption[-1] + 0.5 * (dc + dc.conj().T))
-    strategy = TradingStrategy.combine(
-        period_strategies, [1.0] * len(period_strategies)
-    )
-    return OptionalDecompositionResult(v0, strategy, consumption)
+    return OptionalDecompositionResult(v0, TradingStrategy(terms), consumption)

@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+import yaml
 
+from qmarket import cli
 from qmarket.cli import (
     EXIT_INDETERMINATE,
     EXIT_OK,
@@ -242,3 +244,49 @@ def test_env_override_limits_iterations(tmp_path, monkeypatch, capsys):
     assert code in (EXIT_OK, EXIT_INDETERMINATE)
     report = json.loads(capsys.readouterr().out)
     assert report["diagnostics"]["iterations"] <= 200
+
+
+TWO_PERIOD_EXPLICIT_YAML = """
+market:
+  kind: explicit
+  dim: 2
+  bank: [1.0, 1.0, 1.0]
+  filtration: [trivial, full, full]
+  assets:
+    - - [[[100.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [100.0, 0.0]]]
+      - [[[90.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [120.0, 0.0]]]
+      - [[[90.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [120.0, 0.0]]]
+claims:
+  - name: flip
+    type: matrix
+    entries: [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+"""
+
+
+def test_run_decompose_two_periods_reconstructs_value():
+    report, code = run("decompose", parse_scenario(NPERIOD_YAML))
+    assert code == EXIT_OK
+    out = report["results"]["atm_call"]
+    assert out["v0"] == pytest.approx(13.605442176870748, abs=1e-8)
+    assert out["reconstruction_residual"] <= 1e-8 * 100.0
+    assert len(out["consumption_norms"]) == 3
+    assert max(out["consumption_norms"]) <= 1e-6
+
+
+def test_main_decompose_two_periods_rejects_unattainable_claim(tmp_path, capsys):
+    with pytest.raises(ValidationError, match="attainable claims only"):
+        run("decompose", parse_scenario(TWO_PERIOD_EXPLICIT_YAML))
+    scen = write(tmp_path, TWO_PERIOD_EXPLICIT_YAML)
+    assert main(["decompose", "--scenario", scen]) == EXIT_VALIDATION
+    assert "horizon 2" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_parse_scenario_same_tree_with_either_yaml_loader(monkeypatch):
+    texts = (QUBIT_YAML, NPERIOD_YAML, TRINOMIAL_YAML)
+    fast = [parse_scenario(t) for t in texts]
+    monkeypatch.setattr(cli, "_YAML_LOADER", yaml.SafeLoader)
+    slow = [parse_scenario(t) for t in texts]
+    assert fast == slow
+    for a, b in zip(fast, slow):
+        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
