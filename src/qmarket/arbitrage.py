@@ -2,7 +2,8 @@
 
 A state rho is a martingale state iff tr(rho G_m) = 0 for every element
 G_m of an orthonormal basis of the attainable-claim space, which the
-market builds once (see :class:`qmarket.market.AttainableSpace`).
+market builds once and which is itself the constraint set (see
+:class:`qmarket.market.AttainableSpace`).
 Arbitrage-freeness is decided by maximizing the minimum eigenvalue of rho
 over the affine slice {rho Hermitian : tr rho = 1, tr(rho G_m) = 0}: a
 strictly positive optimum certifies a faithful (risk-neutral) witness, a
@@ -17,7 +18,8 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .market import attainable_space, discount
+# MartingaleConstraintSet and martingale_affine_slice are re-exported here
+from .market import MartingaleConstraintSet, attainable_space, discount, martingale_affine_slice
 from .operators import as_hermitian, herm_to_vec, vec_to_herm
 from .quantum import DensityState
 
@@ -26,30 +28,8 @@ NO_FAITHFUL_STATE = "NO_FAITHFUL_STATE"
 INDETERMINATE = "INDETERMINATE"
 
 FEASIBILITY_THRESHOLD = 1e-9
-AFFINE_RESIDUAL_TOL = 1e-8
 CLAIM_PSD_TOL = 1e-8
 DEFAULT_MAX_ITERS = 50_000
-
-
-@dataclass
-class MartingaleConstraintSet:
-    """Orthonormal Hermitian functionals G_m with tr(rho G_m) = 0 required.
-
-    ``operators`` is a sequence of d x d matrices; ``vecs`` holds their
-    herm-vec rows and is derived when not given.
-    """
-
-    dim: int
-    operators: list
-    vecs: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.vecs is None:
-            mats = np.asarray(self.operators, dtype=complex).reshape(-1, self.dim, self.dim)
-            self.vecs = herm_to_vec(mats)
-
-    def __len__(self):
-        return len(self.operators)
 
 
 @dataclass
@@ -63,13 +43,12 @@ class FeasibilityResult:
 
 
 def build_constraints(market):
-    """Martingale-state constraints of a discounted market.
+    """Martingale-state constraints of a discounted market: its attainable space.
 
-    The constraint family is the orthonormal basis of the attainable space:
-    rho is a martingale state iff it annihilates every element.
+    rho is a martingale state iff it annihilates every element of the
+    orthonormal basis of K.
     """
-    space = attainable_space(market)
-    return MartingaleConstraintSet(space.dim, space.operators, space.vecs)
+    return attainable_space(market)
 
 
 def is_martingale_state(rho, market, tol=1e-8):
@@ -130,41 +109,17 @@ def maximize_lambda_min(x0, basis, max_iters=DEFAULT_MAX_ITERS):
     return lam, c, evals
 
 
-def martingale_affine_slice(constraints):
-    """Particular point and orthonormal tangent basis of the constraint slice.
-
-    The slice is {X Hermitian : tr X = 1, tr(X G_m) = 0}; the particular
-    point is the least-squares projection of I/d onto it.  Returns
-    (x0, basis_ops) with the basis as a (k, d, d) array, or None when the
-    slice is empty.
-    """
-    d = constraints.dim
-    eye = herm_to_vec(np.eye(d, dtype=complex))
-    mat = np.vstack([eye, constraints.vecs])
-    rhs = np.zeros(len(mat))
-    rhs[0] = 1.0
-    v0 = eye / d
-    corr, *_ = np.linalg.lstsq(mat, rhs - mat @ v0, rcond=None)
-    v = v0 + corr
-    if np.linalg.norm(mat @ v - rhs) > AFFINE_RESIDUAL_TOL:
-        return None
-    null = scipy.linalg.null_space(mat)
-    return vec_to_herm(v, d), vec_to_herm(null.T, d)
-
-
-def max_min_eig_over_slice(constraints, objective_shift=None, max_iters=DEFAULT_MAX_ITERS):
-    """Solve max lambda_min(rho + shift) over the martingale-state slice."""
-    slice_ = martingale_affine_slice(constraints)
+def max_min_eig_over_slice(constraints, max_iters=DEFAULT_MAX_ITERS):
+    """Solve max lambda_min(rho) over the martingale-state slice."""
+    slice_ = constraints.affine_slice
     if slice_ is None:
         return FeasibilityResult(NO_FAITHFUL_STATE, float("-inf"), note="affine set empty")
     x0, basis = slice_
-    if objective_shift is not None:
-        x0 = x0 + objective_shift
     lam, c, evals = maximize_lambda_min(x0, basis, max_iters)
     rho = x0 + np.tensordot(c, basis, axes=1)
     witness = None
     status = NO_FAITHFUL_STATE
-    if lam > FEASIBILITY_THRESHOLD and objective_shift is None:
+    if lam > FEASIBILITY_THRESHOLD:
         witness = DensityState(rho)
         status = FAITHFUL_STATE_FOUND
     elif abs(lam) <= FEASIBILITY_THRESHOLD:

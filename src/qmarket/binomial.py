@@ -69,7 +69,6 @@ class RiskNeutralDisk:
     normal: np.ndarray
     offset: float
     radius: float
-    open: bool = True
 
     @property
     def center(self):
@@ -80,9 +79,6 @@ class RiskNeutralDisk:
         on_plane = abs(float(self.normal @ v) - self.offset) <= tol
         inside = np.linalg.norm(v - self.center) < self.radius + tol
         return bool(on_plane and inside and np.linalg.norm(v) < 1.0 + tol)
-
-    def state(self, v):
-        return DensityState.from_bloch(v)
 
 
 def build_single_period(spec):
@@ -204,12 +200,6 @@ class NPeriodSpec:
         """A_j = (a+b)/2 I + x_1j sx + x_2j sy + x_3j sz."""
         x1, x2, x3 = self.pauli[j]
         return pauli_operator((self.a + self.b) / 2.0, x1, x2, x3)
-
-    def qubit_spec(self, j):
-        x1, x2, x3 = self.pauli[j]
-        return QubitMarketSpec(
-            (self.a + self.b) / 2.0, x1, x2, x3, self.r, self.s0, self.b0
-        )
 
 
 def build_n_period(spec):

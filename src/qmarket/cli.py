@@ -75,6 +75,29 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
+def _typed(value, kind, where):
+    """``value`` as ``kind`` (float, int or list); a ValidationError naming ``where`` if not."""
+    try:
+        if kind is not list or isinstance(value, list):
+            return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"{where} must be {kind.__name__}, got {value!r}")
+
+
+def _field(mapping, key, where, kind=float, default=None):
+    """``mapping[key]`` read as ``kind``, required when no default is given."""
+    value = _require(mapping, key, where) if default is None else mapping.get(key, default)
+    return _typed(value, kind, f"{where}.{key}")
+
+
+def _max_iters(value, where):
+    n = _typed(value, int, where)
+    if n < 1:
+        raise ValidationError(f"{where} must be >= 1, got {n}")
+    return n
+
+
 def parse_scenario(text):
     """Parse and validate a YAML scenario into a canonical dict."""
     try:
@@ -89,38 +112,17 @@ def parse_scenario(text):
         raise ValidationError(f"market.kind must be qubit|nperiod|explicit, got {kind!r}")
 
     scenario = {"market": dict(market), "claims": [], "solver": {}}
-    if kind == "qubit":
-        QubitMarketSpec(
-            float(_require(market, "x0", "market")),
-            float(_require(market, "x1", "market")),
-            float(market.get("x2", 0.0)),
-            float(market.get("x3", 0.0)),
-            float(_require(market, "r", "market")),
-            float(_require(market, "s0", "market")),
-            float(market.get("b0", 1.0)),
-        )
-    elif kind == "nperiod":
-        n = int(_require(market, "n", "market"))
-        if not 1 <= n <= 6:
-            raise ValidationError(f"market.n = {n} outside 1..6 (dimension cap 2^N <= 64)")
-        NPeriodSpec(
-            n,
-            float(_require(market, "a", "market")),
-            float(_require(market, "b", "market")),
-            float(_require(market, "r", "market")),
-            float(_require(market, "s0", "market")),
-            float(market.get("b0", 1.0)),
-            market.get("pauli"),
-        )
-    else:
+    if kind == "explicit":
         _build_explicit_market(market)  # validates
+    else:
+        _market_spec(market)  # validates
 
-    for i, claim in enumerate(raw.get("claims", [])):
+    for i, claim in enumerate(_field(raw, "claims", "scenario", list, [])):
         where = f"claims[{i}]"
         name = _require(claim, "name", where)
         ctype = _require(claim, "type", where)
         if ctype == "call":
-            entry = {"name": name, "type": "call", "strike": float(_require(claim, "strike", where))}
+            entry = {"name": name, "type": "call", "strike": _field(claim, "strike", where)}
         elif ctype == "matrix":
             mat = _decode_matrix(_require(claim, "entries", where), where)
             if np.abs(mat - mat.conj().T).max() > 1e-12 * max(1.0, np.abs(mat).max()):
@@ -134,81 +136,95 @@ def parse_scenario(text):
                 "name": name,
                 "type": "spectral",
                 "fn": fn,
-                "strike": float(_require(claim, "strike", where)),
+                "strike": _field(claim, "strike", where),
             }
         else:
             raise ValidationError(f"{where}.type must be call|matrix|spectral, got {ctype!r}")
         scenario["claims"].append(entry)
 
-    solver = raw.get("solver", {}) or {}
+    solver = raw.get("solver") or {}
+    if not isinstance(solver, dict):
+        raise ValidationError(f"solver must be a mapping, got {solver!r}")
     scenario["solver"] = {
-        "seed": int(solver.get("seed", 0)),
-        "max_iters": int(solver.get("max_iters", DEFAULT_MAX_ITERS)),
+        "seed": _field(solver, "seed", "solver", int, 0),
+        "max_iters": _max_iters(solver.get("max_iters", DEFAULT_MAX_ITERS), "solver.max_iters"),
     }
     return scenario
 
 
+def _market_spec(market):
+    """The QubitMarketSpec or NPeriodSpec of a qubit or nperiod market mapping."""
+
+    def num(key, default=None):
+        return _field(market, key, "market", float, default)
+
+    if market["kind"] == "qubit":
+        return QubitMarketSpec(
+            num("x0"), num("x1"), num("x2", 0.0), num("x3", 0.0),
+            num("r"), num("s0"), num("b0", 1.0),
+        )
+    n = _field(market, "n", "market", int)
+    if not 1 <= n <= 6:
+        raise ValidationError(f"market.n = {n} outside 1..6 (dimension cap 2^N <= 64)")
+    pauli = market.get("pauli")
+    if pauli is not None:
+        pauli = [
+            [_typed(x, float, f"market.pauli[{j}]") for x in _typed(p, list, f"market.pauli[{j}]")]
+            for j, p in enumerate(_typed(pauli, list, "market.pauli"))
+        ]
+    return NPeriodSpec(n, num("a"), num("b"), num("r"), num("s0"), num("b0", 1.0), pauli)
+
+
 def _build_explicit_market(market):
-    dim = int(_require(market, "dim", "market"))
-    bank = [float(b) for b in _require(market, "bank", "market")]
+    dim = _field(market, "dim", "market", int)
+    bank = [
+        _typed(b, float, f"market.bank[{t}]")
+        for t, b in enumerate(_field(market, "bank", "market", list))
+    ]
     algebras = []
-    for t, spec in enumerate(_require(market, "filtration", "market")):
+    for t, spec in enumerate(_field(market, "filtration", "market", list)):
         where = f"market.filtration[{t}]"
         if spec == "trivial":
             algebras.append(OperatorAlgebra.trivial(dim))
         elif spec == "full":
             algebras.append(OperatorAlgebra.full(dim))
         elif isinstance(spec, dict) and "factor" in spec:
-            algebras.append(OperatorAlgebra.tensor_factor(int(spec["factor"]), dim))
+            algebras.append(OperatorAlgebra.tensor_factor(_field(spec, "factor", where, int), dim))
         elif isinstance(spec, dict) and "basis" in spec:
             algebras.append(
                 OperatorAlgebra.from_basis(
-                    [_decode_matrix(m, where) for m in spec["basis"]]
+                    [_decode_matrix(m, where) for m in _field(spec, "basis", where, list)]
                 )
             )
         else:
             raise ValidationError(f"{where}: expected trivial|full|{{factor}}|{{basis}}")
     filtration = Filtration(algebras)
     assets = []
-    for j, proc in enumerate(_require(market, "assets", "market")):
+    for j, proc in enumerate(_field(market, "assets", "market", list)):
+        where = f"market.assets[{j}]"
         assets.append(
-            [_decode_matrix(m, f"market.assets[{j}][{t}]") for t, m in enumerate(proc)]
+            [_decode_matrix(m, f"{where}[{t}]") for t, m in enumerate(_typed(proc, list, where))]
         )
     return MarketModel(filtration, bank, assets)
 
 
 def build_market(scenario):
     market = scenario["market"]
-    kind = market["kind"]
-    if kind == "qubit":
-        spec = QubitMarketSpec(
-            float(market["x0"]), float(market["x1"]),
-            float(market.get("x2", 0.0)), float(market.get("x3", 0.0)),
-            float(market["r"]), float(market["s0"]), float(market.get("b0", 1.0)),
-        )
-        return build_single_period(spec), spec
-    if kind == "nperiod":
-        spec = NPeriodSpec(
-            int(market["n"]), float(market["a"]), float(market["b"]),
-            float(market["r"]), float(market["s0"]), float(market.get("b0", 1.0)),
-            market.get("pauli"),
-        )
-        return build_n_period(spec), spec
-    return _build_explicit_market(market), None
+    if market["kind"] == "explicit":
+        return _build_explicit_market(market), None
+    spec = _market_spec(market)
+    build = build_single_period if market["kind"] == "qubit" else build_n_period
+    return build(spec), spec
 
 
 def claim_payoff(entry, market):
     """Terminal payoff operator of a claim, in undiscounted currency."""
-    s_term = market.assets[0][market.horizon]
-    if entry["type"] == "call":
-        k = entry["strike"]
-        return apply_function(s_term, lambda s: max(s - k, 0.0))
-    if entry["type"] == "spectral":
-        k = entry["strike"]
-        if entry["fn"] == "call":
-            return apply_function(s_term, lambda s: max(s - k, 0.0))
+    if entry["type"] == "matrix":
+        return _decode_matrix(entry["entries"], "claim")
+    s_term, k = market.assets[0][market.horizon], entry["strike"]
+    if entry.get("fn") == "put":
         return apply_function(s_term, lambda s: max(k - s, 0.0))
-    return _decode_matrix(entry["entries"], "claim")
+    return apply_function(s_term, lambda s: max(s - k, 0.0))
 
 
 def _witness_payload(state):
@@ -242,7 +258,9 @@ def _decompose_values(cls, payoff, market):
 
 def run(command, scenario, samples=100):
     """Dispatch a command against a parsed scenario; returns (report, exit_code)."""
-    max_iters = int(os.environ.get("QMARKET_MAX_ITERS", scenario["solver"]["max_iters"]))
+    max_iters = scenario["solver"]["max_iters"]
+    if "QMARKET_MAX_ITERS" in os.environ:
+        max_iters = _max_iters(os.environ["QMARKET_MAX_ITERS"], "QMARKET_MAX_ITERS")
     seed = scenario["solver"]["seed"]
     market, spec = build_market(scenario)
     results = {}

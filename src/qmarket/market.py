@@ -14,14 +14,19 @@ k x k blocks of dS_t, which gives K_t = Herm(M_m) (x) W_t without forming
 the pairs.  :class:`AttainableSpace` holds the orthonormal basis of K with
 the h-matrix preimage of every element and is built once per discounted
 market.
+
+A state is a martingale state iff it annihilates K, so the attainable space
+is also the market's :class:`MartingaleConstraintSet` and keeps its slice.
 """
 
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ValidationError
 from .operators import (
+    _SQRT2,
     as_hermitian,
     check_matrix,
     herm_to_vec,
@@ -33,8 +38,7 @@ from .operators import (
 SPAN_TOL = 1e-9
 POSITIVITY_TOL = 1e-10
 RANK_TOL = 1e-9
-
-_SQRT2 = np.sqrt(2.0)
+AFFINE_RESIDUAL_TOL = 1e-8
 
 
 class OperatorAlgebra:
@@ -58,8 +62,8 @@ class OperatorAlgebra:
 
     @classmethod
     def tensor_factor(cls, active_dim, dim):
-        if dim % active_dim != 0:
-            raise ValidationError(f"{active_dim} does not divide ambient dim {dim}")
+        if not 1 <= active_dim <= dim or dim % active_dim != 0:
+            raise ValidationError(f"factor {active_dim} must be in 1..{dim} and divide {dim}")
         return cls(dim, factor_dim=int(active_dim))
 
     @classmethod
@@ -302,24 +306,6 @@ class TradingStrategy:
                         f"strategy coefficient at period {t} is not in A_{t - 1}"
                     )
 
-    def scaled(self, c):
-        return TradingStrategy(
-            {key: [(c * a, mat) for a, mat in pairs] for key, pairs in self.terms.items()},
-            h0=c * self.h0,
-        )
-
-    @classmethod
-    def combine(cls, strategies, coeffs):
-        terms = {}
-        h0 = 0.0
-        for strat, c in zip(strategies, coeffs):
-            if c == 0.0:
-                continue
-            h0 += c * strat.h0
-            for key, pairs in strat.terms.items():
-                terms.setdefault(key, []).extend((c * a, mat) for a, mat in pairs)
-        return cls(terms, h0=h0)
-
     def apply_increment(self, market, t):
         """sum_j sum_k a_k A_k* (S^j_t - S^j_{t-1}) A_k for one period."""
         d = market.dim
@@ -375,6 +361,59 @@ def value_process(beta, strategy, market):
     return values
 
 
+class MartingaleConstraintSet:
+    """Orthonormal Hermitian G_m with tr(rho G_m) = 0 required of a martingale state.
+
+    ``vecs`` holds the herm-vec rows of the G_m; subclasses set ``dim`` and
+    ``vecs`` themselves.  ``affine_slice`` is computed on first use and kept
+    with its arrays read-only.
+    """
+
+    def __init__(self, dim, operators):
+        self.dim = int(dim)
+        mats = np.asarray(operators, dtype=complex).reshape(-1, self.dim, self.dim)
+        self.vecs = herm_to_vec(mats)
+
+    def __len__(self):
+        return len(self.vecs)
+
+    rank = property(__len__)
+
+    @cached_property
+    def operators(self):
+        return vec_to_herm(self.vecs, self.dim)
+
+    @cached_property
+    def affine_slice(self):
+        """(x0, basis) of :func:`martingale_affine_slice`, or None when empty."""
+        slice_ = martingale_affine_slice(self)
+        for arr in slice_ or ():
+            arr.flags.writeable = False
+        return slice_
+
+
+def martingale_affine_slice(constraints):
+    """Particular point and orthonormal tangent basis of the constraint slice.
+
+    The slice is {X Hermitian : tr X = 1, tr(X G_m) = 0}; the particular
+    point is the least-squares projection of I/d onto it.  Returns
+    (x0, basis_ops) with the basis as a (k, d, d) array, or None when the
+    slice is empty.
+    """
+    d = constraints.dim
+    eye = herm_to_vec(np.eye(d, dtype=complex))
+    mat = np.vstack([eye, constraints.vecs])
+    rhs = np.zeros(len(mat))
+    rhs[0] = 1.0
+    v0 = eye / d
+    corr, *_ = np.linalg.lstsq(mat, rhs - mat @ v0, rcond=None)
+    v = v0 + corr
+    if np.linalg.norm(mat @ v - rhs) > AFFINE_RESIDUAL_TOL:
+        return None
+    null = scipy.linalg.null_space(mat)
+    return vec_to_herm(v, d), vec_to_herm(null.T, d)
+
+
 def _pair_images(blocks):
     """herm_to_vec of sum_pq h_pq X_pq for each h in the herm-vec basis of Herm(n).
 
@@ -412,7 +451,7 @@ def _unvec_pair(f, m):
     return h.transpose(2, 0, 3, 1).reshape(m * m, m * m)
 
 
-class PeriodSpan:
+class PeriodSpan(MartingaleConstraintSet):
     """K_t with an h-matrix preimage for each element.
 
     A period-t strategy is one Hermitian coefficient matrix h per asset
@@ -452,14 +491,6 @@ class PeriodSpan:
             prod = np.einsum("aij,bkl->abikjl", units, w).reshape(-1, d, d)
             self.vecs = herm_to_vec(prod)
 
-    @property
-    def rank(self):
-        return len(self.vecs)
-
-    @cached_property
-    def operators(self):
-        return vec_to_herm(self.vecs, self.dim)
-
     def coefficient_matrices(self, coeffs):
         """Per asset, the Hermitian h whose gain is sum_i coeffs_i K_{t,i}."""
         coeffs = np.asarray(coeffs, dtype=float)
@@ -492,14 +523,16 @@ class PeriodSpan:
         return out
 
 
-class AttainableSpace:
+class AttainableSpace(MartingaleConstraintSet):
     """K = sum_t K_t of a discounted market, with a strategy for each element.
 
     ``vecs`` is an orthonormal herm-vec basis of K, rank-revealed by one SVD
     of the stacked period bases; ``periods`` holds the K_t.  A coefficient
     vector over ``vecs`` maps to coefficients over the period bases by one
-    matvec, and from there to one h-matrix per period and asset.  Nothing
-    here refers back to the market, which keeps this object.
+    matvec, and from there to one h-matrix per period and asset.  As the
+    market's martingale constraint set it keeps the affine slice of its
+    martingale states.  Nothing here refers back to the market, which keeps
+    this object.
     """
 
     def __init__(self, market):
@@ -523,14 +556,6 @@ class AttainableSpace:
             self._coords, self.vecs = _orthonormal_rows(stack)
         self._offsets = np.cumsum([0] + [p.rank for p in self.periods])
 
-    @property
-    def rank(self):
-        return len(self.vecs)
-
-    @cached_property
-    def operators(self):
-        return vec_to_herm(self.vecs, self.dim)
-
     def strategy(self, coeffs):
         """A TradingStrategy whose terminal gain is sum_i coeffs_i K_i."""
         local = self._coords @ np.asarray(coeffs, dtype=float)
@@ -549,14 +574,6 @@ def attainable_space(market):
     return market._attainable
 
 
-def attainable_space_basis(market, with_preimages=False):
-    """Orthonormal real basis of the attainable-claim space K.
-
-    With ``with_preimages=True`` also returns, per basis element, a
-    TradingStrategy whose terminal gain equals that element.
-    """
-    space = attainable_space(market)
-    basis = list(space.operators)
-    if not with_preimages:
-        return basis
-    return basis, [space.strategy(e) for e in np.eye(space.rank)]
+def attainable_space_basis(market):
+    """Orthonormal real basis of the attainable-claim space K."""
+    return list(attainable_space(market).operators)

@@ -17,8 +17,6 @@ from .errors import InternalConsistencyError, SolverError, ValidationError
 DIM_CAP = 64
 
 HERM_TOL = 1e-12
-PROJ_TOL = 1e-10
-RECON_TOL = 1e-9
 
 # Pauli basis of 2x2 Hermitian operators
 I2 = np.eye(2, dtype=complex)
@@ -54,14 +52,6 @@ def as_hermitian(m):
             f"{HERM_TOL * scale:.3e}"
         )
     return 0.5 * (a + a.conj().T)
-
-
-def is_hermitian(m, tol=HERM_TOL):
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return False
-    scale = max(1.0, np.abs(a).max())
-    return bool(np.abs(a - a.conj().T).max() <= tol * scale)
 
 
 @dataclass(frozen=True)

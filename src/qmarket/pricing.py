@@ -16,9 +16,7 @@ from .arbitrage import (
     DEFAULT_MAX_ITERS,
     FAITHFUL_STATE_FOUND,
     NO_FAITHFUL_STATE,
-    build_constraints,
     check_no_arbitrage,
-    martingale_affine_slice,
     maximize_lambda_min,
 )
 from .errors import ArbitrageError, InternalConsistencyError, SolverError, ValidationError
@@ -29,6 +27,7 @@ from .quantum import DensityState
 ATTAINABLE_RESIDUAL_TOL = 1e-8
 INTERVAL_WIDTH_TOL = 1e-7
 CONSUMPTION_PSD_TOL = 1e-8
+TAU_FLOOR = 1e-10
 
 
 @dataclass
@@ -53,10 +52,6 @@ class PriceInterval:
     witness_states: tuple = (None, None)
     interval_open: bool = True
     replication: Optional[Replication] = field(default=None, repr=False)
-
-    @property
-    def width(self):
-        return self.upper - self.lower
 
 
 @dataclass
@@ -112,8 +107,8 @@ def replicate(a, market):
 # --- log-det barrier over the martingale slice ------------------------------
 
 
-def _barrier_maximize(x0, basis, objective, start_c, tau_floor=1e-10):
-    """max tr(rho(c) A) + tau logdet rho(c) along tau = 1, 0.5, ..., floor."""
+def _barrier_maximize(x0, basis, objective, start_c):
+    """max tr(rho(c) A) + tau logdet rho(c) along tau = 1, 0.5, ..., TAU_FLOOR."""
     if len(basis) == 0:
         return float(hs_inner(x0, objective)), np.zeros(0)
     stack = np.asarray(basis)
@@ -131,7 +126,7 @@ def _barrier_maximize(x0, basis, objective, start_c, tau_floor=1e-10):
         return float(q @ cv) + tau * float(np.log(vals).sum())
 
     tau = 1.0
-    while tau >= tau_floor:
+    while tau >= TAU_FLOOR:
         for _ in range(60):
             rho = assemble(c)
             inv = np.linalg.inv(rho)
@@ -172,8 +167,8 @@ def price_bounds(a, market, max_iters=DEFAULT_MAX_ITERS):
     if na.status != FAITHFUL_STATE_FOUND:
         raise SolverError("no-arbitrage decision is indeterminate")
 
-    cs = build_constraints(market)
-    slice_ = martingale_affine_slice(cs)
+    # the slice check_no_arbitrage searched, kept on the attainable space
+    slice_ = attainable_space(market).affine_slice
     if slice_ is None:
         raise SolverError("martingale slice unexpectedly empty")
     x0, basis = slice_

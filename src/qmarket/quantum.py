@@ -75,14 +75,6 @@ class DensityState:
         return cls(0.5 * (I2 + v[0] * SX + v[1] * SY + v[2] * SZ))
 
 
-def as_event(p, tol=STATE_TOL):
-    """Validate E = E* = E^2 and return the symmetrized projection."""
-    e = as_hermitian(p)
-    if np.abs(e @ e - e).max() > tol:
-        raise ValidationError("event is not idempotent")
-    return e
-
-
 def expectation(rho, x):
     """E_rho(X) = tr(rho X)."""
     mat = rho.mat if isinstance(rho, DensityState) else as_hermitian(rho)

@@ -1,12 +1,19 @@
 """The attainable space: one build per market, both construction routes, strategies."""
 
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import qmarket.arbitrage as arbitrage_mod
 import qmarket.market as market_mod
-from qmarket.arbitrage import FAITHFUL_STATE_FOUND, check_no_arbitrage, is_martingale_state
+from qmarket.arbitrage import (
+    FAITHFUL_STATE_FOUND,
+    build_constraints,
+    check_no_arbitrage,
+    is_martingale_state,
+)
 from qmarket.binomial import NPeriodSpec, build_n_period, crr_price
 from qmarket.cli import parse_scenario, run
 from qmarket.market import (
@@ -18,7 +25,7 @@ from qmarket.market import (
     gain_process,
 )
 from qmarket.operators import apply_function, herm_to_vec
-from qmarket.pricing import arbitrage_free_prices, replicate
+from qmarket.pricing import arbitrage_free_prices, optional_decomposition, price_bounds, replicate
 
 from conftest import random_market
 
@@ -58,6 +65,45 @@ def test_arbitrage_free_prices_builds_the_space_once(count_builds):
     cls = arbitrage_free_prices(call_payoff(mkt, 100.0), mkt)
     assert cls.unique_price == pytest.approx(crr_price(2, 100.0, 100.0, 0.05, -0.1, 0.2), abs=1e-9)
     assert len(count_builds) == 1
+
+
+@pytest.fixture
+def count_slices(monkeypatch):
+    """Record every martingale_affine_slice call, whichever qmarket module makes it."""
+    calls = []
+    orig = arbitrage_mod.martingale_affine_slice
+
+    def counting(constraints):
+        calls.append(constraints)
+        return orig(constraints)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("qmarket") and getattr(mod, "martingale_affine_slice", None) is orig:
+            monkeypatch.setattr(mod, "martingale_affine_slice", counting)
+    return calls
+
+
+def test_price_bounds_builds_the_affine_slice_once(count_slices):
+    mkt = nperiod_market(2)
+    claim = call_payoff(mkt, 100.0)
+    interval = price_bounds(claim, mkt)
+    assert len(count_slices) == 1
+    rep = interval.replication
+    values = [rep.alpha * np.eye(mkt.dim) + g for g in gain_process(rep.strategy, mkt)]
+    optional_decomposition(values, mkt)
+    assert len(count_slices) == 1
+
+
+def test_the_attainable_space_is_the_constraint_set():
+    mkt = nperiod_market(2)
+    space = attainable_space(mkt)
+    assert build_constraints(mkt) is space
+    assert len(space) == space.rank == sum(4 ** t for t in range(2))
+    x0, basis = space.affine_slice
+    assert space.affine_slice[0] is x0
+    assert not x0.flags.writeable and not basis.flags.writeable
+    # the slice directions are orthogonal to K
+    assert np.abs(herm_to_vec(basis) @ space.vecs.T).max() <= 1e-10
 
 
 def test_undiscounted_market_keeps_its_discounted_copy(count_builds):

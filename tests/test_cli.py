@@ -290,3 +290,29 @@ def test_parse_scenario_same_tree_with_either_yaml_loader(monkeypatch):
     assert fast == slow
     for a, b in zip(fast, slow):
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+MALFORMED = [
+    pytest.param("market.x0", QUBIT_YAML.replace("x0: 0.05", "x0: abc"), None, id="x0"),
+    pytest.param("market.n", NPERIOD_YAML.replace("n: 2", "n: two"), None, id="n"),
+    pytest.param("market.dim", TRINOMIAL_YAML.replace("dim: 3", "dim: x"), None, id="dim"),
+    pytest.param(
+        "claims[0].strike", QUBIT_YAML.replace("strike: 100.0", "strike: [1]"), None, id="strike"
+    ),
+    pytest.param("claims", QUBIT_YAML.split("claims:")[0] + "claims: 5\n", None, id="claims"),
+    pytest.param("solver", QUBIT_YAML.split("solver:")[0] + "solver: 5\n", None, id="solver"),
+    pytest.param("solver.max_iters", QUBIT_YAML + "  max_iters: lots\n", None, id="max_iters"),
+    pytest.param("solver.max_iters", QUBIT_YAML + "  max_iters: 0\n", None, id="max_iters_0"),
+    pytest.param("QMARKET_MAX_ITERS", QUBIT_YAML, "abc", id="env_max_iters"),
+    pytest.param("QMARKET_MAX_ITERS", QUBIT_YAML, "0", id="env_max_iters_0"),
+]
+
+
+@pytest.mark.parametrize("field,text,env_iters", MALFORMED)
+def test_main_rejects_malformed_field(tmp_path, monkeypatch, capsys, field, text, env_iters):
+    if env_iters is not None:
+        monkeypatch.setenv("QMARKET_MAX_ITERS", env_iters)
+    scen = write(tmp_path, text)
+    assert main(["check-arbitrage", "--scenario", scen]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err

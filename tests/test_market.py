@@ -9,6 +9,7 @@ from qmarket.market import (
     MarketModel,
     OperatorAlgebra,
     TradingStrategy,
+    attainable_space,
     attainable_space_basis,
     bimodule_apply,
     discount,
@@ -33,6 +34,9 @@ def test_algebra_factor_membership():
     assert alg.contains(np.kron(SX, I2))
     assert not alg.contains(np.kron(I2, SX))
     assert alg.herm_dim() == 4
+    for active, dim in ((3, 4), (0, 2), (0, 0), (1, 0)):
+        with pytest.raises(ValidationError, match="must be in 1"):
+            OperatorAlgebra.tensor_factor(active, dim)
 
 
 def test_algebra_explicit_validation():
@@ -168,9 +172,9 @@ def test_attainable_space_qubit_one_dimensional():
 
 def test_attainable_basis_preimages_reproduce_basis():
     mkt = qubit_market()
-    basis, strategies = attainable_space_basis(mkt, with_preimages=True)
-    for k, h in zip(basis, strategies):
-        gains = gain_process(h, mkt)
+    space = attainable_space(mkt)
+    for k, e in zip(attainable_space_basis(mkt), np.eye(space.rank)):
+        gains = gain_process(space.strategy(e), mkt)
         np.testing.assert_allclose(gains[-1], k, atol=1e-9)
 
 
