@@ -144,10 +144,21 @@ def _positive_claim_search(constraints, max_iters):
 
 
 def check_no_arbitrage(market, max_iters=DEFAULT_MAX_ITERS):
-    """Fundamental-theorem decision: faithful witness or positive-claim certificate."""
-    m = discount(market)
-    cs = build_constraints(m)
-    d = m.dim
+    """Fundamental-theorem decision: faithful witness or positive-claim certificate.
+
+    The decision is kept on the market's constraint set, one per
+    ``max_iters``, and every later call on the same market returns that
+    same result object.
+    """
+    cs = build_constraints(discount(market))
+    if max_iters not in cs.decisions:
+        cs.decisions[max_iters] = _decide(cs, max_iters)
+    return cs.decisions[max_iters]
+
+
+def _decide(cs, max_iters):
+    """The decision of :func:`check_no_arbitrage` on the constraint set ``cs``."""
+    d = cs.dim
     if len(cs) == 0:
         witness = DensityState.maximally_mixed(d)
         return FeasibilityResult(

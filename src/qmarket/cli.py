@@ -76,9 +76,13 @@ def _require(mapping, key, where):
 
 
 def _typed(value, kind, where):
-    """``value`` as ``kind`` (float, int or list); a ValidationError naming ``where`` if not."""
+    """``value`` as ``kind`` (float, int or list); a ValidationError naming ``where`` if not.
+
+    An int field refuses a non-integral number rather than truncate it.
+    """
+    truncates = kind is int and isinstance(value, float) and not value.is_integer()
     try:
-        if kind is not list or isinstance(value, list):
+        if not truncates and (kind is not list or isinstance(value, list)):
             return kind(value)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -117,9 +121,15 @@ def parse_scenario(text):
     else:
         _market_spec(market)  # validates
 
+    names = set()
     for i, claim in enumerate(_field(raw, "claims", "scenario", list, [])):
         where = f"claims[{i}]"
         name = _require(claim, "name", where)
+        if not isinstance(name, str):
+            raise ValidationError(f"{where}.name must be a string, got {name!r}")
+        if name in names:
+            raise ValidationError(f"{where}.name {name!r} repeats an earlier claim's name")
+        names.add(name)
         ctype = _require(claim, "type", where)
         if ctype == "call":
             entry = {"name": name, "type": "call", "strike": _field(claim, "strike", where)}

@@ -366,7 +366,7 @@ class MartingaleConstraintSet:
 
     ``vecs`` holds the herm-vec rows of the G_m; subclasses set ``dim`` and
     ``vecs`` themselves.  ``affine_slice`` is computed on first use and kept
-    with its arrays read-only.
+    with its arrays read-only; ``decisions`` keeps the no-arbitrage results.
     """
 
     def __init__(self, dim, operators):
@@ -382,6 +382,11 @@ class MartingaleConstraintSet:
     @cached_property
     def operators(self):
         return vec_to_herm(self.vecs, self.dim)
+
+    @cached_property
+    def decisions(self):
+        """check_no_arbitrage results on this set, keyed by max_iters."""
+        return {}
 
     @cached_property
     def affine_slice(self):

@@ -1,6 +1,9 @@
 """Replication, arbitrage-free price intervals, and optional decomposition.
 
-Price bounds are computed by an interior-point pass: maximize
+Price bounds start from replication.  An attainable claim
+A = alpha I + (H # S)_T has the price alpha under every martingale state,
+so its interval collapses to that point without the interior-point pass.
+Any other claim's bounds come from that pass: maximize
 tr(rho A) + tau * logdet(rho) over the affine martingale slice with damped
 Newton steps, driving tau down a geometric schedule; the endpoints of the
 tau-path converge to the closed-set optima, which by density of the
@@ -25,6 +28,7 @@ from .operators import as_hermitian, herm_to_vec, hs_inner
 from .quantum import DensityState
 
 ATTAINABLE_RESIDUAL_TOL = 1e-8
+# widest interval the barrier oracle in the tests may report for an attainable claim
 INTERVAL_WIDTH_TOL = 1e-7
 CONSUMPTION_PSD_TOL = 1e-8
 TAU_FLOOR = 1e-10
@@ -112,6 +116,7 @@ def _barrier_maximize(x0, basis, objective, start_c):
     if len(basis) == 0:
         return float(hs_inner(x0, objective)), np.zeros(0)
     stack = np.asarray(basis)
+    n, d = stack.shape[:2]
     q = herm_to_vec(stack) @ herm_to_vec(objective)
     c = np.array(start_c, dtype=float)
 
@@ -128,13 +133,17 @@ def _barrier_maximize(x0, basis, objective, start_c):
     tau = 1.0
     while tau >= TAU_FLOOR:
         for _ in range(60):
-            rho = assemble(c)
-            inv = np.linalg.inv(rho)
-            inv = 0.5 * (inv + inv.conj().T)
-            grad = q + tau * np.einsum("ab,iab->i", inv.conj(), stack).real
-            m = np.einsum("ab,ibc->iac", inv, stack)
-            hess = tau * np.einsum("iab,jba->ij", m, m).real
-            hess = 0.5 * (hess + hess.T)
+            # whiten by rho = L L*: with M_i = L^-1 B_i L^-*, the gradient of
+            # logdet is tr M_i and its Hessian is -Re<M_i, M_j>
+            try:
+                chol = np.linalg.cholesky(assemble(c))
+            except np.linalg.LinAlgError as exc:
+                raise SolverError("barrier iterate is not positive definite") from exc
+            linv = np.linalg.inv(chol)
+            m = linv @ (stack.reshape(n * d, d) @ linv.conj().T).reshape(n, d, d)
+            grad = q + tau * np.trace(m, axis1=1, axis2=2).real
+            flat = m.reshape(n, -1).view(float)
+            hess = tau * (flat @ flat.T)
             try:
                 step = np.linalg.solve(hess + 1e-14 * np.eye(len(c)), grad)
             except np.linalg.LinAlgError:
@@ -158,6 +167,7 @@ def price_bounds(a, market, max_iters=DEFAULT_MAX_ITERS):
     """Arbitrage-free price interval [inf, sup] of tr(rho A) over martingale states."""
     _require_discounted(market)
     a = _require_terminal_observable(a, market)
+    rep = replicate(a, market)
     na = check_no_arbitrage(market, max_iters=max_iters)
     if na.status == NO_FAITHFUL_STATE:
         raise ArbitrageError(
@@ -172,12 +182,27 @@ def price_bounds(a, market, max_iters=DEFAULT_MAX_ITERS):
     if slice_ is None:
         raise SolverError("martingale slice unexpectedly empty")
     x0, basis = slice_
-    if na.witness_state is not None:
-        # re-express the interior witness in slice coordinates for a warm start
-        start = herm_to_vec(basis) @ herm_to_vec(na.witness_state.mat - x0)
-    else:
-        start = np.zeros(len(basis))
+    tangent = herm_to_vec(basis)
+    # the slice directions span the orthocomplement of span(I, K), so q is
+    # the part of A that replication cannot reach: |q| = rep.residual
+    q = tangent @ herm_to_vec(a)
+    q_norm = float(np.linalg.norm(q))
+    if (q_norm <= ATTAINABLE_RESIDUAL_TOL * rep.scale) != rep.attainable:
+        raise InternalConsistencyError(
+            f"attainability disagreement: replication residual {rep.residual:.3e}, "
+            f"part outside span(I, K) {q_norm:.3e}"
+        )
+    witness = na.witness_state if na.witness_state is not None else DensityState(x0)
+    if rep.attainable:
+        # every martingale state gives A = alpha I + (H # S)_T the price alpha
+        price = float(hs_inner(witness.mat, a))
+        return PriceInterval(
+            price, price, attainable=True, witness_states=(witness, witness),
+            interval_open=False, replication=rep,
+        )
 
+    # re-express the interior witness in slice coordinates for a warm start
+    start = tangent @ herm_to_vec(witness.mat - x0)
     upper, c_hi = _barrier_maximize(x0, basis, a, start)
     lower_neg, c_lo = _barrier_maximize(x0, basis, -a, start)
     lower = -lower_neg
@@ -185,20 +210,12 @@ def price_bounds(a, market, max_iters=DEFAULT_MAX_ITERS):
     def state_at(cv):
         return DensityState(x0 + np.tensordot(cv, basis, axes=1))
 
-    rep = replicate(a, market)
-    scale = max(1.0, abs(upper))
-    width_small = upper - lower <= INTERVAL_WIDTH_TOL * scale
-    if rep.attainable != width_small:
-        raise InternalConsistencyError(
-            f"attainability disagreement: replication residual {rep.residual:.3e}, "
-            f"interval width {upper - lower:.3e}"
-        )
     return PriceInterval(
         lower,
         upper,
-        attainable=rep.attainable,
+        attainable=False,
         witness_states=(state_at(c_lo), state_at(c_hi)),
-        interval_open=not rep.attainable,
+        interval_open=True,
         replication=rep,
     )
 

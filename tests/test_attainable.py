@@ -8,14 +8,22 @@ import pytest
 
 import qmarket.arbitrage as arbitrage_mod
 import qmarket.market as market_mod
+import qmarket.pricing as pricing_mod
 from qmarket.arbitrage import (
     FAITHFUL_STATE_FOUND,
     build_constraints,
     check_no_arbitrage,
     is_martingale_state,
 )
-from qmarket.binomial import NPeriodSpec, build_n_period, crr_price
+from qmarket.binomial import (
+    NPeriodSpec,
+    QubitMarketSpec,
+    build_n_period,
+    build_single_period,
+    crr_price,
+)
 from qmarket.cli import parse_scenario, run
+from qmarket.errors import InternalConsistencyError
 from qmarket.market import (
     Filtration,
     MarketModel,
@@ -25,9 +33,16 @@ from qmarket.market import (
     gain_process,
 )
 from qmarket.operators import apply_function, herm_to_vec
-from qmarket.pricing import arbitrage_free_prices, optional_decomposition, price_bounds, replicate
+from qmarket.pricing import (
+    INTERVAL_WIDTH_TOL,
+    _barrier_maximize,
+    arbitrage_free_prices,
+    optional_decomposition,
+    price_bounds,
+    replicate,
+)
 
-from conftest import random_market
+from conftest import random_market, trinomial_market
 
 PAULI = [[0.15, 0.0, 0.0], [0.0, 0.15, 0.0], [0.09, 0.0, 0.12]]
 
@@ -67,20 +82,24 @@ def test_arbitrage_free_prices_builds_the_space_once(count_builds):
     assert len(count_builds) == 1
 
 
+def count_calls(monkeypatch, module, name):
+    """Record every call of module.name, whichever qmarket module makes it."""
+    calls = []
+    orig = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return orig(*args)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("qmarket") and getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
 @pytest.fixture
 def count_slices(monkeypatch):
-    """Record every martingale_affine_slice call, whichever qmarket module makes it."""
-    calls = []
-    orig = arbitrage_mod.martingale_affine_slice
-
-    def counting(constraints):
-        calls.append(constraints)
-        return orig(constraints)
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("qmarket") and getattr(mod, "martingale_affine_slice", None) is orig:
-            monkeypatch.setattr(mod, "martingale_affine_slice", counting)
-    return calls
+    return count_calls(monkeypatch, arbitrage_mod, "martingale_affine_slice")
 
 
 def test_price_bounds_builds_the_affine_slice_once(count_slices):
@@ -217,3 +236,95 @@ def test_nperiod_5_check_arbitrage_finishes():
     assert report["results"]["status"] == FAITHFUL_STATE_FOUND
     assert report["results"]["lambda_star"] == pytest.approx(1.0 / 32.0, abs=1e-7)
     assert elapsed < 60.0
+
+
+def test_nperiod_5_price_matches_crr():
+    y = (
+        "market: {kind: nperiod, n: 5, a: -0.1, b: 0.2, r: 0.05, s0: 100.0}\n"
+        "claims: [{name: atm, type: call, strike: 100.0}]\n"
+    )
+    t0 = time.time()
+    report, code = run("price", parse_scenario(y))
+    elapsed = time.time() - t0
+    assert code == 0
+    out = report["results"]["atm"]
+    assert out["unique_price"] == pytest.approx(crr_price(5, 100.0, 100.0, 0.05, -0.1, 0.2), abs=1e-9)
+    assert elapsed < 60.0
+
+
+# --- attainable claims are priced without the barrier ------------------------
+
+
+def test_attainable_claim_runs_no_barrier(monkeypatch):
+    barrier = count_calls(monkeypatch, pricing_mod, "_barrier_maximize")
+    mkt = nperiod_market(2)
+    interval = price_bounds(call_payoff(mkt, 100.0), mkt)
+    assert interval.attainable and not interval.interval_open
+    assert interval.lower == interval.upper
+    assert interval.upper == pytest.approx(interval.replication.alpha, abs=1e-9)
+    assert interval.witness_states[0] is interval.witness_states[1]
+    assert is_martingale_state(interval.witness_states[0], mkt)
+    assert barrier == []
+
+
+def test_no_arbitrage_is_decided_once_per_market(monkeypatch):
+    ascents = count_calls(monkeypatch, arbitrage_mod, "maximize_lambda_min")
+    mkt = nperiod_market(2)
+    for strike in (100.0, 90.0):
+        cls = arbitrage_free_prices(call_payoff(mkt, strike), mkt)
+        assert cls.unique_price == pytest.approx(
+            crr_price(2, 100.0, strike, 0.05, -0.1, 0.2), abs=1e-9
+        )
+    assert len(ascents) == 1
+    assert check_no_arbitrage(mkt) is check_no_arbitrage(mkt)
+    # a different iteration cap is a different decision
+    check_no_arbitrage(mkt, max_iters=1000)
+    assert len(ascents) == 2
+
+
+def qubit_market():
+    return discount(build_single_period(QubitMarketSpec(0.05, 0.15, 0.0, 0.0, r=0.05, s0=100.0)))
+
+
+ORACLE_MARKETS = {
+    "qubit": qubit_market,
+    "nperiod2": lambda: nperiod_market(2),
+    "nperiod3": lambda: nperiod_market(3),
+    "trinomial": lambda: discount(trinomial_market()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MARKETS))
+def test_barrier_agrees_with_replication(name):
+    # the interior-point pass, run directly, is an independent oracle for
+    # the short-circuit: width zero exactly on attainable claims, at alpha
+    mkt = ORACLE_MARKETS[name]()
+    claim = call_payoff(mkt, 100.0)
+    x0, basis = attainable_space(mkt).affine_slice
+    witness = check_no_arbitrage(mkt).witness_state
+    start = herm_to_vec(basis) @ herm_to_vec(witness.mat - x0)
+    upper, _ = _barrier_maximize(x0, basis, claim, start)
+    lower = -_barrier_maximize(x0, basis, -claim, start)[0]
+    interval = price_bounds(claim, mkt)
+    scale = max(1.0, abs(upper))
+    assert (upper - lower <= INTERVAL_WIDTH_TOL * scale) == interval.attainable
+    assert interval.attainable == (name != "trinomial")
+    if interval.attainable:
+        assert upper == pytest.approx(interval.replication.alpha, abs=1e-6 * scale)
+        assert lower == pytest.approx(interval.replication.alpha, abs=1e-6 * scale)
+    else:
+        assert (interval.lower, interval.upper) == pytest.approx((lower, upper), abs=1e-12)
+
+
+@pytest.mark.parametrize("name,residual", [("nperiod2", 1.0), ("trinomial", 0.0)])
+def test_forged_replication_residual_is_caught(monkeypatch, name, residual):
+    mkt = ORACLE_MARKETS[name]()
+
+    def forged(a, market):
+        rep = replicate(a, market)
+        rep.residual = residual
+        return rep
+
+    monkeypatch.setattr(pricing_mod, "replicate", forged)
+    with pytest.raises(InternalConsistencyError, match="attainability disagreement"):
+        price_bounds(call_payoff(mkt, 100.0), mkt)

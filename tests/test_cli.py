@@ -305,6 +305,19 @@ MALFORMED = [
     pytest.param("solver.max_iters", QUBIT_YAML + "  max_iters: 0\n", None, id="max_iters_0"),
     pytest.param("QMARKET_MAX_ITERS", QUBIT_YAML, "abc", id="env_max_iters"),
     pytest.param("QMARKET_MAX_ITERS", QUBIT_YAML, "0", id="env_max_iters_0"),
+    pytest.param("market.n", NPERIOD_YAML.replace("n: 2", "n: 2.7"), None, id="n_fraction"),
+    pytest.param("solver.seed", QUBIT_YAML.replace("seed: 42", "seed: 1.5"), None, id="seed"),
+    pytest.param(
+        "claims[0].name", QUBIT_YAML.replace("name: atm_call", "name: [1]"), None, id="name"
+    ),
+    pytest.param(
+        "claims[1].name",
+        QUBIT_YAML.replace(
+            "solver:", "  - name: atm_call\n    type: call\n    strike: 90.0\nsolver:"
+        ),
+        None,
+        id="name_repeated",
+    ),
 ]
 
 
