@@ -20,7 +20,7 @@ import scipy.optimize
 
 # MartingaleConstraintSet and martingale_affine_slice are re-exported here
 from .market import MartingaleConstraintSet, attainable_space, discount, martingale_affine_slice
-from .operators import as_hermitian, herm_to_vec, vec_to_herm
+from .operators import as_hermitian, herm_to_vec, trace_pairings, vec_to_herm
 from .quantum import DensityState
 
 FAITHFUL_STATE_FOUND = "FAITHFUL_STATE_FOUND"
@@ -71,11 +71,10 @@ def maximize_lambda_min(x0, basis, max_iters=DEFAULT_MAX_ITERS):
     """
     if len(basis) == 0:
         return float(np.linalg.eigvalsh(x0)[0]), np.zeros(0), 1
-    stack = np.array(basis)
+    stack = np.asarray(basis)
     sigma = max(1.0, float(np.linalg.norm(x0, 2)))
     x0n = np.asarray(x0, dtype=complex) / sigma
     flat = stack.reshape(len(stack), -1) / sigma
-    flat_conj = flat.conj()
 
     def objective(c, beta):
         rho = x0n + (c @ flat).reshape(x0n.shape)
@@ -86,9 +85,7 @@ def maximize_lambda_min(x0, basis, max_iters=DEFAULT_MAX_ITERS):
         f = m - np.log(s) / beta
         w = z / s
         big_w = (vecs * w) @ vecs.conj().T
-        # Re tr(W B_i) for Hermitian B_i
-        grad = (flat_conj @ big_w.reshape(-1)).real
-        return -f, -grad
+        return -f, -trace_pairings(flat, big_w)
 
     c = np.zeros(len(basis))
     evals = 0
@@ -131,7 +128,7 @@ def _positive_claim_search(constraints, max_iters):
     """Maximize lambda_min(K) over {K in span(K-basis), tr K = 1}."""
     d = constraints.dim
     vecs = constraints.vecs
-    traces = vecs @ herm_to_vec(np.eye(d, dtype=complex))
+    traces, _ = constraints.identity_split  # tr K_i: the K-coordinates of I
     nrm2 = float(traces @ traces)
     if nrm2 <= 1e-20:
         return None, 0.0, 0
@@ -166,9 +163,7 @@ def _decide(cs, max_iters):
             note="no constraints: every state is a martingale state",
         )
     result = max_min_eig_over_slice(cs, max_iters=max_iters)
-    if result.status == FAITHFUL_STATE_FOUND:
-        return result
-    if result.status == INDETERMINATE:
+    if result.status != NO_FAITHFUL_STATE:
         return result
     claim, lam_claim, extra = _positive_claim_search(cs, max_iters)
     iters = result.iterations + extra

@@ -16,7 +16,8 @@ the h-matrix preimage of every element and is built once per discounted
 market.
 
 A state is a martingale state iff it annihilates K, so the attainable space
-is also the market's :class:`MartingaleConstraintSet` and keeps its slice.
+is also the market's :class:`MartingaleConstraintSet`: it keeps the split of
+I against K, which gives replication and the slice, and the slice itself.
 """
 
 from functools import cached_property
@@ -38,7 +39,6 @@ from .operators import (
 SPAN_TOL = 1e-9
 POSITIVITY_TOL = 1e-10
 RANK_TOL = 1e-9
-AFFINE_RESIDUAL_TOL = 1e-8
 
 
 class OperatorAlgebra:
@@ -75,7 +75,7 @@ class OperatorAlgebra:
         return cls.tensor_factor(dim, dim)
 
     @classmethod
-    def from_basis(cls, mats, check=True):
+    def from_basis(cls, mats):
         mats = [check_matrix(m) for m in mats]
         if not mats:
             raise ValidationError("empty algebra basis")
@@ -83,8 +83,7 @@ class OperatorAlgebra:
         if any(m.shape[0] != dim for m in mats):
             raise ValidationError("algebra basis has mixed dimensions")
         alg = cls(dim, basis=mats)
-        if check:
-            alg._check_explicit()
+        alg._check_explicit()
         return alg
 
     # -- representation ------------------------------------------------------
@@ -118,14 +117,8 @@ class OperatorAlgebra:
         return np.column_stack([b.reshape(-1) for b in self.basis])
 
     def herm_dim(self):
-        """Real dimension of the Hermitian part O(A)."""
-        if self.is_factor:
-            return self._factor_dim ** 2
-        rows = []
-        for b in self.basis:
-            rows.append(herm_to_vec(0.5 * (b + b.conj().T)))
-            rows.append(herm_to_vec(0.5j * (b - b.conj().T)))
-        return int(np.linalg.matrix_rank(np.array(rows), tol=1e-9))
+        """Real dimension of the Hermitian part O(A): A = O(A) + i O(A), so dim_C A."""
+        return self._factor_dim ** 2 if self.is_factor else len(self._explicit_basis)
 
     # -- membership ----------------------------------------------------------
 
@@ -364,9 +357,9 @@ def value_process(beta, strategy, market):
 class MartingaleConstraintSet:
     """Orthonormal Hermitian G_m with tr(rho G_m) = 0 required of a martingale state.
 
-    ``vecs`` holds the herm-vec rows of the G_m; subclasses set ``dim`` and
-    ``vecs`` themselves.  ``affine_slice`` is computed on first use and kept
-    with its arrays read-only; ``decisions`` keeps the no-arbitrage results.
+    ``vecs`` holds the herm-vec rows of the G_m; subclasses set ``dim`` and ``vecs``.
+    ``identity_split`` and ``affine_slice`` are kept read-only once computed;
+    ``decisions`` keeps the no-arbitrage results.
     """
 
     def __init__(self, dim, operators):
@@ -389,6 +382,21 @@ class MartingaleConstraintSet:
         return {}
 
     @cached_property
+    def identity_split(self):
+        """(coords, perp): herm_to_vec(I) = coords @ vecs + perp, perp orthogonal to K.
+
+        Replication, the affine slice and completeness read this one split.
+        ``perp`` is None when I lies in span K (up to RANK_TOL relative to |I|).
+        """
+        eye = herm_to_vec(np.eye(self.dim, dtype=complex))
+        coords = self.vecs @ eye
+        perp = eye - coords @ self.vecs
+        coords.flags.writeable = perp.flags.writeable = False
+        if np.linalg.norm(perp) <= RANK_TOL * np.linalg.norm(eye):
+            return coords, None
+        return coords, perp
+
+    @cached_property
     def affine_slice(self):
         """(x0, basis) of :func:`martingale_affine_slice`, or None when empty."""
         slice_ = martingale_affine_slice(self)
@@ -400,23 +408,18 @@ class MartingaleConstraintSet:
 def martingale_affine_slice(constraints):
     """Particular point and orthonormal tangent basis of the constraint slice.
 
-    The slice is {X Hermitian : tr X = 1, tr(X G_m) = 0}; the particular
-    point is the least-squares projection of I/d onto it.  Returns
-    (x0, basis_ops) with the basis as a (k, d, d) array, or None when the
-    slice is empty.
+    The slice is {X Hermitian : tr X = 1, tr(X G_m) = 0}; its particular point
+    x0 = perp / |perp|^2 (see ``identity_split``) is the projection of I/d onto
+    it.  Returns (x0, basis_ops) with the basis as a (k, d, d) array, or None
+    when the slice is empty because I lies in the span of the G_m.
     """
+    _, perp = constraints.identity_split
+    if perp is None:
+        return None
     d = constraints.dim
     eye = herm_to_vec(np.eye(d, dtype=complex))
-    mat = np.vstack([eye, constraints.vecs])
-    rhs = np.zeros(len(mat))
-    rhs[0] = 1.0
-    v0 = eye / d
-    corr, *_ = np.linalg.lstsq(mat, rhs - mat @ v0, rcond=None)
-    v = v0 + corr
-    if np.linalg.norm(mat @ v - rhs) > AFFINE_RESIDUAL_TOL:
-        return None
-    null = scipy.linalg.null_space(mat)
-    return vec_to_herm(v, d), vec_to_herm(null.T, d)
+    null = scipy.linalg.null_space(np.vstack([eye, constraints.vecs]))
+    return vec_to_herm(perp / (perp @ perp), d), vec_to_herm(null.T, d)
 
 
 def _pair_images(blocks):

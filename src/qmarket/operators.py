@@ -145,6 +145,11 @@ def hs_inner(a, b):
     return float(t.real)
 
 
+def trace_pairings(stack, x):
+    """tr(B_i X) for a stack of Hermitian B_i (or their flattened rows) and a Hermitian X."""
+    return (stack.reshape(len(stack), -1) @ x.conj().reshape(-1)).real
+
+
 def min_eigenvalue(x):
     """Smallest eigenvalue; X is positive iff this is >= -tol."""
     x = as_hermitian(x)

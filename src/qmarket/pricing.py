@@ -24,7 +24,7 @@ from .arbitrage import (
 )
 from .errors import ArbitrageError, InternalConsistencyError, SolverError, ValidationError
 from .market import TradingStrategy, attainable_space
-from .operators import as_hermitian, herm_to_vec, hs_inner
+from .operators import as_hermitian, herm_to_vec, hs_inner, trace_pairings
 from .quantum import DensityState
 
 ATTAINABLE_RESIDUAL_TOL = 1e-8
@@ -36,7 +36,7 @@ TAU_FLOOR = 1e-10
 
 @dataclass
 class Replication:
-    """Least-squares replication A = alpha I + (H # S)_T over the gain basis."""
+    """A = alpha I + (H # S)_T + R with R orthogonal to span(I, K) and |R| = residual."""
 
     alpha: float
     strategy: TradingStrategy
@@ -92,20 +92,20 @@ def _require_terminal_observable(a, market):
 
 
 def replicate(a, market):
-    """Replicate A = alpha I + sum_i c_i K_i; alpha is the candidate price."""
+    """Replicate A = alpha I + sum_i c_i K_i by projection; alpha is the candidate price.
+
+    alpha = <perp, A> / |perp|^2 (see ``identity_split``), or 0 when I lies in K.
+    """
     _require_discounted(market)
     a = _require_terminal_observable(a, market)
     space = attainable_space(market)
+    _, perp = space.identity_split
     target = herm_to_vec(a)
-    cols = np.column_stack([herm_to_vec(np.eye(market.dim, dtype=complex)), space.vecs.T])
-    coef, *_ = np.linalg.lstsq(cols, target, rcond=None)
-    residual = float(np.linalg.norm(cols @ coef - target))
-    return Replication(
-        float(coef[0]),
-        space.strategy(coef[1:]),
-        residual,
-        scale=max(1.0, float(np.linalg.norm(a))),
-    )
+    alpha = 0.0 if perp is None else float(perp @ target / (perp @ perp))
+    rest = target - alpha * herm_to_vec(np.eye(market.dim, dtype=complex))
+    coef = space.vecs @ rest
+    residual = float(np.linalg.norm(rest - coef @ space.vecs))
+    return Replication(alpha, space.strategy(coef), residual, max(1.0, float(np.linalg.norm(a))))
 
 
 # --- log-det barrier over the martingale slice ------------------------------
@@ -117,7 +117,7 @@ def _barrier_maximize(x0, basis, objective, start_c):
         return float(hs_inner(x0, objective)), np.zeros(0)
     stack = np.asarray(basis)
     n, d = stack.shape[:2]
-    q = herm_to_vec(stack) @ herm_to_vec(objective)
+    q = trace_pairings(stack, objective)
     c = np.array(start_c, dtype=float)
 
     def assemble(cv):
@@ -182,10 +182,9 @@ def price_bounds(a, market, max_iters=DEFAULT_MAX_ITERS):
     if slice_ is None:
         raise SolverError("martingale slice unexpectedly empty")
     x0, basis = slice_
-    tangent = herm_to_vec(basis)
     # the slice directions span the orthocomplement of span(I, K), so q is
     # the part of A that replication cannot reach: |q| = rep.residual
-    q = tangent @ herm_to_vec(a)
+    q = trace_pairings(basis, a)
     q_norm = float(np.linalg.norm(q))
     if (q_norm <= ATTAINABLE_RESIDUAL_TOL * rep.scale) != rep.attainable:
         raise InternalConsistencyError(
@@ -202,7 +201,7 @@ def price_bounds(a, market, max_iters=DEFAULT_MAX_ITERS):
         )
 
     # re-express the interior witness in slice coordinates for a warm start
-    start = tangent @ herm_to_vec(witness.mat - x0)
+    start = trace_pairings(basis, witness.mat - x0)
     upper, c_hi = _barrier_maximize(x0, basis, a, start)
     lower_neg, c_lo = _barrier_maximize(x0, basis, -a, start)
     lower = -lower_neg
@@ -240,11 +239,10 @@ def arbitrage_free_prices(a, market, max_iters=DEFAULT_MAX_ITERS):
 
 
 def is_complete(market):
-    """Rank test: span{I} + span(K) against the Hermitian part of A_T."""
+    """Dimension test: span{I} + span(K) against the Hermitian part of A_T."""
     _require_discounted(market)
-    eye = herm_to_vec(np.eye(market.dim, dtype=complex))
-    rows = np.vstack([eye, attainable_space(market).vecs])
-    affine_dim = int(np.linalg.matrix_rank(rows, tol=1e-9))
+    space = attainable_space(market)
+    affine_dim = space.rank + (space.identity_split[1] is not None)
     obs_dim = market.filtration[market.horizon].herm_dim()
     return CompletenessReport(affine_dim == obs_dim, affine_dim, obs_dim)
 
@@ -254,13 +252,10 @@ def supermartingale_check(values, rho, market, tol=1e-8):
     mat = rho.mat if isinstance(rho, DensityState) else rho
     for t in range(1, market.horizon + 1):
         dv = as_hermitian(values[t]) - as_hermitian(values[t - 1])
-        basis = market.filtration[t - 1].basis
-        gram = np.array(
-            [
-                [np.trace(mat @ ap.conj().T @ dv @ aq) for aq in basis]
-                for ap in basis
-            ]
-        )
+        basis = np.asarray(market.filtration[t - 1].basis)
+        n = len(basis)
+        # gram[p, q] = tr(rho A_p* dV A_q) = sum_jk conj(A_p[j, k]) (dV A_q rho)[j, k]
+        gram = basis.reshape(n, -1).conj() @ (dv @ basis @ mat).reshape(n, -1).T
         gram = 0.5 * (gram + gram.conj().T)
         if np.linalg.eigvalsh(gram)[-1] > tol:
             return False

@@ -10,7 +10,9 @@ import qmarket.arbitrage as arbitrage_mod
 import qmarket.market as market_mod
 import qmarket.pricing as pricing_mod
 from qmarket.arbitrage import (
+    CLAIM_PSD_TOL,
     FAITHFUL_STATE_FOUND,
+    NO_FAITHFUL_STATE,
     build_constraints,
     check_no_arbitrage,
     is_martingale_state,
@@ -32,11 +34,12 @@ from qmarket.market import (
     discount,
     gain_process,
 )
-from qmarket.operators import apply_function, herm_to_vec
+from qmarket.operators import SX, apply_function, herm_to_vec
 from qmarket.pricing import (
     INTERVAL_WIDTH_TOL,
     _barrier_maximize,
     arbitrage_free_prices,
+    is_complete,
     optional_decomposition,
     price_bounds,
     replicate,
@@ -50,6 +53,16 @@ PAULI = [[0.15, 0.0, 0.0], [0.0, 0.15, 0.0], [0.09, 0.0, 0.12]]
 def nperiod_market(n, pauli=None):
     spec = NPeriodSpec(n, -0.1, 0.2, 0.05, 100.0, 1.0, pauli or PAULI[:n])
     return discount(build_n_period(spec))
+
+
+def basis_market(n):
+    """nperiod_market(n) with A_1..A_n written as explicit bases: the dense route."""
+    mkt = nperiod_market(n)
+    explicit = Filtration(
+        [OperatorAlgebra.trivial(mkt.dim)]
+        + [OperatorAlgebra.from_basis(alg.basis) for alg in mkt.filtration.algebras[1:]]
+    )
+    return MarketModel(explicit, mkt.bank, mkt.assets)
 
 
 def call_payoff(market, strike):
@@ -140,13 +153,8 @@ def test_undiscounted_market_keeps_its_discounted_copy(count_builds):
 def test_factor_and_dense_routes_give_the_same_projector():
     # the same binomial market with each algebra written as an explicit basis
     for n in (2, 3):
-        mkt = nperiod_market(n)
-        explicit = Filtration(
-            [OperatorAlgebra.trivial(mkt.dim)]
-            + [OperatorAlgebra.from_basis(alg.basis) for alg in mkt.filtration.algebras[1:]]
-        )
-        dense = MarketModel(explicit, mkt.bank, mkt.assets)
-        assert not explicit[1].is_factor
+        mkt, dense = nperiod_market(n), basis_market(n)
+        assert not dense.filtration[1].is_factor
         structural, generic = attainable_space(mkt), attainable_space(dense)
         assert structural.rank == generic.rank == sum(4 ** t for t in range(n))
         assert np.abs(projector(structural) - projector(generic)).max() <= 1e-10
@@ -200,12 +208,7 @@ def test_replicate_strategy_per_asset_bound_random_markets(rng):
 
 
 def test_dense_route_strategy_reproduces_basis():
-    mkt = nperiod_market(2)
-    explicit = Filtration(
-        [OperatorAlgebra.trivial(4)]
-        + [OperatorAlgebra.from_basis(alg.basis) for alg in mkt.filtration.algebras[1:]]
-    )
-    dense = MarketModel(explicit, mkt.bank, mkt.assets)
+    dense = basis_market(2)
     space = attainable_space(dense)
     coeffs = np.linspace(-1.0, 1.0, space.rank)
     gains = gain_process(space.strategy(coeffs), dense)
@@ -289,6 +292,7 @@ def qubit_market():
 ORACLE_MARKETS = {
     "qubit": qubit_market,
     "nperiod2": lambda: nperiod_market(2),
+    "nperiod2_basis": lambda: basis_market(2),
     "nperiod3": lambda: nperiod_market(3),
     "trinomial": lambda: discount(trinomial_market()),
 }
@@ -328,3 +332,88 @@ def test_forged_replication_residual_is_caught(monkeypatch, name, residual):
     monkeypatch.setattr(pricing_mod, "replicate", forged)
     with pytest.raises(InternalConsistencyError, match="attainability disagreement"):
         price_bounds(call_payoff(mkt, 100.0), mkt)
+
+
+# --- one split of I against K: replication, the slice and completeness -------
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MARKETS))
+def test_identity_split_matches_least_squares_oracles(name):
+    # the solves the split replaced: lstsq over [I | K] for replication, and
+    # the least-squares projection of I/d onto the slice for its point x0
+    mkt = ORACLE_MARKETS[name]()
+    space = attainable_space(mkt)
+    claim = call_payoff(mkt, 100.0)
+    target = herm_to_vec(claim)
+    eye = herm_to_vec(np.eye(mkt.dim, dtype=complex))
+    cols = np.column_stack([eye, space.vecs.T])
+    coef, *_ = np.linalg.lstsq(cols, target, rcond=None)
+    rep = replicate(claim, mkt)
+    assert rep.alpha == pytest.approx(coef[0], abs=1e-10)
+    assert rep.residual == pytest.approx(np.linalg.norm(cols @ coef - target), abs=1e-10)
+    rows = cols.T
+    rhs = np.zeros(len(rows))
+    rhs[0] = 1.0
+    corr, *_ = np.linalg.lstsq(rows, rhs - rows @ eye / mkt.dim, rcond=None)
+    x0, _ = space.affine_slice
+    np.testing.assert_allclose(herm_to_vec(x0), eye / mkt.dim + corr, atol=1e-10)
+    report = is_complete(mkt)
+    assert report.affine_dim == np.linalg.matrix_rank(rows, tol=1e-9)
+    # O(A_T) is spanned by the Hermitian and anti-Hermitian parts of its basis
+    parts = [
+        herm_to_vec(f(b))
+        for b in mkt.filtration[mkt.horizon].basis
+        for f in (lambda x: x + x.conj().T, lambda x: 1j * (x - x.conj().T))
+    ]
+    assert report.observable_dim == np.linalg.matrix_rank(parts, tol=1e-9)
+
+
+def degenerate_market():
+    """d = 2: a qubit asset and a second asset growing by 1.10 against a bank at 1.05.
+
+    The second asset's discounted increment is a multiple of I, so I lies
+    in K and no state is a martingale state.
+    """
+    eye = np.eye(2, dtype=complex)
+    filtration = Filtration([OperatorAlgebra.trivial(2), OperatorAlgebra.full(2)])
+    qubit = [100.0 * eye, 100.0 * (1.05 * eye + 0.15 * SX)]
+    sure = [100.0 * eye, 110.0 * eye]
+    return discount(MarketModel(filtration, [1.0, 1.05], [qubit, sure]))
+
+
+def test_identity_in_the_attainable_space_empties_the_slice():
+    mkt = degenerate_market()
+    space = attainable_space(mkt)
+    assert space.identity_split[1] is None
+    assert space.affine_slice is None
+    res = check_no_arbitrage(mkt)
+    assert res.status == NO_FAITHFUL_STATE
+    cert = res.arbitrage_claim
+    assert np.linalg.eigvalsh(cert)[0] >= -CLAIM_PSD_TOL
+    assert np.trace(cert).real == pytest.approx(1.0)
+    outside = herm_to_vec(cert) - space.vecs.T @ (space.vecs @ herm_to_vec(cert))
+    assert np.linalg.norm(outside) <= 1e-10
+    # alpha I + gain is the projection of the claim onto K; with I in K the
+    # split is not unique and alpha is 0
+    eye = np.eye(2)
+    for claim, attainable in ((call_payoff(mkt, 100.0), True), (np.diag([3.0, 1.0]), False)):
+        rep = replicate(claim, mkt)
+        assert rep.alpha == 0.0 and rep.attainable == attainable
+        gain = gain_process(rep.strategy, mkt)[-1]
+        assert np.linalg.norm(rep.alpha * eye + gain - claim) == pytest.approx(
+            rep.residual, abs=1e-10
+        )
+    assert replicate(np.diag([3.0, 1.0]), mkt).residual == pytest.approx(np.sqrt(2.0))
+    assert is_complete(mkt).affine_dim == space.rank == 2
+
+
+def test_pricing_runs_no_lstsq_or_rank_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("span(I, K) is split once; no solve re-derives it")
+
+    markets = [nperiod_market(2), discount(trinomial_market())]
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
+    for mkt in markets:
+        arbitrage_free_prices(call_payoff(mkt, 100.0), mkt)
+        assert not is_complete(mkt).complete

@@ -23,7 +23,13 @@ from qmarket.pricing import (
 )
 from qmarket.quantum import DensityState, expectation
 
-from conftest import classical_lp_bounds, random_market, trinomial_market
+from conftest import (
+    classical_lp_bounds,
+    random_hermitian,
+    random_market,
+    random_state,
+    trinomial_market,
+)
 
 SPEC = QubitMarketSpec(0.05, 0.15, 0.0, 0.0, r=0.05, s0=100.0)
 QUBIT_CALL_PRICE = 200.0 / 21.0
@@ -188,6 +194,29 @@ def test_supermartingale_check():
     assert supermartingale_check(decreasing, rho, mkt)
     increasing = [1.0 * np.eye(2), 2.0 * np.eye(2)]
     assert not supermartingale_check(increasing, rho, mkt)
+
+
+def loop_gram_top_eigenvalue(values, rho, market):
+    """max_t of the top eigenvalue of [tr(rho A_p* dV_t A_q)]_pq, one trace per pair."""
+    top = -np.inf
+    for t in range(1, market.horizon + 1):
+        dv = values[t] - values[t - 1]
+        basis = market.filtration[t - 1].basis
+        gram = np.array([[np.trace(rho @ ap.conj().T @ dv @ aq) for aq in basis] for ap in basis])
+        top = max(top, np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[-1])
+    return top
+
+
+def test_supermartingale_check_matches_trace_loop(rng):
+    # the batched Gram matrix against the per-pair loop it replaced: the
+    # check flips exactly at the loop's top eigenvalue
+    for dim, horizon in ((3, 2), (4, 1), (2, 3)):
+        mkt = random_market(rng, dim, horizon)
+        rho = random_state(rng, dim)
+        values = [random_hermitian(rng, dim) for _ in range(horizon + 1)]
+        top = loop_gram_top_eigenvalue(values, rho, mkt)
+        assert supermartingale_check(values, rho, mkt, tol=top + 1e-9)
+        assert not supermartingale_check(values, rho, mkt, tol=top - 1e-9)
 
 
 def test_optional_decomposition_martingale_case():
