@@ -4,18 +4,18 @@ A state rho is a martingale state iff tr(rho G_m) = 0 for every element
 G_m of an orthonormal basis of the attainable-claim space, which the
 market builds once and which is itself the constraint set (see
 :class:`qmarket.market.AttainableSpace`).
-Arbitrage-freeness is decided by maximizing the minimum eigenvalue of rho
+Arbitrage-freeness is decided by one ascent of the minimum eigenvalue of rho
 over the affine slice {rho Hermitian : tr rho = 1, tr(rho G_m) = 0}: a
-strictly positive optimum certifies a faithful (risk-neutral) witness, a
-non-positive one triggers a search for a positive attainable claim as the
-opposing certificate.
+strictly positive optimum lambda* certifies a faithful (risk-neutral)
+witness.  A negative one yields the dual certificate: at the optimum the
+minimum-eigenspace weight W of rho is lambda* I + k with k in K, so
+k = W - lambda* I >= -lambda* I is a positive attainable claim.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
 # MartingaleConstraintSet and martingale_affine_slice are re-exported here
@@ -30,6 +30,10 @@ INDETERMINATE = "INDETERMINATE"
 FEASIBILITY_THRESHOLD = 1e-9
 CLAIM_PSD_TOL = 1e-8
 DEFAULT_MAX_ITERS = 50_000
+
+# smoothing schedule of the ascent: beta = BETA_START * BETA_GROWTH^k up to BETA_CAP
+BETA_START, BETA_GROWTH, BETA_CAP = 8.0, 8.0, 1.2e12
+BETA_FINAL = BETA_START * BETA_GROWTH ** int(np.log(BETA_CAP / BETA_START) / np.log(BETA_GROWTH))
 
 
 @dataclass
@@ -61,6 +65,16 @@ def is_martingale_state(rho, market, tol=1e-8):
 # --- concave spectral solver ------------------------------------------------
 
 
+def _soft_min(mat, beta):
+    """(-log sum exp(-beta * spectrum) / beta, its gradient W): W >= 0, tr W = 1."""
+    vals, vecs = np.linalg.eigh(mat)
+    m = vals[0]
+    z = np.exp(-beta * (vals - m))
+    s = z.sum()
+    w = z / s
+    return m - np.log(s) / beta, (vecs * w) @ vecs.conj().T
+
+
 def maximize_lambda_min(x0, basis, max_iters=DEFAULT_MAX_ITERS):
     """Maximize lambda_min(x0 + sum_i c_i B_i) over real coefficients c.
 
@@ -77,20 +91,13 @@ def maximize_lambda_min(x0, basis, max_iters=DEFAULT_MAX_ITERS):
     flat = stack.reshape(len(stack), -1) / sigma
 
     def objective(c, beta):
-        rho = x0n + (c @ flat).reshape(x0n.shape)
-        vals, vecs = np.linalg.eigh(rho)
-        m = vals[0]
-        z = np.exp(-beta * (vals - m))
-        s = z.sum()
-        f = m - np.log(s) / beta
-        w = z / s
-        big_w = (vecs * w) @ vecs.conj().T
+        f, big_w = _soft_min(x0n + (c @ flat).reshape(x0n.shape), beta)
         return -f, -trace_pairings(flat, big_w)
 
     c = np.zeros(len(basis))
     evals = 0
-    beta = 8.0
-    while beta <= 1.2e12 and evals < max_iters:
+    beta = BETA_START
+    while beta <= BETA_CAP and evals < max_iters:
         res = scipy.optimize.minimize(
             objective,
             c,
@@ -101,43 +108,51 @@ def maximize_lambda_min(x0, basis, max_iters=DEFAULT_MAX_ITERS):
         )
         c = res.x
         evals += res.nfev
-        beta *= 8.0
+        beta *= BETA_GROWTH
     lam = float(np.linalg.eigvalsh(x0 + np.tensordot(c, stack, axes=1))[0])
     return lam, c, evals
 
 
+def _claim_decision(constraints, mat, lam, evals, note=""):
+    """NO_FAITHFUL_STATE if mat projected onto K is a positive claim, else INDETERMINATE."""
+    vecs = constraints.vecs
+    claim = vec_to_herm((vecs @ herm_to_vec(mat)) @ vecs, constraints.dim)
+    trace = float(np.trace(claim).real)
+    lam_claim = float(np.linalg.eigvalsh(claim)[0]) / trace if trace > CLAIM_PSD_TOL else -np.inf
+    if lam_claim >= -CLAIM_PSD_TOL:
+        return FeasibilityResult(
+            NO_FAITHFUL_STATE, lam, arbitrage_claim=claim / trace, iterations=evals, note=note
+        )
+    return FeasibilityResult(
+        INDETERMINATE, lam, iterations=evals,
+        note=f"no faithful state, best positive-claim lambda {lam_claim:.3e}",
+    )
+
+
 def max_min_eig_over_slice(constraints, max_iters=DEFAULT_MAX_ITERS):
-    """Solve max lambda_min(rho) over the martingale-state slice."""
+    """Solve max lambda_min(rho) over the martingale-state slice.
+
+    A positive optimum returns its witness, a negative one the dual certificate.
+    """
+    d = constraints.dim
     slice_ = constraints.affine_slice
     if slice_ is None:
-        return FeasibilityResult(NO_FAITHFUL_STATE, float("-inf"), note="affine set empty")
+        # I lies in K, so P_K(I) = I is the positive attainable claim
+        return _claim_decision(
+            constraints, np.eye(d, dtype=complex), float("-inf"), 0, note="affine set empty"
+        )
     x0, basis = slice_
     lam, c, evals = maximize_lambda_min(x0, basis, max_iters)
     rho = x0 + np.tensordot(c, basis, axes=1)
-    witness = None
-    status = NO_FAITHFUL_STATE
     if lam > FEASIBILITY_THRESHOLD:
-        witness = DensityState(rho)
-        status = FAITHFUL_STATE_FOUND
-    elif abs(lam) <= FEASIBILITY_THRESHOLD:
-        status = INDETERMINATE
-    return FeasibilityResult(status, lam, witness_state=witness, iterations=evals)
-
-
-def _positive_claim_search(constraints, max_iters):
-    """Maximize lambda_min(K) over {K in span(K-basis), tr K = 1}."""
-    d = constraints.dim
-    vecs = constraints.vecs
-    traces, _ = constraints.identity_split  # tr K_i: the K-coordinates of I
-    nrm2 = float(traces @ traces)
-    if nrm2 <= 1e-20:
-        return None, 0.0, 0
-    x0 = vec_to_herm((traces / nrm2) @ vecs, d)
-    null = scipy.linalg.null_space(traces.reshape(1, -1))
-    basis = vec_to_herm(null.T @ vecs, d)
-    lam, c, evals = maximize_lambda_min(x0, basis, max_iters)
-    claim = x0 + np.tensordot(c, basis, axes=1)
-    return claim, lam, evals
+        return FeasibilityResult(
+            FAITHFUL_STATE_FOUND, lam, witness_state=DensityState(rho), iterations=evals
+        )
+    if lam >= -FEASIBILITY_THRESHOLD:
+        return FeasibilityResult(INDETERMINATE, lam, iterations=evals)
+    # the last surrogate's weight on rho's spectrum, on the ascent's scale
+    _, weight = _soft_min(rho / max(1.0, float(np.linalg.norm(x0, 2))), BETA_FINAL)
+    return _claim_decision(constraints, weight - lam * np.eye(d), lam, evals)
 
 
 def check_no_arbitrage(market, max_iters=DEFAULT_MAX_ITERS):
@@ -149,37 +164,12 @@ def check_no_arbitrage(market, max_iters=DEFAULT_MAX_ITERS):
     """
     cs = build_constraints(discount(market))
     if max_iters not in cs.decisions:
-        cs.decisions[max_iters] = _decide(cs, max_iters)
+        if len(cs) == 0:
+            cs.decisions[max_iters] = FeasibilityResult(
+                FAITHFUL_STATE_FOUND, 1.0 / cs.dim,
+                witness_state=DensityState.maximally_mixed(cs.dim),
+                note="no constraints: every state is a martingale state",
+            )
+        else:
+            cs.decisions[max_iters] = max_min_eig_over_slice(cs, max_iters=max_iters)
     return cs.decisions[max_iters]
-
-
-def _decide(cs, max_iters):
-    """The decision of :func:`check_no_arbitrage` on the constraint set ``cs``."""
-    d = cs.dim
-    if len(cs) == 0:
-        witness = DensityState.maximally_mixed(d)
-        return FeasibilityResult(
-            FAITHFUL_STATE_FOUND, 1.0 / d, witness_state=witness,
-            note="no constraints: every state is a martingale state",
-        )
-    result = max_min_eig_over_slice(cs, max_iters=max_iters)
-    if result.status != NO_FAITHFUL_STATE:
-        return result
-    claim, lam_claim, extra = _positive_claim_search(cs, max_iters)
-    iters = result.iterations + extra
-    if claim is None:
-        # trace vanishes identically on the attainable span: a PSD traceless
-        # operator is zero, so no positive claim can exist
-        return FeasibilityResult(
-            FAITHFUL_STATE_FOUND, result.lambda_star, iterations=iters,
-            note="trace functional vanishes on the attainable span",
-        )
-    if lam_claim >= -CLAIM_PSD_TOL:
-        return FeasibilityResult(
-            NO_FAITHFUL_STATE, result.lambda_star,
-            arbitrage_claim=claim, iterations=iters,
-        )
-    return FeasibilityResult(
-        INDETERMINATE, result.lambda_star, iterations=iters,
-        note=f"no faithful state, best positive-claim lambda {lam_claim:.3e}",
-    )

@@ -11,6 +11,7 @@ faithful states equal the sup/inf over risk-neutral states.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -23,7 +24,7 @@ from .arbitrage import (
     maximize_lambda_min,
 )
 from .errors import ArbitrageError, InternalConsistencyError, SolverError, ValidationError
-from .market import TradingStrategy, attainable_space
+from .market import AttainableSpace, TradingStrategy, attainable_space
 from .operators import as_hermitian, herm_to_vec, hs_inner, trace_pairings
 from .quantum import DensityState
 
@@ -36,16 +37,21 @@ TAU_FLOOR = 1e-10
 
 @dataclass
 class Replication:
-    """A = alpha I + (H # S)_T + R with R orthogonal to span(I, K) and |R| = residual."""
+    """A = alpha I + (H # S)_T + R, R orthogonal to span(I, K), |R| = residual; H built when read."""
 
     alpha: float
-    strategy: TradingStrategy
+    coeffs: np.ndarray = field(repr=False)
+    space: AttainableSpace = field(repr=False)
     residual: float
     scale: float = 1.0
 
     @property
     def attainable(self):
         return self.residual <= ATTAINABLE_RESIDUAL_TOL * self.scale
+
+    @cached_property
+    def strategy(self):
+        return self.space.strategy(self.coeffs)
 
 
 @dataclass
@@ -105,7 +111,7 @@ def replicate(a, market):
     rest = target - alpha * herm_to_vec(np.eye(market.dim, dtype=complex))
     coef = space.vecs @ rest
     residual = float(np.linalg.norm(rest - coef @ space.vecs))
-    return Replication(alpha, space.strategy(coef), residual, max(1.0, float(np.linalg.norm(a))))
+    return Replication(alpha, coef, space, residual, max(1.0, float(np.linalg.norm(a))))
 
 
 # --- log-det barrier over the martingale slice ------------------------------
@@ -178,10 +184,7 @@ def price_bounds(a, market, max_iters=DEFAULT_MAX_ITERS):
         raise SolverError("no-arbitrage decision is indeterminate")
 
     # the slice check_no_arbitrage searched, kept on the attainable space
-    slice_ = attainable_space(market).affine_slice
-    if slice_ is None:
-        raise SolverError("martingale slice unexpectedly empty")
-    x0, basis = slice_
+    x0, basis = attainable_space(market).affine_slice
     # the slice directions span the orthocomplement of span(I, K), so q is
     # the part of A that replication cannot reach: |q| = rep.residual
     q = trace_pairings(basis, a)
@@ -191,7 +194,7 @@ def price_bounds(a, market, max_iters=DEFAULT_MAX_ITERS):
             f"attainability disagreement: replication residual {rep.residual:.3e}, "
             f"part outside span(I, K) {q_norm:.3e}"
         )
-    witness = na.witness_state if na.witness_state is not None else DensityState(x0)
+    witness = na.witness_state
     if rep.attainable:
         # every martingale state gives A = alpha I + (H # S)_T the price alpha
         price = float(hs_inner(witness.mat, a))
@@ -283,7 +286,7 @@ def optional_decomposition(values, market, max_iters=DEFAULT_MAX_ITERS):
     na = check_no_arbitrage(market, max_iters=max_iters)
     if na.status != FAITHFUL_STATE_FOUND:
         raise ArbitrageError("optional decomposition requires an arbitrage-free market")
-    if na.witness_state is not None and not supermartingale_check(vals, na.witness_state, market):
+    if not supermartingale_check(vals, na.witness_state, market):
         raise ValidationError(
             "value process is not a supermartingale under the risk-neutral witness"
         )

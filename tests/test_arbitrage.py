@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qmarket.arbitrage import (
+    CLAIM_PSD_TOL,
     FAITHFUL_STATE_FOUND,
     INDETERMINATE,
     NO_FAITHFUL_STATE,
@@ -13,12 +15,12 @@ from qmarket.arbitrage import (
     max_min_eig_over_slice,
     maximize_lambda_min,
 )
-from qmarket.binomial import QubitMarketSpec, build_single_period
-from qmarket.market import discount
-from qmarket.operators import SX, SY, SZ, hs_inner, min_eigenvalue
+from qmarket.binomial import NPeriodSpec, QubitMarketSpec, build_n_period, build_single_period
+from qmarket.market import Filtration, MarketModel, OperatorAlgebra, discount
+from qmarket.operators import SX, SY, SZ, herm_to_vec, hs_inner, min_eigenvalue, vec_to_herm
 from qmarket.quantum import DensityState, is_faithful
 
-from conftest import random_market, trinomial_market
+from conftest import random_hermitian, random_market, random_positive, trinomial_market
 
 
 def qubit_market(r=0.05):
@@ -94,10 +96,15 @@ def test_rate_sweep_matches_spectrum_band():
 
 
 def test_boundary_rate_is_not_faithful():
-    # r == b: martingale states exist but none are faithful
-    res = check_no_arbitrage(qubit_market(r=0.2))
-    assert res.status in (NO_FAITHFUL_STATE, INDETERMINATE)
-    assert res.lambda_star <= 1e-6
+    # r == b: martingale states exist but none are faithful.  lambda* is
+    # near zero, where the certificate read from the ascent is least exact
+    two_period = build_n_period(NPeriodSpec(2, -0.1, 0.2, 0.2, 100.0))
+    for mkt in (qubit_market(r=0.2), two_period):
+        res = check_no_arbitrage(mkt)
+        assert res.status in (NO_FAITHFUL_STATE, INDETERMINATE)
+        assert res.lambda_star <= 1e-6
+        if res.arbitrage_claim is not None:
+            assert min_eigenvalue(res.arbitrage_claim) >= -CLAIM_PSD_TOL
 
 
 def test_witness_lambda_matches_spectrum():
@@ -162,3 +169,70 @@ def test_constraint_operators_orthonormal():
 def test_max_iters_limits_work():
     res = check_no_arbitrage(qubit_market(), max_iters=5)
     assert res.iterations <= 200  # one L-BFGS round may overshoot slightly
+
+
+# --- the certificate against the second ascent it replaced -------------------
+
+
+def positive_claim_oracle(cs):
+    """max lambda_min(k) over {k in span K, tr k = 1}: the deleted second ascent."""
+    traces, _ = cs.identity_split  # tr K_i: the K-coordinates of I
+    x0 = vec_to_herm((traces / (traces @ traces)) @ cs.vecs, cs.dim)
+    null = scipy.linalg.null_space(traces.reshape(1, -1))
+    basis = vec_to_herm(null.T @ cs.vecs, cs.dim)
+    lam, c, _ = maximize_lambda_min(x0, basis)
+    return x0 + np.tensordot(c, basis, axes=1), lam
+
+
+def nperiod_arbitrage(n, r, seed):
+    """N-period market with r outside [a, b] and random Pauli directions."""
+    a, b = -0.1, 0.2
+    dirs = np.random.default_rng(seed).standard_normal((n, 3))
+    pauli = (b - a) / 2.0 * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    return build_n_period(NPeriodSpec(n, a, b, r, 100.0, 1.0, [tuple(p) for p in pauli]))
+
+
+def explicit_arbitrage(d, diagonal, seed):
+    """One period, two assets: dS_1 - dS_2 = G >= 0, dS_2 indefinite."""
+    rng = np.random.default_rng(seed)
+    if diagonal:
+        g = np.diag(rng.uniform(0.0, 1.0, d)).astype(complex)
+        h = np.diag(rng.uniform(-1.0, 1.0, d)).astype(complex)
+    else:
+        g, h = random_positive(rng, d), random_hermitian(rng, d)
+    s0 = 10.0 * np.eye(d, dtype=complex)
+    filt = Filtration([OperatorAlgebra.trivial(d), OperatorAlgebra.full(d)])
+    return MarketModel(filt, [1.0, 1.0], [[s0, s0 + g + h], [s0, s0 + h]])
+
+
+ARBITRAGE_MARKETS = {
+    **{f"qubit_r{r:+.6f}": (lambda r=r: qubit_market(r=r)) for r in (0.3, 0.2 + 1e-6, -0.1 - 1e-6, -0.2)},
+    **{
+        f"nperiod{n}_r{r:+.2f}": (lambda n=n, r=r: nperiod_arbitrage(n, r, seed=n))
+        for n in (2, 3, 4)
+        for r in (0.25, -0.2)
+    },
+    **{
+        f"{kind}{d}": (lambda d=d, kind=kind: explicit_arbitrage(d, kind == "diagonal", seed=d))
+        for kind in ("diagonal", "full")
+        for d in range(3, 9)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARBITRAGE_MARKETS))
+def test_certificate_matches_positive_claim_oracle(name):
+    mkt = ARBITRAGE_MARKETS[name]()
+    cs = build_constraints(discount(mkt))
+    res = check_no_arbitrage(mkt)
+    oracle, lam_oracle = positive_claim_oracle(cs)
+    assert lam_oracle >= -CLAIM_PSD_TOL  # the deleted search also found a claim
+    assert res.status == NO_FAITHFUL_STATE
+    cert = res.arbitrage_claim
+    lam_cert = min_eigenvalue(cert)
+    assert lam_cert >= -CLAIM_PSD_TOL
+    assert np.trace(cert).real == pytest.approx(1.0, abs=1e-12)
+    vec = herm_to_vec(cert)
+    assert np.linalg.norm(vec - (cs.vecs @ vec) @ cs.vecs) <= 1e-10
+    if lam_oracle > 0:
+        assert lam_cert > 0

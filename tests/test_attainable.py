@@ -407,6 +407,38 @@ def test_identity_in_the_attainable_space_empties_the_slice():
     assert is_complete(mkt).affine_dim == space.rank == 2
 
 
+def test_arbitrage_is_decided_by_one_ascent(monkeypatch):
+    # the certificate is the dual of the ascent: no second search for it
+    ascents = count_calls(monkeypatch, arbitrage_mod, "maximize_lambda_min")
+    above = discount(build_single_period(QubitMarketSpec(0.05, 0.15, 0.0, 0.0, r=0.3, s0=100.0)))
+    assert check_no_arbitrage(above).status == NO_FAITHFUL_STATE
+    assert len(ascents) == 1
+    # with I in K the certificate is I / d and the slice is empty: no ascent
+    res = check_no_arbitrage(degenerate_market())
+    assert res.status == NO_FAITHFUL_STATE
+    np.testing.assert_allclose(res.arbitrage_claim, np.eye(2) / 2, atol=1e-10)
+    assert len(ascents) == 1
+
+
+def test_pricing_builds_no_strategy(monkeypatch):
+    # price_bounds and arbitrage_free_prices read alpha and the residual only
+    built = []
+    orig = market_mod.AttainableSpace.strategy
+
+    def counting(self, coeffs):
+        built.append(coeffs)
+        return orig(self, coeffs)
+
+    monkeypatch.setattr(market_mod.AttainableSpace, "strategy", counting)
+    mkt = nperiod_market(3)
+    price_bounds(call_payoff(mkt, 100.0), mkt)
+    cls = arbitrage_free_prices(call_payoff(mkt, 105.0), mkt)
+    assert built == []
+    # the strategy is built on first read, once
+    assert cls.replication.strategy is cls.replication.strategy
+    assert len(built) == 1
+
+
 def test_pricing_runs_no_lstsq_or_rank_solve(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("span(I, K) is split once; no solve re-derives it")

@@ -15,6 +15,7 @@ from qmarket.cli import (
     run,
 )
 from qmarket.errors import ValidationError
+from qmarket.market import discount
 
 QUBIT_YAML = """
 market:
@@ -226,15 +227,25 @@ def test_main_validation_exit(tmp_path, capsys):
 
 
 def test_main_arbitrage_market_reports_claim(tmp_path, capsys):
-    bad = QUBIT_YAML.replace("r: 0.05", "r: 0.3")
-    scen = write(tmp_path, bad)
-    code = main(["check-arbitrage", "--scenario", scen])
-    assert code == EXIT_OK
-    report = json.loads(capsys.readouterr().out)
-    assert report["results"]["status"] == "NO_FAITHFUL_STATE"
-    assert report["results"]["certificate"] is not None
-    # pricing against the same market fails at the solver layer
-    assert main(["price", "--scenario", scen]) == EXIT_INDETERMINATE
+    # r above and below the band [-0.1, 0.2]
+    for rate in ("0.3", "-0.2"):
+        bad = QUBIT_YAML.replace("r: 0.05", f"r: {rate}")
+        scen = write(tmp_path, bad)
+        code = main(["check-arbitrage", "--scenario", scen])
+        assert code == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["status"] == "NO_FAITHFUL_STATE"
+        pairs = np.array(report["results"]["certificate"])
+        cert = pairs[..., 0] + 1j * pairs[..., 1]
+        assert np.linalg.eigvalsh(cert)[0] >= -1e-8
+        assert np.trace(cert).real == pytest.approx(1.0, abs=1e-12)
+        # a single-period qubit market attains only multiples of dS
+        market, _ = build_market(parse_scenario(bad))
+        ds = discount(market).increment(0, 1)
+        coef = np.vdot(ds, cert).real / np.vdot(ds, ds).real
+        assert np.linalg.norm(cert - coef * ds) <= 1e-10
+        # pricing against the same market fails at the solver layer
+        assert main(["price", "--scenario", scen]) == EXIT_INDETERMINATE
 
 
 def test_env_override_limits_iterations(tmp_path, monkeypatch, capsys):
