@@ -18,9 +18,9 @@ from typing import Optional
 import numpy as np
 import scipy.optimize
 
-# MartingaleConstraintSet and martingale_affine_slice are re-exported here
-from .market import MartingaleConstraintSet, attainable_space, discount, martingale_affine_slice
-from .operators import as_hermitian, herm_to_vec, trace_pairings, vec_to_herm
+# MartingaleConstraintSet is re-exported here
+from .market import MartingaleConstraintSet, attainable_space, discount
+from .operators import as_hermitian, herm_to_vec, vec_to_herm
 from .quantum import DensityState
 
 FAITHFUL_STATE_FOUND = "FAITHFUL_STATE_FOUND"
@@ -75,26 +75,25 @@ def _soft_min(mat, beta):
     return m - np.log(s) / beta, (vecs * w) @ vecs.conj().T
 
 
-def maximize_lambda_min(x0, basis, max_iters=DEFAULT_MAX_ITERS):
-    """Maximize lambda_min(x0 + sum_i c_i B_i) over real coefficients c.
+def maximize_lambda_min(x0, span, adjoint, size, max_iters=DEFAULT_MAX_ITERS):
+    """Maximize lambda_min(x0 + span(c)) over c in R^size.
 
-    The objective is concave and piecewise smooth; it is ascended through a
+    ``span`` maps R^size linearly to Hermitian operators and ``adjoint`` is
+    its adjoint, W -> [tr(span(e_i) W)]_i.  Callers divide x0 and span by
+    max(1, |x0|_2), so the schedule below is relative.  The objective is
+    concave and piecewise smooth; it is ascended through a
     sequence of smoothed surrogates -log sum exp(-beta * spectrum) / beta
     with increasing beta, each maximized by quasi-Newton steps using the
     exact eigenprojector gradient.  Returns (lambda, c, evaluations).
     """
-    if len(basis) == 0:
+    if size == 0:
         return float(np.linalg.eigvalsh(x0)[0]), np.zeros(0), 1
-    stack = np.asarray(basis)
-    sigma = max(1.0, float(np.linalg.norm(x0, 2)))
-    x0n = np.asarray(x0, dtype=complex) / sigma
-    flat = stack.reshape(len(stack), -1) / sigma
 
     def objective(c, beta):
-        f, big_w = _soft_min(x0n + (c @ flat).reshape(x0n.shape), beta)
-        return -f, -trace_pairings(flat, big_w)
+        f, big_w = _soft_min(x0 + span(c), beta)
+        return -f, -adjoint(big_w)
 
-    c = np.zeros(len(basis))
+    c = np.zeros(size)
     evals = 0
     beta = BETA_START
     while beta <= BETA_CAP and evals < max_iters:
@@ -109,8 +108,7 @@ def maximize_lambda_min(x0, basis, max_iters=DEFAULT_MAX_ITERS):
         c = res.x
         evals += res.nfev
         beta *= BETA_GROWTH
-    lam = float(np.linalg.eigvalsh(x0 + np.tensordot(c, stack, axes=1))[0])
-    return lam, c, evals
+    return float(np.linalg.eigvalsh(x0 + span(c))[0]), c, evals
 
 
 def _claim_decision(constraints, mat, lam, evals, note=""):
@@ -135,23 +133,28 @@ def max_min_eig_over_slice(constraints, max_iters=DEFAULT_MAX_ITERS):
     A positive optimum returns its witness, a negative one the dual certificate.
     """
     d = constraints.dim
-    slice_ = constraints.affine_slice
-    if slice_ is None:
+    x0 = constraints.slice_point
+    if x0 is None:
         # I lies in K, so P_K(I) = I is the positive attainable claim
         return _claim_decision(
             constraints, np.eye(d, dtype=complex), float("-inf"), 0, note="affine set empty"
         )
-    x0, basis = slice_
-    lam, c, evals = maximize_lambda_min(x0, basis, max_iters)
-    rho = x0 + np.tensordot(c, basis, axes=1)
+    # rho = x0 + P(y) over herm-vec y, on the scale of x0
+    step, scale = constraints.slice_step, max(1.0, float(np.linalg.norm(x0, 2)))
+    lam, y, evals = maximize_lambda_min(
+        x0 / scale, lambda y: vec_to_herm(step(y), d), lambda w: step(herm_to_vec(w)), d * d,
+        max_iters,
+    )
+    lam *= scale
+    rho_n = x0 / scale + vec_to_herm(step(y), d)
     if lam > FEASIBILITY_THRESHOLD:
         return FeasibilityResult(
-            FAITHFUL_STATE_FOUND, lam, witness_state=DensityState(rho), iterations=evals
+            FAITHFUL_STATE_FOUND, lam, witness_state=DensityState(scale * rho_n), iterations=evals
         )
     if lam >= -FEASIBILITY_THRESHOLD:
         return FeasibilityResult(INDETERMINATE, lam, iterations=evals)
     # the last surrogate's weight on rho's spectrum, on the ascent's scale
-    _, weight = _soft_min(rho / max(1.0, float(np.linalg.norm(x0, 2))), BETA_FINAL)
+    _, weight = _soft_min(rho_n, BETA_FINAL)
     return _claim_decision(constraints, weight - lam * np.eye(d), lam, evals)
 
 

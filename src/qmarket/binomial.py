@@ -19,6 +19,7 @@ from .quantum import DensityState
 
 TAU_TIE_TOL = 1e-12
 DISK_EDGE_SHRINK = 1e-6
+DISK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -74,11 +75,11 @@ class RiskNeutralDisk:
     def center(self):
         return self.offset * self.normal
 
-    def contains(self, v, tol=1e-10):
+    def contains(self, v):
         v = np.asarray(v, dtype=float)
-        on_plane = abs(float(self.normal @ v) - self.offset) <= tol
-        inside = np.linalg.norm(v - self.center) < self.radius + tol
-        return bool(on_plane and inside and np.linalg.norm(v) < 1.0 + tol)
+        on_plane = abs(float(self.normal @ v) - self.offset) <= DISK_TOL
+        inside = np.linalg.norm(v - self.center) < self.radius + DISK_TOL
+        return bool(on_plane and inside and np.linalg.norm(v) < 1.0 + DISK_TOL)
 
 
 def build_single_period(spec):

@@ -17,13 +17,12 @@ market.
 
 A state is a martingale state iff it annihilates K, so the attainable space
 is also the market's :class:`MartingaleConstraintSet`: it keeps the split of
-I against K, which gives replication and the slice, and the slice itself.
+I against K, which gives replication and the slice.
 """
 
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ValidationError
 from .operators import (
@@ -122,12 +121,12 @@ class OperatorAlgebra:
 
     # -- membership ----------------------------------------------------------
 
-    def contains(self, x, tol=SPAN_TOL):
+    def contains(self, x):
         x = np.asarray(x, dtype=complex)
         if x.shape != (self.dim, self.dim):
             return False
         scale = max(1.0, np.linalg.norm(x))
-        return self._membership_residual(x) <= tol * scale
+        return self._membership_residual(x) <= SPAN_TOL * scale
 
     def _membership_residual(self, x):
         if self.is_factor:
@@ -166,28 +165,27 @@ class OperatorAlgebra:
             for b in self.basis
         )
 
-    def is_subalgebra_of(self, other, tol=SPAN_TOL):
+    def is_subalgebra_of(self, other):
         if self.is_factor and other.is_factor:
             return self._factor_dim <= other._factor_dim and self.dim == other.dim
-        return all(other.contains(b, tol) for b in self.basis)
+        return all(other.contains(b) for b in self.basis)
 
 
 class Filtration:
     """Increasing family A_0 subset ... subset A_T with A_0 = CI."""
 
-    def __init__(self, algebras, check=True):
+    def __init__(self, algebras):
         self.algebras = list(algebras)
         if not self.algebras:
             raise ValidationError("empty filtration")
         dim = self.algebras[0].dim
         if any(a.dim != dim for a in self.algebras):
             raise ValidationError("filtration algebras have mixed ambient dimensions")
-        if check:
-            if not self.algebras[0].is_trivial():
-                raise ValidationError("A_0 must be the scalars CI")
-            for s in range(len(self.algebras) - 1):
-                if not self.algebras[s].is_subalgebra_of(self.algebras[s + 1]):
-                    raise ValidationError(f"A_{s} is not contained in A_{s + 1}")
+        if not self.algebras[0].is_trivial():
+            raise ValidationError("A_0 must be the scalars CI")
+        for s in range(len(self.algebras) - 1):
+            if not self.algebras[s].is_subalgebra_of(self.algebras[s + 1]):
+                raise ValidationError(f"A_{s} is not contained in A_{s + 1}")
 
     @property
     def dim(self):
@@ -245,8 +243,8 @@ class MarketModel:
     def n_assets(self):
         return len(self.assets)
 
-    def is_discounted(self, tol=1e-12):
-        return all(abs(b - 1.0) <= tol for b in self.bank)
+    def is_discounted(self):
+        return all(abs(b - 1.0) <= 1e-12 for b in self.bank)
 
     def increment(self, j, t):
         return self.assets[j][t] - self.assets[j][t - 1]
@@ -358,8 +356,8 @@ class MartingaleConstraintSet:
     """Orthonormal Hermitian G_m with tr(rho G_m) = 0 required of a martingale state.
 
     ``vecs`` holds the herm-vec rows of the G_m; subclasses set ``dim`` and ``vecs``.
-    ``identity_split`` and ``affine_slice`` are kept read-only once computed;
-    ``decisions`` keeps the no-arbitrage results.
+    The slice of martingale states is ``slice_point`` plus the range of ``slice_step``;
+    it and ``identity_split`` are read-only; ``decisions`` keeps the no-arbitrage results.
     """
 
     def __init__(self, dim, operators):
@@ -385,7 +383,7 @@ class MartingaleConstraintSet:
     def identity_split(self):
         """(coords, perp): herm_to_vec(I) = coords @ vecs + perp, perp orthogonal to K.
 
-        Replication, the affine slice and completeness read this one split.
+        Replication, the slice and completeness read this one split.
         ``perp`` is None when I lies in span K (up to RANK_TOL relative to |I|).
         """
         eye = herm_to_vec(np.eye(self.dim, dtype=complex))
@@ -397,29 +395,24 @@ class MartingaleConstraintSet:
         return coords, perp
 
     @cached_property
-    def affine_slice(self):
-        """(x0, basis) of :func:`martingale_affine_slice`, or None when empty."""
-        slice_ = martingale_affine_slice(self)
-        for arr in slice_ or ():
-            arr.flags.writeable = False
-        return slice_
+    def normals(self):
+        """The orthonormal rows perp / |perp| and K, which span span(I, K); needs a slice."""
+        _, perp = self.identity_split
+        return np.vstack([perp / np.linalg.norm(perp), self.vecs])
 
+    @cached_property
+    def slice_point(self):
+        """x0 = perp / |perp|^2, the projection of I/d onto the slice; None when I is in K."""
+        _, perp = self.identity_split
+        if perp is None:
+            return None
+        x0 = vec_to_herm(perp / (perp @ perp), self.dim)
+        x0.flags.writeable = False
+        return x0
 
-def martingale_affine_slice(constraints):
-    """Particular point and orthonormal tangent basis of the constraint slice.
-
-    The slice is {X Hermitian : tr X = 1, tr(X G_m) = 0}; its particular point
-    x0 = perp / |perp|^2 (see ``identity_split``) is the projection of I/d onto
-    it.  Returns (x0, basis_ops) with the basis as a (k, d, d) array, or None
-    when the slice is empty because I lies in the span of the G_m.
-    """
-    _, perp = constraints.identity_split
-    if perp is None:
-        return None
-    d = constraints.dim
-    eye = herm_to_vec(np.eye(d, dtype=complex))
-    null = scipy.linalg.null_space(np.vstack([eye, constraints.vecs]))
-    return vec_to_herm(perp / (perp @ perp), d), vec_to_herm(null.T, d)
+    def slice_step(self, y):
+        """P(y) = y minus its projection onto span(I, K), the slice's directions; never formed."""
+        return y - self.normals.T.dot(self.normals.dot(y))  # dot: less call overhead than @
 
 
 def _pair_images(blocks):
@@ -537,10 +530,9 @@ class AttainableSpace(MartingaleConstraintSet):
     ``vecs`` is an orthonormal herm-vec basis of K, rank-revealed by one SVD
     of the stacked period bases; ``periods`` holds the K_t.  A coefficient
     vector over ``vecs`` maps to coefficients over the period bases by one
-    matvec, and from there to one h-matrix per period and asset.  As the
-    market's martingale constraint set it keeps the affine slice of its
-    martingale states.  Nothing here refers back to the market, which keeps
-    this object.
+    matvec, and from there to one h-matrix per period and asset.  It is
+    also the market's martingale constraint set.  Nothing here refers back
+    to the market, which keeps this object.
     """
 
     def __init__(self, market):

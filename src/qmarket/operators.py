@@ -179,15 +179,24 @@ def upper_indices(d):
     return iu, ju
 
 
-def herm_to_vec(x):
-    x = np.asarray(x, dtype=complex)
-    d = x.shape[-1]
+@lru_cache(maxsize=None)
+def _vec_layout(d):
+    """Float-view indices and weights of the gathers; 1/sqrt(2) is what complex division uses."""
     iu, ju = upper_indices(d)
-    upper = x[..., iu, ju]
-    return np.concatenate(
-        [np.diagonal(x, axis1=-2, axis2=-1).real, _SQRT2 * upper.real, _SQRT2 * upper.imag],
-        axis=-1,
-    )
+    upper, lower = 2 * (iu * d + ju), 2 * (ju * d + iu)
+    pick = np.concatenate([2 * (d + 1) * np.arange(d), upper, upper + 1])
+    weight = np.concatenate([np.ones(d), np.full(2 * len(iu), _SQRT2)])
+    place = np.concatenate([pick, lower, lower + 1])
+    source = np.concatenate([np.arange(d * d), np.arange(d, d * d)])
+    factor = 1.0 / np.concatenate([weight, weight[d:] * np.repeat([1.0, -1.0], len(iu))])
+    return pick, weight, place, source, factor
+
+
+def herm_to_vec(x):
+    x = np.ascontiguousarray(x, dtype=complex)
+    d = x.shape[-1]
+    pick, weight, _, _, _ = _vec_layout(d)
+    return x.view(float).reshape(x.shape[:-2] + (2 * d * d,)).take(pick, axis=-1) * weight
 
 
 def vec_to_herm(v, d):
@@ -195,15 +204,10 @@ def vec_to_herm(v, d):
     size = v.shape[-1] if v.ndim else v.size
     if size != d * d:
         raise ValidationError(f"vector of size {size} is not a dim-{d} Hermitian")
-    out = np.zeros(v.shape[:-1] + (d, d), dtype=complex)
-    diag = np.arange(d)
-    out[..., diag, diag] = v[..., :d]
-    iu, ju = upper_indices(d)
-    m = d * (d - 1) // 2
-    upper = (v[..., d : d + m] + 1j * v[..., d + m :]) / _SQRT2
-    out[..., iu, ju] = upper
-    out[..., ju, iu] = upper.conj()
-    return out
+    _, _, place, source, factor = _vec_layout(d)
+    out = np.zeros(v.shape[:-1] + (2 * d * d,))
+    out.T[place] = (v.take(source, axis=-1) * factor).T
+    return out.view(complex).reshape(v.shape[:-1] + (d, d))
 
 
 def pauli_operator(x0, x1, x2, x3):

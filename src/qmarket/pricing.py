@@ -15,6 +15,7 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from .arbitrage import (
     DEFAULT_MAX_ITERS,
@@ -25,7 +26,7 @@ from .arbitrage import (
 )
 from .errors import ArbitrageError, InternalConsistencyError, SolverError, ValidationError
 from .market import AttainableSpace, TradingStrategy, attainable_space
-from .operators import as_hermitian, herm_to_vec, hs_inner, trace_pairings
+from .operators import as_hermitian, herm_to_vec, hs_inner, trace_pairings, vec_to_herm
 from .quantum import DensityState
 
 ATTAINABLE_RESIDUAL_TOL = 1e-8
@@ -118,9 +119,7 @@ def replicate(a, market):
 
 
 def _barrier_maximize(x0, basis, objective, start_c):
-    """max tr(rho(c) A) + tau logdet rho(c) along tau = 1, 0.5, ..., TAU_FLOOR."""
-    if len(basis) == 0:
-        return float(hs_inner(x0, objective)), np.zeros(0)
+    """max tr(rho(c) A) + tau logdet rho(c) along tau = 1, 0.5, ..., TAU_FLOOR: (value, rho)."""
     stack = np.asarray(basis)
     n, d = stack.shape[:2]
     q = trace_pairings(stack, objective)
@@ -152,8 +151,8 @@ def _barrier_maximize(x0, basis, objective, start_c):
             hess = tau * (flat @ flat.T)
             try:
                 step = np.linalg.solve(hess + 1e-14 * np.eye(len(c)), grad)
-            except np.linalg.LinAlgError:
-                step = grad
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"barrier Newton system is singular at tau={tau:.1e}") from exc
             decrement = float(grad @ step)
             if decrement < max(1e-10 * tau, 1e-18):
                 break
@@ -166,7 +165,7 @@ def _barrier_maximize(x0, basis, objective, start_c):
             c = c + t * step
         tau *= 0.5
     rho = assemble(c)
-    return float(hs_inner(rho, objective)), c
+    return float(hs_inner(rho, objective)), rho
 
 
 def price_bounds(a, market, max_iters=DEFAULT_MAX_ITERS):
@@ -183,12 +182,9 @@ def price_bounds(a, market, max_iters=DEFAULT_MAX_ITERS):
     if na.status != FAITHFUL_STATE_FOUND:
         raise SolverError("no-arbitrage decision is indeterminate")
 
-    # the slice check_no_arbitrage searched, kept on the attainable space
-    x0, basis = attainable_space(market).affine_slice
-    # the slice directions span the orthocomplement of span(I, K), so q is
-    # the part of A that replication cannot reach: |q| = rep.residual
-    q = trace_pairings(basis, a)
-    q_norm = float(np.linalg.norm(q))
+    space = attainable_space(market)
+    # P(A) is the part of A outside span(I, K): |P(A)| = rep.residual
+    q_norm = float(np.linalg.norm(space.slice_step(herm_to_vec(a))))
     if (q_norm <= ATTAINABLE_RESIDUAL_TOL * rep.scale) != rep.attainable:
         raise InternalConsistencyError(
             f"attainability disagreement: replication residual {rep.residual:.3e}, "
@@ -203,20 +199,20 @@ def price_bounds(a, market, max_iters=DEFAULT_MAX_ITERS):
             interval_open=False, replication=rep,
         )
 
-    # re-express the interior witness in slice coordinates for a warm start
+    # the barrier's coordinates, for this claim only: a basis of the slice directions
+    d = market.dim
+    eye = herm_to_vec(np.eye(d, dtype=complex))
+    basis = vec_to_herm(scipy.linalg.null_space(np.vstack([eye, space.vecs])).T, d)
+    x0 = space.slice_point
+    # the interior witness in slice coordinates is the warm start
     start = trace_pairings(basis, witness.mat - x0)
-    upper, c_hi = _barrier_maximize(x0, basis, a, start)
-    lower_neg, c_lo = _barrier_maximize(x0, basis, -a, start)
-    lower = -lower_neg
-
-    def state_at(cv):
-        return DensityState(x0 + np.tensordot(cv, basis, axes=1))
-
+    upper, rho_hi = _barrier_maximize(x0, basis, a, start)
+    lower_neg, rho_lo = _barrier_maximize(x0, basis, -a, start)
     return PriceInterval(
-        lower,
+        -lower_neg,
         upper,
         attainable=False,
-        witness_states=(state_at(c_lo), state_at(c_hi)),
+        witness_states=(DensityState(rho_lo), DensityState(rho_hi)),
         interval_open=True,
         replication=rep,
     )
@@ -250,7 +246,7 @@ def is_complete(market):
     return CompletenessReport(affine_dim == obs_dim, affine_dim, obs_dim)
 
 
-def supermartingale_check(values, rho, market, tol=1e-8):
+def supermartingale_check(values, rho, market):
     """Gram-matrix test of E_rho A* V_t A <= E_rho A* V_{t-1} A per period."""
     mat = rho.mat if isinstance(rho, DensityState) else rho
     for t in range(1, market.horizon + 1):
@@ -260,7 +256,7 @@ def supermartingale_check(values, rho, market, tol=1e-8):
         # gram[p, q] = tr(rho A_p* dV A_q) = sum_jk conj(A_p[j, k]) (dV A_q rho)[j, k]
         gram = basis.reshape(n, -1).conj() @ (dv @ basis @ mat).reshape(n, -1).T
         gram = 0.5 * (gram + gram.conj().T)
-        if np.linalg.eigvalsh(gram)[-1] > tol:
+        if np.linalg.eigvalsh(gram)[-1] > CONSUMPTION_PSD_TOL:
             return False
     return True
 
@@ -297,14 +293,19 @@ def optional_decomposition(values, market, max_iters=DEFAULT_MAX_ITERS):
     for period in space.periods:
         t = period.period
         dv = vals[t] - vals[t - 1]
-        lam, c, _ = maximize_lambda_min(-dv, period.operators, max_iters)
+        scale = max(1.0, float(np.linalg.norm(-dv, 2)))
+        flat = period.operators.reshape(period.rank, d * d) / scale
+        _, c, _ = maximize_lambda_min(
+            -dv / scale, lambda cv: (cv @ flat).reshape(d, d),
+            lambda w: trace_pairings(flat, w), period.rank, max_iters,
+        )
+        dc = np.tensordot(c, period.operators, axes=1) - dv  # hedge gain minus dv
+        lam = float(np.linalg.eigvalsh(dc)[0])
         if lam < -CONSUMPTION_PSD_TOL:
             raise SolverError(
                 f"one-period super-replication infeasible at t={t}: "
                 f"best minimum eigenvalue {lam:.3e}"
             )
-        hedge_gain = np.tensordot(c, period.operators, axes=1)
         terms.update(period.terms(c))
-        dc = hedge_gain - dv
         consumption.append(consumption[-1] + 0.5 * (dc + dc.conj().T))
     return OptionalDecompositionResult(v0, TradingStrategy(terms), consumption)

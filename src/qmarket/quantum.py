@@ -92,11 +92,9 @@ def event_probability(rho, e):
     return min(max(p, 0.0), 1.0)
 
 
-def is_faithful(rho, eps=FAITHFUL_EPS):
-    """True iff all eigenvalues of rho exceed eps."""
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
-    return rho.min_eigenvalue() > eps
+def is_faithful(rho):
+    """True iff all eigenvalues of rho exceed FAITHFUL_EPS."""
+    return rho.min_eigenvalue() > FAITHFUL_EPS
 
 
 def pure_state(u):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import qmarket.arbitrage as arbitrage_mod
 from qmarket.arbitrage import (
     CLAIM_PSD_TOL,
+    DEFAULT_MAX_ITERS,
     FAITHFUL_STATE_FOUND,
     INDETERMINATE,
     NO_FAITHFUL_STATE,
@@ -11,13 +13,20 @@ from qmarket.arbitrage import (
     build_constraints,
     check_no_arbitrage,
     is_martingale_state,
-    martingale_affine_slice,
     max_min_eig_over_slice,
-    maximize_lambda_min,
 )
 from qmarket.binomial import NPeriodSpec, QubitMarketSpec, build_n_period, build_single_period
 from qmarket.market import Filtration, MarketModel, OperatorAlgebra, discount
-from qmarket.operators import SX, SY, SZ, herm_to_vec, hs_inner, min_eigenvalue, vec_to_herm
+from qmarket.operators import (
+    SX,
+    SY,
+    SZ,
+    herm_to_vec,
+    hs_inner,
+    min_eigenvalue,
+    trace_pairings,
+    vec_to_herm,
+)
 from qmarket.quantum import DensityState, is_faithful
 
 from conftest import random_hermitian, random_market, random_positive, trinomial_market
@@ -25,6 +34,37 @@ from conftest import random_hermitian, random_market, random_positive, trinomial
 
 def qubit_market(r=0.05):
     return build_single_period(QubitMarketSpec(0.05, 0.15, 0.0, 0.0, r=r, s0=100.0))
+
+
+# --- the tangent-basis ascent the slice projector replaced: the oracle ------
+
+
+def tangent_basis_slice(cs):
+    """(x0, orthonormal tangent basis of the slice): null_space of [I; K]."""
+    eye = herm_to_vec(np.eye(cs.dim, dtype=complex))
+    null = scipy.linalg.null_space(np.vstack([eye, cs.vecs]))
+    _, perp = cs.identity_split
+    return vec_to_herm(perp / (perp @ perp), cs.dim), vec_to_herm(null.T, cs.dim)
+
+
+def maximize_lambda_min(x0, basis, max_iters=DEFAULT_MAX_ITERS):
+    """max lambda_min(x0 + sum_i c_i B_i) over coordinates c: (lambda, c, evals).
+
+    The package's explicit-basis ascent under its old name, on the one L-BFGS
+    loop; with tangent_basis_slice it is the ascent the projector replaced.
+    """
+    stack = np.asarray(basis, dtype=complex).reshape(len(basis), x0.size)
+    scale = max(1.0, float(np.linalg.norm(x0, 2)))
+    flat = stack / scale
+    _, c, evals = arbitrage_mod.maximize_lambda_min(
+        x0 / scale,
+        lambda cv: (cv @ flat).reshape(x0.shape),
+        lambda w: trace_pairings(flat, w),
+        len(flat),
+        max_iters,
+    )
+    rho = x0 + (c @ stack).reshape(x0.shape)
+    return float(np.linalg.eigvalsh(rho)[0]), c, evals
 
 
 def test_unconstrained_slice_maximally_mixed():
@@ -47,15 +87,20 @@ def test_maximize_lambda_min_diagonal():
     assert lam == pytest.approx(0.5, abs=1e-8)
 
 
-def test_affine_slice_qubit():
+def test_affine_slice_qubit(rng):
     cs = build_constraints(discount(qubit_market()))
-    x0, basis = martingale_affine_slice(cs)
+    x0 = cs.slice_point
     assert np.trace(x0).real == pytest.approx(1.0)
     assert abs(hs_inner(x0, cs.operators[0])) <= 1e-10
-    assert len(basis) == 2  # sigma_y, sigma_z directions
-    for b in basis:
+    # P projects onto the sigma_y, sigma_z directions
+    steps = np.array([cs.slice_step(y) for y in rng.standard_normal((6, 4))])
+    assert np.linalg.matrix_rank(steps, tol=1e-10) == 2
+    for v in steps:
+        np.testing.assert_allclose(cs.slice_step(v), v, atol=1e-12)
+        b = vec_to_herm(v, 2)
         assert abs(np.trace(b)) <= 1e-10
         assert abs(hs_inner(b, cs.operators[0])) <= 1e-10
+        assert abs(hs_inner(b, SX)) <= 1e-10
 
 
 def test_qubit_market_admits_faithful_state():
@@ -236,3 +281,43 @@ def test_certificate_matches_positive_claim_oracle(name):
     assert np.linalg.norm(vec - (cs.vecs @ vec) @ cs.vecs) <= 1e-10
     if lam_oracle > 0:
         assert lam_cert > 0
+
+
+# --- the projector ascent against the tangent-basis ascent -------------------
+
+PAULI = [[0.15, 0.0, 0.0], [0.0, 0.15, 0.0], [0.09, 0.0, 0.12], [0.0, 0.09, 0.12]]
+
+SLICE_MARKETS = {
+    "qubit": qubit_market,
+    "trinomial": trinomial_market,
+    **{
+        f"nperiod{n}{'_pauli' if pauli else ''}_r{r:.2f}": (
+            lambda n=n, pauli=pauli, r=r: build_n_period(
+                NPeriodSpec(n, -0.1, 0.2, r, 100.0, 1.0, PAULI[:n] if pauli else None)
+            )
+        )
+        for n in (2, 3, 4)
+        for pauli in (False, True)
+        for r in (0.05, 0.25)
+    },
+    **{
+        f"{kind}{d}": (lambda d=d, kind=kind: explicit_arbitrage(d, kind == "diagonal", seed=d))
+        for kind in ("diagonal", "full")
+        for d in range(3, 9)
+    },
+}
+
+# the full markets put lambda* on a kink so flat that the last smoothing
+# stages stop at their iteration cap or in the line search, where rounding
+# decides the stopping point: there the two ascents differ by up to 1e-10
+KINK_TOL = {f"full{d}": 1e-9 for d in range(3, 9)}
+
+
+@pytest.mark.parametrize("name", sorted(SLICE_MARKETS))
+def test_projector_ascent_matches_tangent_basis_ascent(name):
+    # x0 + P(y) over herm-vec y and x0 + sum_i c_i B_i over an orthonormal
+    # tangent basis B are the same slice: L-BFGS differs by rounding only
+    cs = build_constraints(discount(SLICE_MARKETS[name]()))
+    lam_tangent, _, _ = maximize_lambda_min(*tangent_basis_slice(cs))
+    res = max_min_eig_over_slice(cs)
+    assert res.lambda_star == pytest.approx(lam_tangent, abs=KINK_TOL.get(name, 1e-12))

@@ -1,10 +1,15 @@
 """The attainable space: one build per market, both construction routes, strategies."""
 
+import json
+import os
+import pathlib
+import subprocess
 import sys
 import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import qmarket.arbitrage as arbitrage_mod
 import qmarket.market as market_mod
@@ -34,7 +39,7 @@ from qmarket.market import (
     discount,
     gain_process,
 )
-from qmarket.operators import SX, apply_function, herm_to_vec
+from qmarket.operators import SX, apply_function, herm_to_vec, vec_to_herm
 from qmarket.pricing import (
     INTERVAL_WIDTH_TOL,
     _barrier_maximize,
@@ -110,32 +115,43 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-@pytest.fixture
-def count_slices(monkeypatch):
-    return count_calls(monkeypatch, arbitrage_mod, "martingale_affine_slice")
+def test_only_non_attainable_claims_build_barrier_coordinates(monkeypatch):
+    # the slice is a point plus P = 1 - projection onto span(I, K): no
+    # null space, except the barrier's coordinates for a claim it prices
+    null_spaces = []
+    orig = scipy.linalg.null_space
 
+    def counting(*args, **kwargs):
+        null_spaces.append(args)
+        return orig(*args, **kwargs)
 
-def test_price_bounds_builds_the_affine_slice_once(count_slices):
-    mkt = nperiod_market(2)
-    claim = call_payoff(mkt, 100.0)
-    interval = price_bounds(claim, mkt)
-    assert len(count_slices) == 1
+    monkeypatch.setattr(scipy.linalg, "null_space", counting)
+    mkt, tri = nperiod_market(2), discount(trinomial_market())
+    for m in (mkt, tri):
+        assert check_no_arbitrage(m).status == FAITHFUL_STATE_FOUND
+    assert null_spaces == []
+    interval = price_bounds(call_payoff(mkt, 100.0), mkt)
+    assert interval.attainable and null_spaces == []
     rep = interval.replication
     values = [rep.alpha * np.eye(mkt.dim) + g for g in gain_process(rep.strategy, mkt)]
     optional_decomposition(values, mkt)
-    assert len(count_slices) == 1
+    assert null_spaces == []
+    assert not price_bounds(call_payoff(tri, 100.0), tri).attainable
+    assert len(null_spaces) == 1
 
 
-def test_the_attainable_space_is_the_constraint_set():
+def test_the_attainable_space_is_the_constraint_set(rng):
     mkt = nperiod_market(2)
     space = attainable_space(mkt)
     assert build_constraints(mkt) is space
     assert len(space) == space.rank == sum(4 ** t for t in range(2))
-    x0, basis = space.affine_slice
-    assert space.affine_slice[0] is x0
-    assert not x0.flags.writeable and not basis.flags.writeable
-    # the slice directions are orthogonal to K
-    assert np.abs(herm_to_vec(basis) @ space.vecs.T).max() <= 1e-10
+    x0 = space.slice_point
+    assert space.slice_point is x0 and not x0.flags.writeable
+    # the slice directions are traceless and orthogonal to K
+    eye = herm_to_vec(np.eye(mkt.dim, dtype=complex))
+    for y in rng.standard_normal((4, mkt.dim ** 2)):
+        step = space.slice_step(y)
+        assert abs(step @ eye) <= 1e-10 and np.abs(space.vecs @ step).max() <= 1e-10
 
 
 def test_undiscounted_market_keeps_its_discounted_copy(count_builds):
@@ -255,6 +271,41 @@ def test_nperiod_5_price_matches_crr():
     assert elapsed < 60.0
 
 
+ENVELOPE_SCRIPT = """
+import json, resource, time
+from qmarket.cli import parse_scenario, run
+y = (
+    "market: {kind: nperiod, n: 6, a: -0.1, b: 0.2, r: 0.05, s0: 100.0}\\n"
+    "claims: [{name: atm, type: call, strike: 100.0}]\\n"
+)
+t0 = time.perf_counter()
+check, check_code = run("check-arbitrage", parse_scenario(y))
+price, price_code = run("price", parse_scenario(y))
+print(json.dumps({
+    "wall_s": time.perf_counter() - t0,
+    "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    "codes": [check_code, price_code],
+    "status": check["results"]["status"],
+    "price": price["results"]["atm"]["unique_price"],
+}))
+"""
+
+
+def test_nperiod_6_check_arbitrage_and_price_fit_the_envelope():
+    # a fresh process, so the peak resident set is this run's alone
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", ENVELOPE_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["codes"] == [0, 0] and out["status"] == FAITHFUL_STATE_FOUND
+    assert out["price"] == pytest.approx(crr_price(6, 100.0, 100.0, 0.05, -0.1, 0.2), abs=1e-9)
+    assert out["wall_s"] <= 60.0
+    assert out["maxrss_mb"] <= 500.0
+
+
 # --- attainable claims are priced without the barrier ------------------------
 
 
@@ -304,7 +355,10 @@ def test_barrier_agrees_with_replication(name):
     # the short-circuit: width zero exactly on attainable claims, at alpha
     mkt = ORACLE_MARKETS[name]()
     claim = call_payoff(mkt, 100.0)
-    x0, basis = attainable_space(mkt).affine_slice
+    space = attainable_space(mkt)
+    x0 = space.slice_point
+    eye = herm_to_vec(np.eye(mkt.dim, dtype=complex))
+    basis = vec_to_herm(scipy.linalg.null_space(np.vstack([eye, space.vecs])).T, mkt.dim)
     witness = check_no_arbitrage(mkt).witness_state
     start = herm_to_vec(basis) @ herm_to_vec(witness.mat - x0)
     upper, _ = _barrier_maximize(x0, basis, claim, start)
@@ -355,8 +409,9 @@ def test_identity_split_matches_least_squares_oracles(name):
     rhs = np.zeros(len(rows))
     rhs[0] = 1.0
     corr, *_ = np.linalg.lstsq(rows, rhs - rows @ eye / mkt.dim, rcond=None)
-    x0, _ = space.affine_slice
-    np.testing.assert_allclose(herm_to_vec(x0), eye / mkt.dim + corr, atol=1e-10)
+    np.testing.assert_allclose(
+        herm_to_vec(space.slice_point), eye / mkt.dim + corr, atol=1e-10
+    )
     report = is_complete(mkt)
     assert report.affine_dim == np.linalg.matrix_rank(rows, tol=1e-9)
     # O(A_T) is spanned by the Hermitian and anti-Hermitian parts of its basis
@@ -385,7 +440,7 @@ def test_identity_in_the_attainable_space_empties_the_slice():
     mkt = degenerate_market()
     space = attainable_space(mkt)
     assert space.identity_split[1] is None
-    assert space.affine_slice is None
+    assert space.slice_point is None
     res = check_no_arbitrage(mkt)
     assert res.status == NO_FAITHFUL_STATE
     cert = res.arbitrage_claim

@@ -84,7 +84,7 @@ def test_sampled_states_are_faithful_martingale_states():
     for rho in states:
         assert is_faithful(rho)
         assert is_martingale_state(rho, mkt, tol=1e-8)
-        assert disk.contains(rho.bloch_vector(), tol=1e-9)
+        assert disk.contains(rho.bloch_vector())
 
 
 def test_sampling_deterministic():

@@ -340,3 +340,13 @@ def test_main_rejects_malformed_field(tmp_path, monkeypatch, capsys, field, text
     assert main(["check-arbitrage", "--scenario", scen]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
+
+
+def test_main_singular_barrier_exits_indeterminate(tmp_path, monkeypatch, capsys):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    scen = write(tmp_path, TRINOMIAL_YAML)
+    assert main(["interval", "--scenario", scen]) == EXIT_INDETERMINATE
+    assert "Newton system is singular" in capsys.readouterr().err

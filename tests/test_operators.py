@@ -164,3 +164,41 @@ def test_herm_vec_isometry(rng):
         va, vb = herm_to_vec(a), herm_to_vec(b)
         assert float(va @ vb) == pytest.approx(hs_inner(a, b))
         np.testing.assert_allclose(vec_to_herm(va, dim), a, atol=1e-12)
+
+
+# --- the concatenate / triangle-assignment maps the gathers replaced ---------
+
+
+def herm_to_vec_oracle(x):
+    x = np.asarray(x, dtype=complex)
+    iu, ju = np.triu_indices(x.shape[-1], k=1)
+    upper = x[..., iu, ju]
+    diag = np.diagonal(x, axis1=-2, axis2=-1).real
+    return np.concatenate([diag, np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag], axis=-1)
+
+
+def vec_to_herm_oracle(v, d):
+    v = np.asarray(v, dtype=float)
+    out = np.zeros(v.shape[:-1] + (d, d), dtype=complex)
+    diag = np.arange(d)
+    out[..., diag, diag] = v[..., :d]
+    iu, ju = np.triu_indices(d, k=1)
+    m = d * (d - 1) // 2
+    upper = (v[..., d : d + m] + 1j * v[..., d + m :]) / np.sqrt(2.0)
+    out[..., iu, ju] = upper
+    out[..., ju, iu] = upper.conj()
+    return out
+
+
+def test_herm_vec_gathers_are_bit_identical_to_the_oracles(rng):
+    for d in range(1, 9):
+        for lead in ((), (5,), (2, 3)):
+            x = rng.standard_normal(lead + (d, d)) + 1j * rng.standard_normal(lead + (d, d))
+            x = x + np.swapaxes(x, -1, -2).conj()
+            for arr in (x, np.swapaxes(x, -1, -2)):  # contiguous and strided input
+                got, want = herm_to_vec(arr), herm_to_vec_oracle(arr)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            v = rng.standard_normal(lead + (d * d,))
+            got, want = vec_to_herm(v, d), vec_to_herm_oracle(v, d)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()

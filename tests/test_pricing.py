@@ -3,7 +3,7 @@ import pytest
 
 from qmarket.arbitrage import check_no_arbitrage
 from qmarket.binomial import QubitMarketSpec, build_single_period
-from qmarket.errors import ArbitrageError, ValidationError
+from qmarket.errors import ArbitrageError, SolverError, ValidationError
 from qmarket.market import (
     Filtration,
     MarketModel,
@@ -14,6 +14,7 @@ from qmarket.market import (
 )
 from qmarket.operators import SX, apply_function, min_eigenvalue
 from qmarket.pricing import (
+    CONSUMPTION_PSD_TOL,
     arbitrage_free_prices,
     is_complete,
     optional_decomposition,
@@ -209,14 +210,20 @@ def loop_gram_top_eigenvalue(values, rho, market):
 
 def test_supermartingale_check_matches_trace_loop(rng):
     # the batched Gram matrix against the per-pair loop it replaced: the
-    # check flips exactly at the loop's top eigenvalue
+    # Gram matrix is linear in V, so scaling V moves the loop's top
+    # eigenvalue to either side of the tolerance, and the check flips there
     for dim, horizon in ((3, 2), (4, 1), (2, 3)):
         mkt = random_market(rng, dim, horizon)
         rho = random_state(rng, dim)
         values = [random_hermitian(rng, dim) for _ in range(horizon + 1)]
         top = loop_gram_top_eigenvalue(values, rho, mkt)
-        assert supermartingale_check(values, rho, mkt, tol=top + 1e-9)
-        assert not supermartingale_check(values, rho, mkt, tol=top - 1e-9)
+        if top <= 0:  # then -V has a positive top eigenvalue
+            values = [-v for v in values]
+            top = loop_gram_top_eigenvalue(values, rho, mkt)
+        assert top > 0
+        for factor, below in ((1.0 - 1e-6, True), (1.0 + 1e-6, False)):
+            scaled = [(factor * CONSUMPTION_PSD_TOL / top) * v for v in values]
+            assert supermartingale_check(scaled, rho, mkt) == below
 
 
 def test_optional_decomposition_martingale_case():
@@ -310,3 +317,16 @@ def test_dephased_market_agrees_with_classical_bounds():
     canonical = [np.eye(3)[:, i] for i in range(3)]
     lo_state = dephase(iv.witness_states[0], canonical)
     assert expectation(lo_state, claim) == pytest.approx(iv.lower, abs=1e-5)
+
+
+def test_singular_barrier_newton_system_raises(monkeypatch):
+    # a failed Newton solve is reported, not replaced by a gradient step
+    mkt = discount(trinomial_market())
+    assert check_no_arbitrage(mkt).witness_state is not None
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SolverError, match="Newton system is singular"):
+        price_bounds(tri_call(mkt), mkt)
