@@ -246,24 +246,14 @@ def _witness_payload(state):
 
 
 def _decompose_values(cls, payoff, market):
-    """A supermartingale ending at the payoff, for the decompose command.
+    """The upper super-hedge's value alpha I + (H # S)_t for t < T, then the payoff.
 
-    One period: the super-hedging price, then the payoff.  Longer horizons:
-    the replicating value process alpha I + (H # S)_t, which needs an
-    attainable claim.
+    It is a supermartingale ending at the payoff, for the decompose command;
+    for an attainable claim the super-hedge is the replication.
     """
-    d = market.dim
-    if market.horizon == 1:
-        return [cls.interval.upper * np.eye(d, dtype=complex), payoff]
-    rep = cls.replication
-    if not rep.attainable:
-        raise ValidationError(
-            f"decompose at horizon {market.horizon} supports attainable claims only: "
-            f"replication residual {rep.residual:.3e}; no value process is built "
-            "for a claim that cannot be replicated when the horizon is 2 or more"
-        )
-    eye = np.eye(d, dtype=complex)
-    return [rep.alpha * eye + g for g in gain_process(rep.strategy, market)]
+    hedge = cls.interval.hedge
+    eye = np.eye(market.dim, dtype=complex)
+    return [hedge.alpha * eye + g for g in gain_process(hedge.strategy, market)[:-1]] + [payoff]
 
 
 def run(command, scenario, samples=100):

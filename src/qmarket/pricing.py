@@ -1,13 +1,15 @@
 """Replication, arbitrage-free price intervals, and optional decomposition.
 
-Price bounds start from replication.  An attainable claim
-A = alpha I + (H # S)_T has the price alpha under every martingale state,
-so its interval collapses to that point without the interior-point pass.
-Any other claim's bounds come from that pass: maximize
-tr(rho A) + tau * logdet(rho) over the affine martingale slice with damped
-Newton steps, driving tau down a geometric schedule; the endpoints of the
-tau-path converge to the closed-set optima, which by density of the
-faithful states equal the sup/inf over risk-neutral states.
+Both rest on one super-hedge.  The sup of tr(rho A) over martingale states
+is the super-hedging price min{alpha : alpha I + k - A >= 0, k in K}, and
+each period of the optional decomposition super-hedges one increment of V
+over K_t.  A target in span(I, K) is its own hedge: the projection that
+``replicate`` makes, with no solver.  Any other target is hedged by Newton
+steps on alpha - tau logdet(alpha I + k - A) over (alpha, k) for a geometric
+schedule of tau (Vandenberghe & Boyd, "Semidefinite Programming", SIAM
+Review 38, 1996).  Each step's dual estimate rho is a martingale state, and
+alpha - tr(rho A) is the certified gap of the price; the solve stops once
+that gap is below GAP_TOL, relative to max(1, |A|_2).
 """
 
 from dataclasses import dataclass, field
@@ -15,34 +17,39 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .arbitrage import (
     DEFAULT_MAX_ITERS,
     FAITHFUL_STATE_FOUND,
     NO_FAITHFUL_STATE,
     check_no_arbitrage,
-    maximize_lambda_min,
 )
 from .errors import ArbitrageError, InternalConsistencyError, SolverError, ValidationError
-from .market import AttainableSpace, TradingStrategy, attainable_space
-from .operators import as_hermitian, herm_to_vec, hs_inner, trace_pairings, vec_to_herm
+from .market import MartingaleConstraintSet, TradingStrategy, attainable_space
+from .operators import as_hermitian, herm_to_vec, hs_inner, vec_to_herm
 from .quantum import DensityState
 
 ATTAINABLE_RESIDUAL_TOL = 1e-8
-# widest interval the barrier oracle in the tests may report for an attainable claim
+# widest interval the super-hedge oracle in the tests may report for an attainable claim
 INTERVAL_WIDTH_TOL = 1e-7
 CONSUMPTION_PSD_TOL = 1e-8
-TAU_FLOOR = 1e-10
+GAP_TOL = 1e-10  # the super-hedge stops once its certified gap is below this times the scale
+TAU_STEP = 0.02  # tau schedule 1, TAU_STEP, TAU_STEP^2, ...
+NEWTON_TOL = 1e-2  # squared Newton decrement at which an iterate counts as centred
+NEWTON_STEPS = 500
 
 
 @dataclass
 class Replication:
-    """A = alpha I + (H # S)_T + R, R orthogonal to span(I, K), |R| = residual; H built when read."""
+    """A hedge alpha I + sum_i coeffs_i K_i of a target A over ``space``; H built when read.
+
+    ``residual`` is |alpha I + (H # S)_T - A|: for a replication that part is
+    orthogonal to span(I, K), for a super-hedge it is positive.
+    """
 
     alpha: float
     coeffs: np.ndarray = field(repr=False)
-    space: AttainableSpace = field(repr=False)
+    space: MartingaleConstraintSet = field(repr=False)
     residual: float
     scale: float = 1.0
 
@@ -63,6 +70,7 @@ class PriceInterval:
     witness_states: tuple = (None, None)
     interval_open: bool = True
     replication: Optional[Replication] = field(default=None, repr=False)
+    hedge: Optional[Replication] = field(default=None, repr=False)  # the upper super-hedge
 
 
 @dataclass
@@ -98,74 +106,91 @@ def _require_terminal_observable(a, market):
     return a
 
 
-def replicate(a, market):
-    """Replicate A = alpha I + sum_i c_i K_i by projection; alpha is the candidate price.
+def _split(target, space):
+    """target = alpha I + coeffs @ K + R, R orthogonal to span(I, K), as a Replication.
 
-    alpha = <perp, A> / |perp|^2 (see ``identity_split``), or 0 when I lies in K.
+    alpha = <perp, target> / |perp|^2 (see ``identity_split``), or 0 when I lies in K.
     """
-    _require_discounted(market)
-    a = _require_terminal_observable(a, market)
-    space = attainable_space(market)
     _, perp = space.identity_split
-    target = herm_to_vec(a)
-    alpha = 0.0 if perp is None else float(perp @ target / (perp @ perp))
-    rest = target - alpha * herm_to_vec(np.eye(market.dim, dtype=complex))
+    vec = herm_to_vec(target)
+    alpha = 0.0 if perp is None else float(perp @ vec / (perp @ perp))
+    rest = vec - alpha * herm_to_vec(np.eye(space.dim, dtype=complex))
     coef = space.vecs @ rest
     residual = float(np.linalg.norm(rest - coef @ space.vecs))
-    return Replication(alpha, coef, space, residual, max(1.0, float(np.linalg.norm(a))))
+    return Replication(alpha, coef, space, residual, max(1.0, float(np.linalg.norm(target))))
 
 
-# --- log-det barrier over the martingale slice ------------------------------
+def replicate(a, market):
+    """Replicate A = alpha I + sum_i c_i K_i by projection; alpha is the candidate price."""
+    _require_discounted(market)
+    return _split(_require_terminal_observable(a, market), attainable_space(market))
 
 
-def _barrier_maximize(x0, basis, objective, start_c):
-    """max tr(rho(c) A) + tau logdet rho(c) along tau = 1, 0.5, ..., TAU_FLOOR: (value, rho)."""
-    stack = np.asarray(basis)
-    n, d = stack.shape[:2]
-    q = trace_pairings(stack, objective)
-    c = np.array(start_c, dtype=float)
+# --- the super-hedge ---------------------------------------------------------
 
-    def assemble(cv):
-        return x0 + np.tensordot(cv, stack, axes=1)
 
-    def f_value(cv, tau):
-        rho = assemble(cv)
-        vals = np.linalg.eigvalsh(rho)
-        if vals[0] <= 0:
-            return -np.inf
-        return float(q @ cv) + tau * float(np.log(vals).sum())
+def _super_hedge(target, space):
+    """min alpha with alpha I + k - target >= 0 over k in the span: (hedge, witness rho).
 
+    Newton steps on alpha - tau logdet X over x = (alpha, c), where
+    X = sum_i x_i B_i - target / scale with B = (I, K_1, ...), from the
+    strictly feasible alpha = lambda_max + 1, c = 0.  With X = L L* and
+    M_i = L^-1 B_i L^-*, the gradient is e_0 - tau tr M and the Hessian
+    tau Re<M_i, M_j>.  At the Newton step s, with S = sum_i s_i M_i, the
+    dual estimate rho = tau L^-*(I - S) L^-1 has tr rho = 1 and
+    tr(rho K_i) = 0, and alpha - tr(rho target) = tau (d - tr S) scale.
+    """
+    d = space.dim
+    scale = max(1.0, float(np.linalg.norm(target, 2)))
+    a = target / scale
+    basis = np.concatenate([np.eye(d, dtype=complex)[None], space.operators])
+    n = len(basis)
+    x = np.zeros(n)
+    x[0] = np.linalg.eigvalsh(a)[-1] + 1.0
     tau = 1.0
-    while tau >= TAU_FLOOR:
-        for _ in range(60):
-            # whiten by rho = L L*: with M_i = L^-1 B_i L^-*, the gradient of
-            # logdet is tr M_i and its Hessian is -Re<M_i, M_j>
+    for _ in range(NEWTON_STEPS):
+        slack = np.tensordot(x, basis, axes=1) - a
+        try:
+            linv = np.linalg.inv(np.linalg.cholesky(slack))
+        except np.linalg.LinAlgError as exc:
+            raise SolverError("super-hedge iterate is not positive definite") from exc
+        m = herm_to_vec(linv @ (basis.reshape(n * d, d) @ linv.conj().T).reshape(n, d, d))
+        gram, traces = m @ m.T, m[:, :d].sum(axis=1)
+        while True:
+            grad = -tau * traces
+            grad[0] += 1.0
             try:
-                chol = np.linalg.cholesky(assemble(c))
+                step = -np.linalg.solve(tau * gram, grad)
             except np.linalg.LinAlgError as exc:
-                raise SolverError("barrier iterate is not positive definite") from exc
-            linv = np.linalg.inv(chol)
-            m = linv @ (stack.reshape(n * d, d) @ linv.conj().T).reshape(n, d, d)
-            grad = q + tau * np.trace(m, axis1=1, axis2=2).real
-            flat = m.reshape(n, -1).view(float)
-            hess = tau * (flat @ flat.T)
-            try:
-                step = np.linalg.solve(hess + 1e-14 * np.eye(len(c)), grad)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(f"barrier Newton system is singular at tau={tau:.1e}") from exc
-            decrement = float(grad @ step)
-            if decrement < max(1e-10 * tau, 1e-18):
+                raise SolverError(f"Newton system is singular at tau={tau:.1e}") from exc
+            s_mat = vec_to_herm(step @ m, d)
+            mu = np.linalg.eigvalsh(s_mat)
+            slope = float(grad @ step)  # -tau |S|_F^2, |S|_F the Newton decrement
+            # |S|_F <= 1/2 keeps rho >= tau L^-* L^-1 / 2 > 0: stop on its gap
+            if -slope <= 0.25 * tau and tau * (d - mu.sum()) <= GAP_TOL:
+                rho = tau * linv.conj().T @ (np.eye(d) - s_mat) @ linv
+                lam = np.linalg.eigvalsh(rho)[0]
+                if lam <= 0.0:
+                    raise SolverError(f"super-hedge witness is not positive definite: {lam:.3e}")
+                residual = float(np.linalg.norm(slack)) * scale
+                return Replication(float(x[0] * scale), x[1:] * scale, space, residual, scale), rho
+            if -slope > NEWTON_TOL * tau:
                 break
-            t = 1.0
-            f0 = f_value(c, tau)
-            while t > 1e-14 and f_value(c + t * step, tau) <= f0 - 1e-18:
-                t *= 0.5
-            if t <= 1e-14:
-                break  # no ascent step left at this tau
-            c = c + t * step
-        tau *= 0.5
-    rho = assemble(c)
-    return float(hs_inner(rho, objective)), rho
+            tau *= TAU_STEP  # centred: follow the central path
+        # backtrack on the exact change of the objective along the step, in whitened form
+        t = 1.0
+        while t * mu[0] <= -1.0 or t * step[0] - tau * np.log1p(t * mu).sum() > 0.25 * t * slope:
+            t *= 0.5
+            if t < 1e-12:
+                raise SolverError(f"super-hedge line search failed at tau={tau:.1e}")
+        x = x + t * step
+    raise SolverError(f"super-hedge did not converge in {NEWTON_STEPS} Newton steps")
+
+
+def _hedge(target, space):
+    """(hedge, witness) of target; a target in span(I, K) is its own hedge, with no solve."""
+    rep = _split(target, space)
+    return (rep, None) if rep.attainable else _super_hedge(target, space)
 
 
 def price_bounds(a, market, max_iters=DEFAULT_MAX_ITERS):
@@ -190,31 +215,24 @@ def price_bounds(a, market, max_iters=DEFAULT_MAX_ITERS):
             f"attainability disagreement: replication residual {rep.residual:.3e}, "
             f"part outside span(I, K) {q_norm:.3e}"
         )
-    witness = na.witness_state
-    if rep.attainable:
+    upper, rho_hi = _hedge(a, space)
+    if rho_hi is None:
         # every martingale state gives A = alpha I + (H # S)_T the price alpha
-        price = float(hs_inner(witness.mat, a))
+        witness = na.witness_state
+        price = hs_inner(witness.mat, a)
         return PriceInterval(
             price, price, attainable=True, witness_states=(witness, witness),
-            interval_open=False, replication=rep,
+            interval_open=False, replication=rep, hedge=upper,
         )
-
-    # the barrier's coordinates, for this claim only: a basis of the slice directions
-    d = market.dim
-    eye = herm_to_vec(np.eye(d, dtype=complex))
-    basis = vec_to_herm(scipy.linalg.null_space(np.vstack([eye, space.vecs])).T, d)
-    x0 = space.slice_point
-    # the interior witness in slice coordinates is the warm start
-    start = trace_pairings(basis, witness.mat - x0)
-    upper, rho_hi = _barrier_maximize(x0, basis, a, start)
-    lower_neg, rho_lo = _barrier_maximize(x0, basis, -a, start)
+    lower, rho_lo = _hedge(-a, space)
     return PriceInterval(
-        -lower_neg,
-        upper,
+        -lower.alpha,
+        upper.alpha,
         attainable=False,
         witness_states=(DensityState(rho_lo), DensityState(rho_hi)),
         interval_open=True,
         replication=rep,
+        hedge=upper,
     )
 
 
@@ -264,9 +282,9 @@ def supermartingale_check(values, rho, market):
 def optional_decomposition(values, market, max_iters=DEFAULT_MAX_ITERS):
     """Constructive decomposition V = V_0 + H # S - C with C increasing.
 
-    Per period, super-replicates the increment of V inside the one-period
-    gain span by maximizing the minimum eigenvalue of the hedge slack; the
-    slack itself is the consumption increment.
+    Per period, super-hedges the increment of V over the one-period gain
+    span K_t; the hedge's gain minus the increment is the consumption
+    increment.
     """
     _require_discounted(market)
     horizon = market.horizon
@@ -287,25 +305,19 @@ def optional_decomposition(values, market, max_iters=DEFAULT_MAX_ITERS):
             "value process is not a supermartingale under the risk-neutral witness"
         )
 
-    space = attainable_space(market)
     consumption = [np.zeros((d, d), dtype=complex)]
     terms = {}
-    for period in space.periods:
+    for period in attainable_space(market).periods:
         t = period.period
         dv = vals[t] - vals[t - 1]
-        scale = max(1.0, float(np.linalg.norm(-dv, 2)))
-        flat = period.operators.reshape(period.rank, d * d) / scale
-        _, c, _ = maximize_lambda_min(
-            -dv / scale, lambda cv: (cv @ flat).reshape(d, d),
-            lambda w: trace_pairings(flat, w), period.rank, max_iters,
-        )
-        dc = np.tensordot(c, period.operators, axes=1) - dv  # hedge gain minus dv
+        hedge, _ = _hedge(dv, period)
+        dc = np.tensordot(hedge.coeffs, period.operators, axes=1) - dv  # hedge gain minus dv
         lam = float(np.linalg.eigvalsh(dc)[0])
         if lam < -CONSUMPTION_PSD_TOL:
             raise SolverError(
                 f"one-period super-replication infeasible at t={t}: "
                 f"best minimum eigenvalue {lam:.3e}"
             )
-        terms.update(period.terms(c))
+        terms.update(period.terms(hedge.coeffs))
         consumption.append(consumption[-1] + 0.5 * (dc + dc.conj().T))
     return OptionalDecompositionResult(v0, TradingStrategy(terms), consumption)

@@ -24,7 +24,6 @@ from qmarket.operators import (
     herm_to_vec,
     hs_inner,
     min_eigenvalue,
-    trace_pairings,
     vec_to_herm,
 )
 from qmarket.quantum import DensityState, is_faithful
@@ -59,7 +58,7 @@ def maximize_lambda_min(x0, basis, max_iters=DEFAULT_MAX_ITERS):
     _, c, evals = arbitrage_mod.maximize_lambda_min(
         x0 / scale,
         lambda cv: (cv @ flat).reshape(x0.shape),
-        lambda w: trace_pairings(flat, w),
+        lambda w: (flat @ w.conj().reshape(-1)).real,  # tr(B_i W)
         len(flat),
         max_iters,
     )

@@ -39,10 +39,10 @@ from qmarket.market import (
     discount,
     gain_process,
 )
-from qmarket.operators import SX, apply_function, herm_to_vec, vec_to_herm
+from qmarket.operators import SX, apply_function, herm_to_vec
 from qmarket.pricing import (
     INTERVAL_WIDTH_TOL,
-    _barrier_maximize,
+    _super_hedge,
     arbitrage_free_prices,
     is_complete,
     optional_decomposition,
@@ -116,8 +116,8 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_only_non_attainable_claims_build_barrier_coordinates(monkeypatch):
-    # the slice is a point plus P = 1 - projection onto span(I, K): no
-    # null space, except the barrier's coordinates for a claim it prices
+    # no null space anywhere: the super-hedge runs over span(I, K), and only
+    # for a claim outside it, once per endpoint
     null_spaces = []
     orig = scipy.linalg.null_space
 
@@ -126,18 +126,19 @@ def test_only_non_attainable_claims_build_barrier_coordinates(monkeypatch):
         return orig(*args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "null_space", counting)
+    hedges = count_calls(monkeypatch, pricing_mod, "_super_hedge")
     mkt, tri = nperiod_market(2), discount(trinomial_market())
     for m in (mkt, tri):
         assert check_no_arbitrage(m).status == FAITHFUL_STATE_FOUND
-    assert null_spaces == []
     interval = price_bounds(call_payoff(mkt, 100.0), mkt)
-    assert interval.attainable and null_spaces == []
+    assert interval.attainable and hedges == []
     rep = interval.replication
     values = [rep.alpha * np.eye(mkt.dim) + g for g in gain_process(rep.strategy, mkt)]
     optional_decomposition(values, mkt)
-    assert null_spaces == []
+    assert hedges == []
     assert not price_bounds(call_payoff(tri, 100.0), tri).attainable
-    assert len(null_spaces) == 1
+    assert len(hedges) == 2
+    assert null_spaces == []
 
 
 def test_the_attainable_space_is_the_constraint_set(rng):
@@ -306,11 +307,11 @@ def test_nperiod_6_check_arbitrage_and_price_fit_the_envelope():
     assert out["maxrss_mb"] <= 500.0
 
 
-# --- attainable claims are priced without the barrier ------------------------
+# --- attainable claims are priced without the super-hedge solve ---------------
 
 
 def test_attainable_claim_runs_no_barrier(monkeypatch):
-    barrier = count_calls(monkeypatch, pricing_mod, "_barrier_maximize")
+    hedges = count_calls(monkeypatch, pricing_mod, "_super_hedge")
     mkt = nperiod_market(2)
     interval = price_bounds(call_payoff(mkt, 100.0), mkt)
     assert interval.attainable and not interval.interval_open
@@ -318,7 +319,7 @@ def test_attainable_claim_runs_no_barrier(monkeypatch):
     assert interval.upper == pytest.approx(interval.replication.alpha, abs=1e-9)
     assert interval.witness_states[0] is interval.witness_states[1]
     assert is_martingale_state(interval.witness_states[0], mkt)
-    assert barrier == []
+    assert hedges == []
 
 
 def test_no_arbitrage_is_decided_once_per_market(monkeypatch):
@@ -351,18 +352,14 @@ ORACLE_MARKETS = {
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MARKETS))
 def test_barrier_agrees_with_replication(name):
-    # the interior-point pass, run directly, is an independent oracle for
-    # the short-circuit: width zero exactly on attainable claims, at alpha
+    # the super-hedge solve, run directly on both signs of the claim, is an
+    # independent oracle for the short-circuit: width zero exactly on
+    # attainable claims, at alpha
     mkt = ORACLE_MARKETS[name]()
     claim = call_payoff(mkt, 100.0)
     space = attainable_space(mkt)
-    x0 = space.slice_point
-    eye = herm_to_vec(np.eye(mkt.dim, dtype=complex))
-    basis = vec_to_herm(scipy.linalg.null_space(np.vstack([eye, space.vecs])).T, mkt.dim)
-    witness = check_no_arbitrage(mkt).witness_state
-    start = herm_to_vec(basis) @ herm_to_vec(witness.mat - x0)
-    upper, _ = _barrier_maximize(x0, basis, claim, start)
-    lower = -_barrier_maximize(x0, basis, -claim, start)[0]
+    upper = _super_hedge(claim, space)[0].alpha
+    lower = -_super_hedge(-claim, space)[0].alpha
     interval = price_bounds(claim, mkt)
     scale = max(1.0, abs(upper))
     assert (upper - lower <= INTERVAL_WIDTH_TOL * scale) == interval.attainable

@@ -16,6 +16,7 @@ from qmarket.cli import (
 )
 from qmarket.errors import ValidationError
 from qmarket.market import discount
+from qmarket.pricing import CONSUMPTION_PSD_TOL, arbitrage_free_prices, optional_decomposition
 
 QUBIT_YAML = """
 market:
@@ -284,12 +285,21 @@ def test_run_decompose_two_periods_reconstructs_value():
     assert max(out["consumption_norms"]) <= 1e-6
 
 
-def test_main_decompose_two_periods_rejects_unattainable_claim(tmp_path, capsys):
-    with pytest.raises(ValidationError, match="attainable claims only"):
-        run("decompose", parse_scenario(TWO_PERIOD_EXPLICIT_YAML))
+def test_main_decompose_two_periods_super_hedges_unattainable_claim(tmp_path, capsys):
+    # V is the upper super-hedge alpha I + (H # S)_1, then the payoff; the
+    # martingale states are [[2/3, z], [z*, 1/3]] with |z|^2 <= 2/9
     scen = write(tmp_path, TWO_PERIOD_EXPLICIT_YAML)
-    assert main(["decompose", "--scenario", scen]) == EXIT_VALIDATION
-    assert "horizon 2" in capsys.readouterr().err
+    assert main(["decompose", "--scenario", scen]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)["results"]["flip"]
+    assert out["v0"] == pytest.approx(2.0 * np.sqrt(2.0) / 3.0, abs=1e-8)
+    assert out["reconstruction_residual"] <= 1e-8
+    scenario = parse_scenario(TWO_PERIOD_EXPLICIT_YAML)
+    market = discount(build_market(scenario)[0])
+    payoff = cli.claim_payoff(scenario["claims"][0], market)
+    cls = arbitrage_free_prices(payoff, market)
+    dec = optional_decomposition(cli._decompose_values(cls, payoff, market), market)
+    for before, after in zip(dec.consumption, dec.consumption[1:]):
+        assert np.linalg.eigvalsh(after - before)[0] >= -CONSUMPTION_PSD_TOL
 
 
 @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
