@@ -5,11 +5,13 @@ G_m of an orthonormal basis of the attainable-claim space, which the
 market builds once and which is itself the constraint set (see
 :class:`qmarket.market.AttainableSpace`).
 Arbitrage-freeness is decided by one ascent of the minimum eigenvalue of rho
-over the affine slice {rho Hermitian : tr rho = 1, tr(rho G_m) = 0}: a
-strictly positive optimum lambda* certifies a faithful (risk-neutral)
-witness.  A negative one yields the dual certificate: at the optimum the
-minimum-eigenspace weight W of rho is lambda* I + k with k in K, so
-k = W - lambda* I >= -lambda* I is a positive attainable claim.
+over the affine slice {rho Hermitian : tr rho = 1, tr(rho G_m) = 0}, for
+every market and once per market: a strictly positive optimum lambda*
+certifies a faithful (risk-neutral) witness.  Any other yields the dual
+certificate: at the optimum the minimum-eigenspace weight W of rho is
+lambda* I + k with k in K, so k = W - lambda* I >= -lambda* I is a positive
+attainable claim.  At a band edge of a binomial market (r = a or r = b)
+lambda* is zero and k is still positive, so band edges get a certificate too.
 """
 
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ INDETERMINATE = "INDETERMINATE"
 
 FEASIBILITY_THRESHOLD = 1e-9
 CLAIM_PSD_TOL = 1e-8
-DEFAULT_MAX_ITERS = 50_000
+MAX_EVALS = 50_000  # objective evaluations of one ascent, over all its smoothing stages
 
 # smoothing schedule of the ascent: beta = BETA_START * BETA_GROWTH^k up to BETA_CAP
 BETA_START, BETA_GROWTH, BETA_CAP = 8.0, 8.0, 1.2e12
@@ -75,8 +77,8 @@ def _soft_min(mat, beta):
     return m - np.log(s) / beta, (vecs * w) @ vecs.conj().T
 
 
-def maximize_lambda_min(x0, span, adjoint, size, max_iters=DEFAULT_MAX_ITERS):
-    """Maximize lambda_min(x0 + span(c)) over c in R^size.
+def maximize_lambda_min(x0, span, adjoint, size):
+    """Maximize lambda_min(x0 + span(c)) over c in R^size, size >= 1.
 
     ``span`` maps R^size linearly to Hermitian operators and ``adjoint`` is
     its adjoint, W -> [tr(span(e_i) W)]_i.  Callers divide x0 and span by
@@ -86,8 +88,6 @@ def maximize_lambda_min(x0, span, adjoint, size, max_iters=DEFAULT_MAX_ITERS):
     with increasing beta, each maximized by quasi-Newton steps using the
     exact eigenprojector gradient.  Returns (lambda, c, evaluations).
     """
-    if size == 0:
-        return float(np.linalg.eigvalsh(x0)[0]), np.zeros(0), 1
 
     def objective(c, beta):
         f, big_w = _soft_min(x0 + span(c), beta)
@@ -96,7 +96,7 @@ def maximize_lambda_min(x0, span, adjoint, size, max_iters=DEFAULT_MAX_ITERS):
     c = np.zeros(size)
     evals = 0
     beta = BETA_START
-    while beta <= BETA_CAP and evals < max_iters:
+    while beta <= BETA_CAP and evals < MAX_EVALS:
         res = scipy.optimize.minimize(
             objective,
             c,
@@ -127,10 +127,10 @@ def _claim_decision(constraints, mat, lam, evals, note=""):
     )
 
 
-def max_min_eig_over_slice(constraints, max_iters=DEFAULT_MAX_ITERS):
+def max_min_eig_over_slice(constraints):
     """Solve max lambda_min(rho) over the martingale-state slice.
 
-    A positive optimum returns its witness, a negative one the dual certificate.
+    A positive optimum returns its witness, any other the dual certificate.
     """
     d = constraints.dim
     x0 = constraints.slice_point
@@ -142,8 +142,7 @@ def max_min_eig_over_slice(constraints, max_iters=DEFAULT_MAX_ITERS):
     # rho = x0 + P(y) over herm-vec y, on the scale of x0
     step, scale = constraints.slice_step, max(1.0, float(np.linalg.norm(x0, 2)))
     lam, y, evals = maximize_lambda_min(
-        x0 / scale, lambda y: vec_to_herm(step(y), d), lambda w: step(herm_to_vec(w)), d * d,
-        max_iters,
+        x0 / scale, lambda y: vec_to_herm(step(y), d), lambda w: step(herm_to_vec(w)), d * d
     )
     lam *= scale
     rho_n = x0 / scale + vec_to_herm(step(y), d)
@@ -151,28 +150,18 @@ def max_min_eig_over_slice(constraints, max_iters=DEFAULT_MAX_ITERS):
         return FeasibilityResult(
             FAITHFUL_STATE_FOUND, lam, witness_state=DensityState(scale * rho_n), iterations=evals
         )
-    if lam >= -FEASIBILITY_THRESHOLD:
-        return FeasibilityResult(INDETERMINATE, lam, iterations=evals)
     # the last surrogate's weight on rho's spectrum, on the ascent's scale
     _, weight = _soft_min(rho_n, BETA_FINAL)
     return _claim_decision(constraints, weight - lam * np.eye(d), lam, evals)
 
 
-def check_no_arbitrage(market, max_iters=DEFAULT_MAX_ITERS):
+def check_no_arbitrage(market):
     """Fundamental-theorem decision: faithful witness or positive-claim certificate.
 
-    The decision is kept on the market's constraint set, one per
-    ``max_iters``, and every later call on the same market returns that
-    same result object.
+    The decision is kept on the market's constraint set, and every later
+    call on the same market returns that same result object.
     """
     cs = build_constraints(discount(market))
-    if max_iters not in cs.decisions:
-        if len(cs) == 0:
-            cs.decisions[max_iters] = FeasibilityResult(
-                FAITHFUL_STATE_FOUND, 1.0 / cs.dim,
-                witness_state=DensityState.maximally_mixed(cs.dim),
-                note="no constraints: every state is a martingale state",
-            )
-        else:
-            cs.decisions[max_iters] = max_min_eig_over_slice(cs, max_iters=max_iters)
-    return cs.decisions[max_iters]
+    if cs.decision is None:
+        cs.decision = max_min_eig_over_slice(cs)
+    return cs.decision

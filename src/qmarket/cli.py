@@ -5,25 +5,21 @@ commands check-arbitrage, price, interval, replicate, decompose, disk, crr.
 
 Scenarios are YAML trees (see README for the grammar); reports are JSON with
 sorted keys, byte-stable for a fixed scenario and seed.  Matrices are encoded
-row-major as [re, im] pairs in both directions.  The environment variable
-QMARKET_MAX_ITERS overrides the solver iteration cap.
+row-major as [re, im] pairs in both directions.  The ``solver`` mapping takes
+only ``seed``; any other key is rejected.  check-arbitrage exits 0 with a
+witness or an arbitrage certificate (band-edge markets get a certificate)
+and 3 when neither is found.
 """
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 import yaml
 
 from . import __version__
-from .arbitrage import (
-    DEFAULT_MAX_ITERS,
-    FAITHFUL_STATE_FOUND,
-    INDETERMINATE,
-    check_no_arbitrage,
-)
+from .arbitrage import INDETERMINATE, check_no_arbitrage
 from .binomial import (
     NPeriodSpec,
     QubitMarketSpec,
@@ -95,13 +91,6 @@ def _field(mapping, key, where, kind=float, default=None):
     return _typed(value, kind, f"{where}.{key}")
 
 
-def _max_iters(value, where):
-    n = _typed(value, int, where)
-    if n < 1:
-        raise ValidationError(f"{where} must be >= 1, got {n}")
-    return n
-
-
 def parse_scenario(text):
     """Parse and validate a YAML scenario into a canonical dict."""
     try:
@@ -155,10 +144,10 @@ def parse_scenario(text):
     solver = raw.get("solver") or {}
     if not isinstance(solver, dict):
         raise ValidationError(f"solver must be a mapping, got {solver!r}")
-    scenario["solver"] = {
-        "seed": _field(solver, "seed", "solver", int, 0),
-        "max_iters": _max_iters(solver.get("max_iters", DEFAULT_MAX_ITERS), "solver.max_iters"),
-    }
+    for key in solver:
+        if key != "seed":
+            raise ValidationError(f"solver.{key} is not a solver field; solver takes only seed")
+    scenario["solver"] = {"seed": _field(solver, "seed", "solver", int, 0)}
     return scenario
 
 
@@ -258,9 +247,6 @@ def _decompose_values(cls, payoff, market):
 
 def run(command, scenario, samples=100):
     """Dispatch a command against a parsed scenario; returns (report, exit_code)."""
-    max_iters = scenario["solver"]["max_iters"]
-    if "QMARKET_MAX_ITERS" in os.environ:
-        max_iters = _max_iters(os.environ["QMARKET_MAX_ITERS"], "QMARKET_MAX_ITERS")
     seed = scenario["solver"]["seed"]
     market, spec = build_market(scenario)
     results = {}
@@ -268,7 +254,7 @@ def run(command, scenario, samples=100):
     exit_code = EXIT_OK
 
     if command == "check-arbitrage":
-        res = check_no_arbitrage(market, max_iters=max_iters)
+        res = check_no_arbitrage(market)
         results = {
             "status": res.status,
             "lambda_star": res.lambda_star,
@@ -294,9 +280,9 @@ def run(command, scenario, samples=100):
                     "strategy_terms": sum(len(v) for v in rep.strategy.terms.values()),
                 }
             elif command == "decompose":
-                cls = arbitrage_free_prices(payoff, dmkt, max_iters=max_iters)
+                cls = arbitrage_free_prices(payoff, dmkt)
                 values = _decompose_values(cls, payoff, dmkt)
-                dec = optional_decomposition(values, dmkt, max_iters=max_iters)
+                dec = optional_decomposition(values, dmkt)
                 recon = (
                     dec.v0 * np.eye(dmkt.dim)
                     + gain_process(dec.strategy, dmkt)[-1]
@@ -311,7 +297,7 @@ def run(command, scenario, samples=100):
                     "strategy_terms": sum(len(v) for v in dec.strategy.terms.values()),
                 }
             else:
-                cls = arbitrage_free_prices(payoff, dmkt, max_iters=max_iters)
+                cls = arbitrage_free_prices(payoff, dmkt)
                 payload = {
                     "lower": cls.interval.lower,
                     "upper": cls.interval.upper,

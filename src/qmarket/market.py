@@ -357,8 +357,10 @@ class MartingaleConstraintSet:
 
     ``vecs`` holds the herm-vec rows of the G_m; subclasses set ``dim`` and ``vecs``.
     The slice of martingale states is ``slice_point`` plus the range of ``slice_step``;
-    it and ``identity_split`` are read-only; ``decisions`` keeps the no-arbitrage results.
+    it and ``identity_split`` are read-only; ``decision`` keeps the no-arbitrage result.
     """
+
+    decision = None  # check_no_arbitrage's result, set once decided
 
     def __init__(self, dim, operators):
         self.dim = int(dim)
@@ -373,11 +375,6 @@ class MartingaleConstraintSet:
     @cached_property
     def operators(self):
         return vec_to_herm(self.vecs, self.dim)
-
-    @cached_property
-    def decisions(self):
-        """check_no_arbitrage results on this set, keyed by max_iters."""
-        return {}
 
     @cached_property
     def identity_split(self):

