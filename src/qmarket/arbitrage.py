@@ -32,6 +32,7 @@ INDETERMINATE = "INDETERMINATE"
 FEASIBILITY_THRESHOLD = 1e-9
 CLAIM_PSD_TOL = 1e-8
 MAX_EVALS = 50_000  # objective evaluations of one ascent, over all its smoothing stages
+STAGE_ITERS = 500  # L-BFGS iterations of one smoothing stage
 
 # smoothing schedule of the ascent: beta = BETA_START * BETA_GROWTH^k up to BETA_CAP
 BETA_START, BETA_GROWTH, BETA_CAP = 8.0, 8.0, 1.2e12
@@ -86,7 +87,8 @@ def maximize_lambda_min(x0, span, adjoint, size):
     concave and piecewise smooth; it is ascended through a
     sequence of smoothed surrogates -log sum exp(-beta * spectrum) / beta
     with increasing beta, each maximized by quasi-Newton steps using the
-    exact eigenprojector gradient.  Returns (lambda, c, evaluations).
+    exact eigenprojector gradient.  Returns (lambda, c, evaluations,
+    the number of stages stopped at their STAGE_ITERS cap).
     """
 
     def objective(c, beta):
@@ -94,7 +96,7 @@ def maximize_lambda_min(x0, span, adjoint, size):
         return -f, -adjoint(big_w)
 
     c = np.zeros(size)
-    evals = 0
+    evals = capped = 0
     beta = BETA_START
     while beta <= BETA_CAP and evals < MAX_EVALS:
         res = scipy.optimize.minimize(
@@ -103,12 +105,13 @@ def maximize_lambda_min(x0, span, adjoint, size):
             args=(beta,),
             jac=True,
             method="L-BFGS-B",
-            options={"maxiter": 500, "ftol": 1e-18, "gtol": 1e-14},
+            options={"maxiter": STAGE_ITERS, "ftol": 1e-18, "gtol": 1e-14},
         )
         c = res.x
         evals += res.nfev
+        capped += res.nit >= STAGE_ITERS
         beta *= BETA_GROWTH
-    return float(np.linalg.eigvalsh(x0 + span(c))[0]), c, evals
+    return float(np.linalg.eigvalsh(x0 + span(c))[0]), c, evals, capped
 
 
 def _claim_decision(constraints, mat, lam, evals, note=""):
@@ -121,9 +124,9 @@ def _claim_decision(constraints, mat, lam, evals, note=""):
         return FeasibilityResult(
             NO_FAITHFUL_STATE, lam, arbitrage_claim=claim / trace, iterations=evals, note=note
         )
+    best = f"no faithful state, best positive-claim lambda {lam_claim:.3e}"
     return FeasibilityResult(
-        INDETERMINATE, lam, iterations=evals,
-        note=f"no faithful state, best positive-claim lambda {lam_claim:.3e}",
+        INDETERMINATE, lam, iterations=evals, note="; ".join(filter(None, [note, best]))
     )
 
 
@@ -141,18 +144,22 @@ def max_min_eig_over_slice(constraints):
         )
     # rho = x0 + P(y) over herm-vec y, on the scale of x0
     step, scale = constraints.slice_step, max(1.0, float(np.linalg.norm(x0, 2)))
-    lam, y, evals = maximize_lambda_min(
+    lam, y, evals, capped = maximize_lambda_min(
         x0 / scale, lambda y: vec_to_herm(step(y), d), lambda w: step(herm_to_vec(w)), d * d
+    )
+    note = (
+        f"{capped} smoothing stages stopped at their {STAGE_ITERS}-iteration cap" if capped else ""
     )
     lam *= scale
     rho_n = x0 / scale + vec_to_herm(step(y), d)
     if lam > FEASIBILITY_THRESHOLD:
         return FeasibilityResult(
-            FAITHFUL_STATE_FOUND, lam, witness_state=DensityState(scale * rho_n), iterations=evals
+            FAITHFUL_STATE_FOUND, lam, witness_state=DensityState(scale * rho_n),
+            iterations=evals, note=note,
         )
     # the last surrogate's weight on rho's spectrum, on the ascent's scale
     _, weight = _soft_min(rho_n, BETA_FINAL)
-    return _claim_decision(constraints, weight - lam * np.eye(d), lam, evals)
+    return _claim_decision(constraints, weight - lam * np.eye(d), lam, evals, note)
 
 
 def check_no_arbitrage(market):

@@ -157,13 +157,8 @@ class OperatorAlgebra:
                     )
 
     def is_trivial(self):
-        if self.is_factor:
-            return self._factor_dim == 1
-        eye = np.eye(self.dim, dtype=complex)
-        return all(
-            np.linalg.norm(b - (np.trace(b) / self.dim) * eye) <= SPAN_TOL
-            for b in self.basis
-        )
+        # an algebra holds I, so it is CI exactly when it is one-dimensional
+        return self.herm_dim() == 1
 
     def is_subalgebra_of(self, other):
         if self.is_factor and other.is_factor:
@@ -357,7 +352,7 @@ class MartingaleConstraintSet:
 
     ``vecs`` holds the herm-vec rows of the G_m; subclasses set ``dim`` and ``vecs``.
     The slice of martingale states is ``slice_point`` plus the range of ``slice_step``;
-    it and ``identity_split`` are read-only; ``decision`` keeps the no-arbitrage result.
+    it and ``perp`` are read-only; ``decision`` keeps the no-arbitrage result.
     """
 
     decision = None  # check_no_arbitrage's result, set once decided
@@ -377,30 +372,27 @@ class MartingaleConstraintSet:
         return vec_to_herm(self.vecs, self.dim)
 
     @cached_property
-    def identity_split(self):
-        """(coords, perp): herm_to_vec(I) = coords @ vecs + perp, perp orthogonal to K.
+    def perp(self):
+        """herm_to_vec(I) minus its projection onto K, read-only; None when I lies in K.
 
-        Replication, the slice and completeness read this one split.
-        ``perp`` is None when I lies in span K (up to RANK_TOL relative to |I|).
+        Replication, the slice and completeness read this one split (RANK_TOL relative to |I|).
         """
         eye = herm_to_vec(np.eye(self.dim, dtype=complex))
-        coords = self.vecs @ eye
-        perp = eye - coords @ self.vecs
-        coords.flags.writeable = perp.flags.writeable = False
+        perp = eye - (self.vecs @ eye) @ self.vecs
         if np.linalg.norm(perp) <= RANK_TOL * np.linalg.norm(eye):
-            return coords, None
-        return coords, perp
+            return None
+        perp.flags.writeable = False
+        return perp
 
     @cached_property
     def normals(self):
         """The orthonormal rows perp / |perp| and K, which span span(I, K); needs a slice."""
-        _, perp = self.identity_split
-        return np.vstack([perp / np.linalg.norm(perp), self.vecs])
+        return np.vstack([self.perp / np.linalg.norm(self.perp), self.vecs])
 
     @cached_property
     def slice_point(self):
         """x0 = perp / |perp|^2, the projection of I/d onto the slice; None when I is in K."""
-        _, perp = self.identity_split
+        perp = self.perp
         if perp is None:
             return None
         x0 = vec_to_herm(perp / (perp @ perp), self.dim)
@@ -489,20 +481,19 @@ class PeriodSpan(MartingaleConstraintSet):
             prod = np.einsum("aij,bkl->abikjl", units, w).reshape(-1, d, d)
             self.vecs = herm_to_vec(prod)
 
-    def coefficient_matrices(self, coeffs):
-        """Per asset, the Hermitian h whose gain is sum_i coeffs_i K_{t,i}."""
+    def terms(self, coeffs):
+        """Strategy terms {(t, j): [(a, A)]} whose gain is sum_i coeffs_i K_{t,i}."""
         coeffs = np.asarray(coeffs, dtype=float)
+        # per asset j, the Hermitian coefficient matrix h_j of its share of that gain
         if self._basis is not None:
             n = len(self._basis)
-            return [vec_to_herm(hmap @ coeffs, n) for hmap in self._hmaps]
-        m = self._units[0]
-        grid = coeffs.reshape(m * m, -1).T  # (W_t basis, Herm(M_m) unit)
-        return [_unvec_pair(hmap @ grid, m) for hmap in self._hmaps]
-
-    def terms(self, coeffs):
-        """Strategy terms {(t, j): [(a, A)]}: one eigenpair of h_j per pair."""
+            hs = [vec_to_herm(hmap @ coeffs, n) for hmap in self._hmaps]
+        else:
+            m = self._units[0]
+            grid = coeffs.reshape(m * m, -1).T  # (W_t basis, Herm(M_m) unit)
+            hs = [_unvec_pair(hmap @ grid, m) for hmap in self._hmaps]
         out = {}
-        for j, h in enumerate(self.coefficient_matrices(coeffs)):
+        for j, h in enumerate(hs):
             lam, vecs = np.linalg.eigh(h)
             keep = np.abs(lam) > 1e-14 * np.abs(lam).max(initial=0.0)
             if not keep.any():

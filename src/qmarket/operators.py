@@ -72,24 +72,20 @@ class SpectralResolution:
         return out
 
 
-def spectral_decompose(x, cluster_tol=None):
+def spectral_decompose(x):
     """Spectral resolution X = sum_j x_j E_j with near-degenerate clustering.
 
-    Eigenvalues within `cluster_tol` of each other are merged into a single
-    projection (sum of the eigenprojections of the cluster).  Default
-    tolerance is 1e-8 * max(1, ||X||).
+    Eigenvalues within 1e-8 * max(1, |X|_2) of their neighbour are merged
+    into a single projection (sum of the eigenprojections of the cluster).
     """
     x = as_hermitian(x)
-    if cluster_tol is not None and cluster_tol < 0:
-        raise ValidationError("cluster_tol must be >= 0")
     try:
         vals, vecs = np.linalg.eigh(x)
     except np.linalg.LinAlgError as exc:
         raise SolverError(
             f"eigensolver failed on matrix with norm {np.linalg.norm(x):.6e}"
         ) from exc
-    if cluster_tol is None:
-        cluster_tol = 1e-8 * max(1.0, np.linalg.norm(x, 2))
+    cluster_tol = 1e-8 * max(1.0, np.linalg.norm(x, 2))
 
     eigenvalues = []
     projections = []
@@ -107,9 +103,9 @@ def spectral_decompose(x, cluster_tol=None):
     return SpectralResolution(tuple(eigenvalues), tuple(projections))
 
 
-def apply_function(x, g, cluster_tol=None):
+def apply_function(x, g):
     """Operator function calculus g(X) = sum_j g(x_j) E_j."""
-    res = spectral_decompose(x, cluster_tol)
+    res = spectral_decompose(x)
     out = np.zeros((res.dim, res.dim), dtype=complex)
     for val, proj in zip(res.eigenvalues, res.projections):
         gv = g(val)

@@ -104,9 +104,9 @@ def _require_terminal_observable(a, market):
 def _split(target, space):
     """target = alpha I + coeffs @ K + R, R orthogonal to span(I, K), as a Replication.
 
-    alpha = <perp, target> / |perp|^2 (see ``identity_split``), or 0 when I lies in K.
+    alpha = <perp, target> / |perp|^2 (see ``perp``), or 0 when I lies in K.
     """
-    _, perp = space.identity_split
+    perp = space.perp
     vec = herm_to_vec(target)
     alpha = 0.0 if perp is None else float(perp @ vec / (perp @ perp))
     rest = vec - alpha * herm_to_vec(np.eye(space.dim, dtype=complex))
@@ -182,12 +182,6 @@ def _super_hedge(target, space):
     raise SolverError(f"super-hedge did not converge in {NEWTON_STEPS} Newton steps")
 
 
-def _hedge(target, space):
-    """(hedge, witness) of target; a target in span(I, K) is its own hedge, with no solve."""
-    rep = _split(target, space)
-    return (rep, None) if rep.attainable else _super_hedge(target, space)
-
-
 def price_bounds(a, market):
     """Arbitrage-free price interval [inf, sup] of tr(rho A) over martingale states."""
     _require_discounted(market)
@@ -210,24 +204,24 @@ def price_bounds(a, market):
             f"attainability disagreement: replication residual {rep.residual:.3e}, "
             f"part outside span(I, K) {q_norm:.3e}"
         )
-    upper, rho_hi = _hedge(a, space)
-    if rho_hi is None:
+    if rep.attainable:
         # every martingale state gives A = alpha I + (H # S)_T the price alpha
         witness = na.witness_state
         price = hs_inner(witness.mat, a)
+        if abs(rep.alpha - price) > 1e-6 * max(1.0, abs(price)):
+            raise InternalConsistencyError(
+                f"replication price {rep.alpha!r} disagrees with witness price {price!r}"
+            )
         return PriceInterval(
             price, price, attainable=True, witness_states=(witness, witness),
-            interval_open=False, replication=rep, hedge=upper,
+            interval_open=False, replication=rep, hedge=rep,
         )
-    lower, rho_lo = _hedge(-a, space)
+    upper, rho_hi = _super_hedge(a, space)
+    lower, rho_lo = _super_hedge(-a, space)
     return PriceInterval(
-        -lower.alpha,
-        upper.alpha,
-        attainable=False,
+        -lower.alpha, upper.alpha, attainable=False,
         witness_states=(DensityState(rho_lo), DensityState(rho_hi)),
-        interval_open=True,
-        replication=rep,
-        hedge=upper,
+        interval_open=True, replication=rep, hedge=upper,
     )
 
 
@@ -235,18 +229,7 @@ def arbitrage_free_prices(a, market):
     """Classify the price set: singleton (attainable) or open interval."""
     interval = price_bounds(a, market)
     rep = interval.replication
-    unique = None
-    if interval.attainable:
-        scale = max(1.0, abs(interval.upper))
-        if (
-            abs(rep.alpha - interval.upper) > 1e-6 * scale
-            or abs(rep.alpha - interval.lower) > 1e-6 * scale
-        ):
-            raise InternalConsistencyError(
-                f"replication price {rep.alpha!r} disagrees with bounds "
-                f"({interval.lower!r}, {interval.upper!r})"
-            )
-        unique = rep.alpha
+    unique = rep.alpha if interval.attainable else None
     return PriceClassification(interval, rep, unique_price=unique)
 
 
@@ -254,7 +237,7 @@ def is_complete(market):
     """Dimension test: span{I} + span(K) against the Hermitian part of A_T."""
     _require_discounted(market)
     space = attainable_space(market)
-    affine_dim = space.rank + (space.identity_split[1] is not None)
+    affine_dim = space.rank + (space.perp is not None)
     obs_dim = market.filtration[market.horizon].herm_dim()
     return CompletenessReport(affine_dim == obs_dim, affine_dim, obs_dim)
 
@@ -305,7 +288,9 @@ def optional_decomposition(values, market):
     for period in attainable_space(market).periods:
         t = period.period
         dv = vals[t] - vals[t - 1]
-        hedge, _ = _hedge(dv, period)
+        hedge = _split(dv, period)
+        if not hedge.attainable:
+            hedge, _ = _super_hedge(dv, period)
         dc = np.tensordot(hedge.coeffs, period.operators, axes=1) - dv  # hedge gain minus dv
         lam = float(np.linalg.eigvalsh(dc)[0])
         if lam < -CONSUMPTION_PSD_TOL:

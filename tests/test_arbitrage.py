@@ -41,7 +41,7 @@ def tangent_basis_slice(cs):
     """(x0, orthonormal tangent basis of the slice): null_space of [I; K]."""
     eye = herm_to_vec(np.eye(cs.dim, dtype=complex))
     null = scipy.linalg.null_space(np.vstack([eye, cs.vecs]))
-    _, perp = cs.identity_split
+    perp = cs.perp
     return vec_to_herm(perp / (perp @ perp), cs.dim), vec_to_herm(null.T, cs.dim)
 
 
@@ -57,7 +57,7 @@ def maximize_lambda_min(x0, basis):
     stack = np.asarray(basis, dtype=complex).reshape(len(basis), x0.size)
     scale = max(1.0, float(np.linalg.norm(x0, 2)))
     flat = stack / scale
-    _, c, evals = arbitrage_mod.maximize_lambda_min(
+    _, c, evals, _ = arbitrage_mod.maximize_lambda_min(
         x0 / scale,
         lambda cv: (cv @ flat).reshape(x0.shape),
         lambda w: (flat @ w.conj().reshape(-1)).real,  # tr(B_i W)
@@ -243,7 +243,7 @@ def test_constraint_operators_orthonormal():
 
 def positive_claim_oracle(cs):
     """max lambda_min(k) over {k in span K, tr k = 1}: the deleted second ascent."""
-    traces, _ = cs.identity_split  # tr K_i: the K-coordinates of I
+    traces = cs.vecs @ herm_to_vec(np.eye(cs.dim, dtype=complex))  # tr K_i: I's K-coordinates
     x0 = vec_to_herm((traces / (traces @ traces)) @ cs.vecs, cs.dim)
     null = scipy.linalg.null_space(traces.reshape(1, -1))
     basis = vec_to_herm(null.T @ cs.vecs, cs.dim)
@@ -303,6 +303,25 @@ def test_certificate_matches_positive_claim_oracle(name):
     assert np.linalg.norm(vec - (cs.vecs @ vec) @ cs.vecs) <= 1e-10
     if lam_oracle > 0:
         assert lam_cert > 0
+
+
+def test_claim_decision_without_a_positive_claim_is_indeterminate():
+    # +-dS projected onto K is indefinite (or has no positive trace): no claim
+    cs = build_constraints(discount(qubit_market()))
+    for sign in (1.0, -1.0):
+        res = arbitrage_mod._claim_decision(cs, sign * cs.operators[0], 0.0, 7)
+        assert res.status == INDETERMINATE and res.arbitrage_claim is None
+        assert res.iterations == 7
+        assert res.note.startswith("no faithful state, best positive-claim lambda ")
+    res = arbitrage_mod._claim_decision(cs, cs.operators[0], 0.0, 7, note="capped")
+    assert res.note.startswith("capped; no faithful state, best positive-claim lambda ")
+
+
+def test_capped_ascent_stages_are_reported():
+    full8 = check_no_arbitrage(ARBITRAGE_MARKETS["full8"]())
+    assert full8.status == NO_FAITHFUL_STATE
+    assert full8.note == "5 smoothing stages stopped at their 500-iteration cap"
+    assert check_no_arbitrage(qubit_market()).note == ""
 
 
 # --- the projector ascent against the tangent-basis ascent -------------------

@@ -383,6 +383,16 @@ def test_forged_replication_residual_is_caught(monkeypatch, name, residual):
         price_bounds(call_payoff(mkt, 100.0), mkt)
 
 
+def test_price_bounds_splits_the_claim_once(monkeypatch):
+    # attainability is read from the one replication: no second projection
+    splits = count_calls(monkeypatch, pricing_mod, "_split")
+    for mkt, attainable in ((nperiod_market(2), True), (discount(trinomial_market()), False)):
+        check_no_arbitrage(mkt)
+        splits.clear()
+        assert price_bounds(call_payoff(mkt, 100.0), mkt).attainable == attainable
+        assert len(splits) == 1
+
+
 # --- one split of I against K: replication, the slice and completeness -------
 
 
@@ -434,7 +444,7 @@ def degenerate_market():
 def test_identity_in_the_attainable_space_empties_the_slice():
     mkt = degenerate_market()
     space = attainable_space(mkt)
-    assert space.identity_split[1] is None
+    assert space.perp is None
     assert space.slice_point is None
     res = check_no_arbitrage(mkt)
     assert res.status == NO_FAITHFUL_STATE

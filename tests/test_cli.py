@@ -5,8 +5,10 @@ import pytest
 import yaml
 
 from qmarket import cli
+from qmarket.arbitrage import INDETERMINATE, FeasibilityResult
 from qmarket.binomial import crr_price
 from qmarket.cli import (
+    EXIT_INCONSISTENT,
     EXIT_INDETERMINATE,
     EXIT_OK,
     EXIT_VALIDATION,
@@ -15,7 +17,7 @@ from qmarket.cli import (
     parse_scenario,
     run,
 )
-from qmarket.errors import ValidationError
+from qmarket.errors import InternalConsistencyError, ValidationError
 from qmarket.market import discount
 from qmarket.pricing import CONSUMPTION_PSD_TOL, arbitrage_free_prices, optional_decomposition
 
@@ -424,3 +426,26 @@ def test_main_singular_barrier_exits_indeterminate(tmp_path, monkeypatch, capsys
     scen = write(tmp_path, TRINOMIAL_YAML)
     assert main(["interval", "--scenario", scen]) == EXIT_INDETERMINATE
     assert "Newton system is singular" in capsys.readouterr().err
+
+
+def test_main_indeterminate_decision_exits_3_with_its_report(tmp_path, monkeypatch):
+    undecided = FeasibilityResult(INDETERMINATE, -1e-3, iterations=11, note="undecided")
+    monkeypatch.setattr(cli, "check_no_arbitrage", lambda market: undecided)
+    scen, out = write(tmp_path, QUBIT_YAML), tmp_path / "report.json"
+    assert main(["check-arbitrage", "--scenario", scen, "--out", str(out)]) == EXIT_INDETERMINATE
+    report = json.loads(out.read_text())
+    assert report["results"]["status"] == INDETERMINATE
+    assert report["results"]["note"] == "undecided"
+    assert report["diagnostics"]["iterations"] == 11
+
+
+def test_main_internal_inconsistency_exits_4(tmp_path, monkeypatch, capsys):
+    def inconsistent(a, market):
+        raise InternalConsistencyError("forged disagreement")
+
+    monkeypatch.setattr(cli, "arbitrage_free_prices", inconsistent)
+    scen = write(tmp_path, QUBIT_YAML)
+    assert main(["price", "--scenario", scen]) == EXIT_INCONSISTENT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal consistency error: forged disagreement" in captured.err

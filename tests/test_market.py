@@ -58,6 +58,15 @@ def test_filtration_validation():
     assert filt[1].is_subalgebra_of(filt[2])
 
 
+def test_filtration_reads_triviality_from_the_dimension():
+    # an algebra holds I, so it is CI exactly when it is one-dimensional
+    top = OperatorAlgebra.full(2)
+    assert Filtration([OperatorAlgebra.from_basis([2.0 * I2]), top]).horizon == 1
+    diagonal = OperatorAlgebra.from_basis([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    with pytest.raises(ValidationError, match="A_0 must be the scalars CI"):
+        Filtration([diagonal, top])
+
+
 def test_market_validation():
     filt = Filtration([OperatorAlgebra.trivial(2), OperatorAlgebra.full(2)])
     with pytest.raises(ValidationError):

@@ -51,7 +51,7 @@ def test_spectral_rate_operator():
 
 
 def test_spectral_identity_clustering():
-    res = spectral_decompose(np.eye(3, dtype=complex), cluster_tol=1e-8)
+    res = spectral_decompose(np.eye(3, dtype=complex))
     assert res.eigenvalues == (1.0,)
     np.testing.assert_allclose(res.projections[0], np.eye(3), atol=1e-12)
 

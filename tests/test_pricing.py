@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmarket.arbitrage import check_no_arbitrage, is_martingale_state
+from qmarket.arbitrage import FAITHFUL_STATE_FOUND, check_no_arbitrage, is_martingale_state
 from qmarket.binomial import NPeriodSpec, QubitMarketSpec, build_n_period, build_single_period
 from qmarket.errors import ArbitrageError, SolverError, ValidationError
 from qmarket.market import (
@@ -30,6 +30,7 @@ from conftest import (
     classical_lp_bounds,
     random_hermitian,
     random_market,
+    random_positive,
     random_state,
     trinomial_market,
 )
@@ -388,3 +389,40 @@ def test_diagonal_markets_match_the_lp_and_decompose_at_the_upper_price(seed):
     res = optional_decomposition([iv.upper * np.eye(mkt.dim), claim], mkt)
     for before, after in zip(res.consumption, res.consumption[1:]):
         assert min_eigenvalue(after - before) >= -CONSUMPTION_PSD_TOL
+
+
+def one_period(assets, claim, active, pad=1):
+    """(market, claim (x) I_pad): A_1 = B(C^active) (x) I_pad, S_0 = I, S_1 = asset (x) I_pad."""
+    eye = np.eye(pad)
+    dim = active * pad
+    filt = Filtration([OperatorAlgebra.trivial(dim), OperatorAlgebra.tensor_factor(active, dim)])
+    procs = [[np.eye(dim, dtype=complex), np.kron(s, eye)] for s in assets]
+    return MarketModel(filt, [1.0, 1.0], procs), np.kron(claim, eye)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 2), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+def test_unitary_conjugation_and_padding_keep_decision_and_prices(d, n_assets, k, seed):
+    # a martingale state rho of the base market gives U rho U* and rho (x) I_k / k,
+    # and the partial trace maps padded states back: lambda* is kept, or divided by k
+    rng = np.random.default_rng(seed)
+    assets = [random_positive(rng, d) + 0.1 * np.eye(d) for _ in range(n_assets)]
+    claim = random_hermitian(rng, d)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    rotated = [u @ s @ u.conj().T for s in assets]
+    variants = [
+        (one_period(assets, claim, d), 1),
+        (one_period(rotated, u @ claim @ u.conj().T, d), 1),
+        (one_period(assets, claim, d, pad=k), k),
+    ]
+    base = check_no_arbitrage(variants[0][0][0])
+    tol = 1e-9 * max(1.0, np.linalg.norm(claim, 2))
+    if base.status == FAITHFUL_STATE_FOUND:
+        iv = price_bounds(variants[0][0][1], variants[0][0][0])
+    for (mkt, a), scale in variants[1:]:
+        res = check_no_arbitrage(mkt)
+        assert res.status == base.status
+        assert res.lambda_star * scale == pytest.approx(base.lambda_star, abs=1e-9)
+        if base.status == FAITHFUL_STATE_FOUND:
+            other = price_bounds(a, mkt)
+            assert (other.lower, other.upper) == pytest.approx((iv.lower, iv.upper), abs=tol)
