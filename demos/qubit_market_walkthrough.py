@@ -47,6 +47,6 @@ print("closed form:", euro_call_price(spec, 100.0), " (= 200/21)")
 beta, gamma = euro_call_replication(spec, 100.0)
 print("\nhedge: beta =", beta, " gamma =", gamma)
 
-cls = arbitrage_free_prices(payoff / 1.05, discount(market))
-print("price interval:", (cls.interval.lower, cls.interval.upper))
-print("unique price:", cls.unique_price)
+iv = arbitrage_free_prices(payoff / 1.05, discount(market))
+print("price interval:", (iv.lower, iv.upper))
+print("unique price:", iv.unique_price)

@@ -32,7 +32,7 @@ print("complete?", is_complete(dm).complete)
 claim = apply_function((1 + r) * dm.assets[0][1], lambda s: max(s - 100.0, 0.0)) / (1 + r)
 iv = price_bounds(claim, dm)
 print("\nprice interval: ({:.6f}, {:.6f})".format(iv.lower, iv.upper))
-print("attainable:", iv.attainable, " open:", iv.interval_open)
+print("attainable:", iv.attainable, " gaps:", iv.gaps)
 print("exact endpoints would be 100/21 and 200/21")
 
 # super-replicate from the upper price

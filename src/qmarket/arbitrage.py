@@ -4,21 +4,30 @@ A state rho is a martingale state iff tr(rho G_m) = 0 for every element
 G_m of an orthonormal basis of the attainable-claim space, which the
 market builds once and which is itself the constraint set (see
 :class:`qmarket.market.AttainableSpace`).
-Arbitrage-freeness is decided by one ascent of the minimum eigenvalue of rho
-over the affine slice {rho Hermitian : tr rho = 1, tr(rho G_m) = 0}, for
-every market and once per market: a strictly positive optimum lambda*
-certifies a faithful (risk-neutral) witness.  Any other yields the dual
-certificate: at the optimum the minimum-eigenspace weight W of rho is
-lambda* I + k with k in K, so k = W - lambda* I >= -lambda* I is a positive
-attainable claim.  At a band edge of a binomial market (r = a or r = b)
-lambda* is zero and k is still positive, so band edges get a certificate too.
+
+The decision and the super-hedge of :mod:`qmarket.pricing` are one
+semidefinite program over span(I, K): the least multiple alpha of I with
+F + alpha I + k >= 0 over k in K.  :func:`newton_core` solves it by Newton
+steps on the log-det barrier for a geometric schedule of tau (Vandenberghe
+& Boyd, "Semidefinite Programming", SIAM Review 38, 1996, sections 3 and
+6); each centred step's dual estimate rho bounds the optimum from below, so
+the solve stops on a certified gap.
+
+For the decision, lambda* = max lambda_min(rho) over martingale states is
+min{c : Z = c I + k >= 0, tr Z = 1, k in K}.  With T_i = K_i - tr(K_i)/d I,
+Z(y) = I/d + sum_i y_i T_i has unit trace and c(y) = 1/d - tr(K).y/d, and
+I/d is a strictly feasible start.  The dual rho gives the martingale state
+rho + nu I with nu = (1 - tr rho)/d, so [nu, c] brackets lambda*.  nu above
+FEASIBILITY_THRESHOLD certifies a faithful witness; c at or below it makes
+Z - c I = sum_i y_i K_i >= -c I the positive attainable claim.  A band edge
+of a binomial market (r = a or r = b), where lambda* = 0, is decided with a
+certificate too.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.optimize
 
 # MartingaleConstraintSet is re-exported here
 from .market import MartingaleConstraintSet, attainable_space, discount
@@ -30,13 +39,14 @@ NO_FAITHFUL_STATE = "NO_FAITHFUL_STATE"
 INDETERMINATE = "INDETERMINATE"
 
 FEASIBILITY_THRESHOLD = 1e-9
-CLAIM_PSD_TOL = 1e-8
-MAX_EVALS = 50_000  # objective evaluations of one ascent, over all its smoothing stages
-STAGE_ITERS = 500  # L-BFGS iterations of one smoothing stage
+CLAIM_PSD_TOL = 1e-8  # a certificate's lambda_min over its trace is at least minus this
 
-# smoothing schedule of the ascent: beta = BETA_START * BETA_GROWTH^k up to BETA_CAP
-BETA_START, BETA_GROWTH, BETA_CAP = 8.0, 8.0, 1.2e12
-BETA_FINAL = BETA_START * BETA_GROWTH ** int(np.log(BETA_CAP / BETA_START) / np.log(BETA_GROWTH))
+GAP_TOL = 1e-10  # the Newton core stops once its certified gap is below this
+TAU_STEP = 0.005  # tau schedule 1, TAU_STEP, TAU_STEP^2, ...
+NEWTON_TOL = 1e-2  # squared Newton decrement at which an iterate counts as centred
+NEWTON_STEPS = 500
+WHITEN_ROWS = 64  # basis rows whitened per block, which bounds the solver's working set
+LINE_GRID = 2.0 ** (-np.arange(320) / 8)  # trial step lengths 2^(-k/8) from 1 down to 1e-12
 
 
 @dataclass
@@ -47,6 +57,8 @@ class FeasibilityResult:
     arbitrage_claim: Optional[np.ndarray] = None
     iterations: int = 0
     note: str = ""
+    lambda_interval: Optional[tuple] = None  # the certified [nu, c] around lambda*
+    witness_residual: Optional[float] = None  # max_m |tr(witness G_m)|
 
 
 def build_constraints(market):
@@ -65,101 +77,126 @@ def is_martingale_state(rho, market, tol=1e-8):
     return bool(np.all(np.abs(cs.vecs @ herm_to_vec(mat)) <= tol))
 
 
-# --- concave spectral solver ------------------------------------------------
+# --- the Newton core ---------------------------------------------------------
 
 
-def _soft_min(mat, beta):
-    """(-log sum exp(-beta * spectrum) / beta, its gradient W): W >= 0, tr W = 1."""
-    vals, vecs = np.linalg.eigh(mat)
-    m = vals[0]
-    z = np.exp(-beta * (vals - m))
-    s = z.sum()
-    w = z / s
-    return m - np.log(s) / beta, (vecs * w) @ vecs.conj().T
+def newton_core(objective, offset, rows, start):
+    """min c.x over X(x) = offset + (c.x) I + sum_j x_{l+j} G_j > 0, c = ``objective``.
 
+    G_j are the herm-vec ``rows`` and l = len(c) - len(rows): the first l
+    coordinates move I alone.  Newton steps on c.x - tau logdet X from the
+    strictly feasible ``start``.  With X^-1 = W W* and M_i the whitened basis
+    element W* B_i W, the gradient is c - tau tr M and the Hessian
+    tau Re<M_i, M_j>.  At the Newton step s, with S = sum_i s_i M_i, the
+    dual estimate rho = tau W (I - S) W* has tr(rho B_i) = c_i, and the gap
+    c.x - (its dual value) is tau (d - tr S).  |S|_F^2 is the squared Newton
+    decrement; an iterate with |S|_F <= 1/2 is centred, and its rho is
+    positive definite.
 
-def maximize_lambda_min(x0, span, adjoint, size):
-    """Maximize lambda_min(x0 + span(c)) over c in R^size, size >= 1.
-
-    ``span`` maps R^size linearly to Hermitian operators and ``adjoint`` is
-    its adjoint, W -> [tr(span(e_i) W)]_i.  Callers divide x0 and span by
-    max(1, |x0|_2), so the schedule below is relative.  The objective is
-    concave and piecewise smooth; it is ascended through a
-    sequence of smoothed surrogates -log sum exp(-beta * spectrum) / beta
-    with increasing beta, each maximized by quasi-Newton steps using the
-    exact eigenprojector gradient.  Returns (lambda, c, evaluations,
-    the number of stages stopped at their STAGE_ITERS cap).
+    Returns (x, rho, gap, steps, failure): x the last iterate with X(x)
+    positive definite, rho and gap those of the last centred iterate (None
+    and inf before the first), and failure None once the gap is at most
+    GAP_TOL, else the reason the solve stopped.  What a failure means is the
+    caller's to decide.
     """
+    d = offset.shape[0]
+    lead = len(objective) - len(rows)
+    m = np.empty((len(objective), d * d))  # herm-vec rows of the M_i
+    rhs = np.stack([objective, objective], axis=1)  # columns c and tr M, set per step
+    x = good = np.array(start, dtype=float)
+    tau, centred = 1.0, None  # (tau, W, herm-vec of S) of the last centred iterate
 
-    def objective(c, beta):
-        f, big_w = _soft_min(x0 + span(c), beta)
-        return -f, -adjoint(big_w)
+    def result(x, steps, failure):
+        if centred is None:
+            return x, None, np.inf, steps, failure
+        tau_c, w_c, s_c = centred
+        rho = tau_c * w_c @ (np.eye(d) - vec_to_herm(s_c, d)) @ w_c.conj().T
+        return x, rho, tau_c * (d - s_c[:d].sum()), steps, failure
 
-    c = np.zeros(size)
-    evals = capped = 0
-    beta = BETA_START
-    while beta <= BETA_CAP and evals < MAX_EVALS:
-        res = scipy.optimize.minimize(
-            objective,
-            c,
-            args=(beta,),
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": STAGE_ITERS, "ftol": 1e-18, "gtol": 1e-14},
-        )
-        c = res.x
-        evals += res.nfev
-        capped += res.nit >= STAGE_ITERS
-        beta *= BETA_GROWTH
-    return float(np.linalg.eigvalsh(x0 + span(c))[0]), c, evals, capped
-
-
-def _claim_decision(constraints, mat, lam, evals, note=""):
-    """NO_FAITHFUL_STATE if mat projected onto K is a positive claim, else INDETERMINATE."""
-    vecs = constraints.vecs
-    claim = vec_to_herm((vecs @ herm_to_vec(mat)) @ vecs, constraints.dim)
-    trace = float(np.trace(claim).real)
-    lam_claim = float(np.linalg.eigvalsh(claim)[0]) / trace if trace > CLAIM_PSD_TOL else -np.inf
-    if lam_claim >= -CLAIM_PSD_TOL:
-        return FeasibilityResult(
-            NO_FAITHFUL_STATE, lam, arbitrage_claim=claim / trace, iterations=evals, note=note
-        )
-    best = f"no faithful state, best positive-claim lambda {lam_claim:.3e}"
-    return FeasibilityResult(
-        INDETERMINATE, lam, iterations=evals, note="; ".join(filter(None, [note, best]))
-    )
+    for steps in range(NEWTON_STEPS):
+        lam, vecs = np.linalg.eigh(offset + vec_to_herm(x[lead:] @ rows, d))
+        lam += objective @ x
+        if lam[0] <= 0.0:
+            return result(good, steps, "iterate is not positive definite")
+        good, w = x, vecs / np.sqrt(lam)
+        # whiten B_i = c_i I + G_{i-l} in blocks: M_i = c_i diag(1 / lam) + W* G W
+        m[:lead] = 0.0
+        for lo in range(0, len(rows), WHITEN_ROWS):
+            block = vec_to_herm(rows[lo : lo + WHITEN_ROWS], d)
+            k = len(block)
+            white = w.conj().T @ (block.reshape(k * d, d) @ w).reshape(k, d, d)
+            m[lead + lo : lead + lo + k] = herm_to_vec(white)
+        m[:, :d] += objective[:, None] / lam
+        rhs[:, 1] = m[:, :d].sum(axis=1)
+        try:
+            # the step at any tau is -(tau H)^-1 (c - tau tr M) = v - u / tau
+            u, v = np.linalg.solve(m @ m.T, rhs).T
+        except np.linalg.LinAlgError:
+            return result(x, steps, f"Newton system is singular at tau={tau:.1e}")
+        while True:
+            step = v - u / tau
+            s_vec = step @ m  # herm-vec of S
+            dec = s_vec @ s_vec
+            if dec <= 0.25:
+                centred = (tau, w, s_vec)
+                if tau * (d - s_vec[:d].sum()) <= GAP_TOL:
+                    return result(x, steps, None)
+            if dec > NEWTON_TOL:
+                break
+            tau *= TAU_STEP  # centred: follow the central path
+        # line search: the longest grid step at which the objective, convex along the
+        # step and exact in whitened form, still descends; the grid starts at the
+        # first step that keeps X = W^-* (I + t S) W^-1 positive definite
+        mu = np.linalg.eigvalsh(vec_to_herm(s_vec, d))
+        rate = objective @ step
+        first = 0 if mu[0] > -1.0 else int(8.0 * np.log2(-mu[0]) + 1e-9) + 1
+        for lo in range(first, len(LINE_GRID), 64):
+            grid = LINE_GRID[lo : lo + 64]
+            descent = rate - tau * (mu / (1.0 + np.multiply.outer(grid, mu))).sum(axis=1) <= 0.0
+            if descent.any():
+                break
+        else:
+            return result(x, steps, f"line search failed at tau={tau:.1e}")
+        x = x + grid[descent.argmax()] * step
+    return result(good, NEWTON_STEPS, f"no convergence in {NEWTON_STEPS} Newton steps")
 
 
 def max_min_eig_over_slice(constraints):
-    """Solve max lambda_min(rho) over the martingale-state slice.
+    """Decide max lambda_min(rho) over the martingale-state slice by the Newton core.
 
-    A positive optimum returns its witness, any other the dual certificate.
+    A certified positive lambda* returns its witness, a certified
+    non-positive one the positive attainable claim; an interval that still
+    straddles the threshold is INDETERMINATE.
     """
     d = constraints.dim
-    x0 = constraints.slice_point
-    if x0 is None:
-        # I lies in K, so P_K(I) = I is the positive attainable claim
-        return _claim_decision(
-            constraints, np.eye(d, dtype=complex), float("-inf"), 0, note="affine set empty"
-        )
-    # rho = x0 + P(y) over herm-vec y, on the scale of x0
-    step, scale = constraints.slice_step, max(1.0, float(np.linalg.norm(x0, 2)))
-    lam, y, evals, capped = maximize_lambda_min(
-        x0 / scale, lambda y: vec_to_herm(step(y), d), lambda w: step(herm_to_vec(w)), d * d
-    )
-    note = (
-        f"{capped} smoothing stages stopped at their {STAGE_ITERS}-iteration cap" if capped else ""
-    )
-    lam *= scale
-    rho_n = x0 / scale + vec_to_herm(step(y), d)
-    if lam > FEASIBILITY_THRESHOLD:
+    if constraints.perp is None:
+        # I lies in K, so I / d is the positive attainable claim
         return FeasibilityResult(
-            FAITHFUL_STATE_FOUND, lam, witness_state=DensityState(scale * rho_n),
-            iterations=evals, note=note,
+            NO_FAITHFUL_STATE, float("-inf"), arbitrage_claim=np.eye(d, dtype=complex) / d,
+            note="affine set empty",
         )
-    # the last surrogate's weight on rho's spectrum, on the ascent's scale
-    _, weight = _soft_min(rho_n, BETA_FINAL)
-    return _claim_decision(constraints, weight - lam * np.eye(d), lam, evals, note)
+    vecs = constraints.vecs
+    shift = -vecs[:, :d].sum(axis=1) / d  # -tr(K_i) / d: T_i = K_i + shift_i I
+    y, rho, _, steps, failure = newton_core(
+        shift, np.eye(d, dtype=complex) / d, vecs, np.zeros(len(vecs))
+    )
+    c = 1.0 / d + float(shift @ y)
+    nu = -np.inf if rho is None else (1.0 - float(np.trace(rho).real)) / d
+    bounds = f"lambda* in [{nu:.3e}, {c:.3e}]"
+    note = f"{failure}; {bounds}" if failure else ""
+    res = FeasibilityResult(INDETERMINATE, c, iterations=steps, note=note, lambda_interval=(nu, c))
+    if nu > FEASIBILITY_THRESHOLD:
+        witness = rho + nu * np.eye(d)
+        witness /= np.trace(witness).real
+        res.status, res.witness_state = FAITHFUL_STATE_FOUND, DensityState(witness)
+        res.witness_residual = float(np.abs(vecs @ herm_to_vec(witness)).max(initial=0.0))
+    elif c <= FEASIBILITY_THRESHOLD:
+        # Z - c I = sum_i y_i K_i: in K by construction, and >= -c I
+        claim = vec_to_herm(y @ vecs, d)
+        res.status, res.arbitrage_claim = NO_FAITHFUL_STATE, claim / np.trace(claim).real
+    else:
+        res.note = note or bounds
+    return res
 
 
 def check_no_arbitrage(market):

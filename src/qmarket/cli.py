@@ -8,7 +8,10 @@ sorted keys, byte-stable for a fixed scenario and seed.  Matrices are encoded
 row-major as [re, im] pairs in both directions.  The ``solver`` mapping takes
 only ``seed``; any other key is rejected.  check-arbitrage exits 0 with a
 witness or an arbitrage certificate (band-edge markets get a certificate)
-and 3 when neither is found.
+and 3 when neither is found; it reports the certified interval [nu, c]
+around lambda* (lambda_star is c), the witness's largest constraint
+residual, and the Newton steps taken.  price and interval report each
+end's certified gap, 0 for an attainable claim.
 """
 
 import argparse
@@ -234,13 +237,13 @@ def _witness_payload(state):
     return {"matrix": _encode_matrix(state.mat)}
 
 
-def _decompose_values(cls, payoff, market):
+def _decompose_values(interval, payoff, market):
     """The upper super-hedge's value alpha I + (H # S)_t for t < T, then the payoff.
 
     It is a supermartingale ending at the payoff, for the decompose command;
     for an attainable claim the super-hedge is the replication.
     """
-    hedge = cls.interval.hedge
+    hedge = interval.hedge
     eye = np.eye(market.dim, dtype=complex)
     return [hedge.alpha * eye + g for g in gain_process(hedge.strategy, market)[:-1]] + [payoff]
 
@@ -258,6 +261,8 @@ def run(command, scenario, samples=100):
         results = {
             "status": res.status,
             "lambda_star": res.lambda_star,
+            "lambda_interval": res.lambda_interval,
+            "witness_residual": res.witness_residual,
             "witness": _witness_payload(res.witness_state),
             "certificate": _encode_matrix(res.arbitrage_claim)
             if res.arbitrage_claim is not None
@@ -280,8 +285,7 @@ def run(command, scenario, samples=100):
                     "strategy_terms": sum(len(v) for v in rep.strategy.terms.values()),
                 }
             elif command == "decompose":
-                cls = arbitrage_free_prices(payoff, dmkt)
-                values = _decompose_values(cls, payoff, dmkt)
+                values = _decompose_values(arbitrage_free_prices(payoff, dmkt), payoff, dmkt)
                 dec = optional_decomposition(values, dmkt)
                 recon = (
                     dec.v0 * np.eye(dmkt.dim)
@@ -297,16 +301,18 @@ def run(command, scenario, samples=100):
                     "strategy_terms": sum(len(v) for v in dec.strategy.terms.values()),
                 }
             else:
-                cls = arbitrage_free_prices(payoff, dmkt)
+                iv = arbitrage_free_prices(payoff, dmkt)
                 payload = {
-                    "lower": cls.interval.lower,
-                    "upper": cls.interval.upper,
-                    "attainable": cls.interval.attainable,
-                    "open": cls.interval.interval_open,
+                    "lower": iv.lower,
+                    "upper": iv.upper,
+                    "attainable": iv.attainable,
+                    "open": not iv.attainable,
+                    "lower_gap": iv.gaps[0],
+                    "upper_gap": iv.gaps[1],
                 }
                 if command == "price":
-                    payload["unique_price"] = cls.unique_price
-                    payload["replication_alpha"] = cls.replication.alpha
+                    payload["unique_price"] = iv.unique_price
+                    payload["replication_alpha"] = iv.replication.alpha
                 results[entry["name"]] = payload
     elif command == "disk":
         if scenario["market"]["kind"] != "qubit":

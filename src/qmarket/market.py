@@ -17,7 +17,8 @@ market.
 
 A state is a martingale state iff it annihilates K, so the attainable space
 is also the market's :class:`MartingaleConstraintSet`: it keeps the split of
-I against K, which gives replication and the slice.
+I against K, which gives replication and tells whether the slice of
+martingale states is empty.
 """
 
 from functools import cached_property
@@ -351,8 +352,8 @@ class MartingaleConstraintSet:
     """Orthonormal Hermitian G_m with tr(rho G_m) = 0 required of a martingale state.
 
     ``vecs`` holds the herm-vec rows of the G_m; subclasses set ``dim`` and ``vecs``.
-    The slice of martingale states is ``slice_point`` plus the range of ``slice_step``;
-    it and ``perp`` are read-only; ``decision`` keeps the no-arbitrage result.
+    ``perp`` is read-only; ``slice_step`` gives the directions of the slice of
+    martingale states; ``decision`` keeps the no-arbitrage result.
     """
 
     decision = None  # check_no_arbitrage's result, set once decided
@@ -368,14 +369,11 @@ class MartingaleConstraintSet:
     rank = property(__len__)
 
     @cached_property
-    def operators(self):
-        return vec_to_herm(self.vecs, self.dim)
-
-    @cached_property
     def perp(self):
         """herm_to_vec(I) minus its projection onto K, read-only; None when I lies in K.
 
-        Replication, the slice and completeness read this one split (RANK_TOL relative to |I|).
+        Replication, the no-arbitrage decision and completeness read this one split
+        (RANK_TOL relative to |I|).
         """
         eye = herm_to_vec(np.eye(self.dim, dtype=complex))
         perp = eye - (self.vecs @ eye) @ self.vecs
@@ -384,24 +382,11 @@ class MartingaleConstraintSet:
         perp.flags.writeable = False
         return perp
 
-    @cached_property
-    def normals(self):
-        """The orthonormal rows perp / |perp| and K, which span span(I, K); needs a slice."""
-        return np.vstack([self.perp / np.linalg.norm(self.perp), self.vecs])
-
-    @cached_property
-    def slice_point(self):
-        """x0 = perp / |perp|^2, the projection of I/d onto the slice; None when I is in K."""
-        perp = self.perp
-        if perp is None:
-            return None
-        x0 = vec_to_herm(perp / (perp @ perp), self.dim)
-        x0.flags.writeable = False
-        return x0
-
     def slice_step(self, y):
-        """P(y) = y minus its projection onto span(I, K), the slice's directions; never formed."""
-        return y - self.normals.T.dot(self.normals.dot(y))  # dot: less call overhead than @
+        """P(y) = y minus its projection onto span(I, K), the slice's directions; needs a slice."""
+        perp = self.perp
+        y = y - (perp @ y / (perp @ perp)) * perp  # perp is orthogonal to K
+        return y - (self.vecs @ y) @ self.vecs
 
 
 def _pair_images(blocks):
@@ -564,4 +549,5 @@ def attainable_space(market):
 
 def attainable_space_basis(market):
     """Orthonormal real basis of the attainable-claim space K."""
-    return list(attainable_space(market).operators)
+    space = attainable_space(market)
+    return list(vec_to_herm(space.vecs, space.dim))

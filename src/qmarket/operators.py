@@ -172,15 +172,22 @@ def upper_indices(d):
 
 @lru_cache(maxsize=None)
 def _vec_layout(d):
-    """Float-view indices and weights of the gathers; 1/sqrt(2) is what complex division uses."""
+    """Float-view indices and weights of the gathers; 1/sqrt(2) is what complex division uses.
+
+    herm_to_vec gathers ``pick`` from the matrix and scales by ``weight``;
+    vec_to_herm gathers ``source`` from the vector into every float of the
+    matrix and scales by ``factor``, which is 0 at the diagonal's imaginary
+    parts ``imag_diag``.
+    """
     iu, ju = upper_indices(d)
     upper, lower = 2 * (iu * d + ju), 2 * (ju * d + iu)
     pick = np.concatenate([2 * (d + 1) * np.arange(d), upper, upper + 1])
     weight = np.concatenate([np.ones(d), np.full(2 * len(iu), _SQRT2)])
     place = np.concatenate([pick, lower, lower + 1])
-    source = np.concatenate([np.arange(d * d), np.arange(d, d * d)])
-    factor = 1.0 / np.concatenate([weight, weight[d:] * np.repeat([1.0, -1.0], len(iu))])
-    return pick, weight, place, source, factor
+    source, factor = np.zeros(2 * d * d, dtype=np.intp), np.zeros(2 * d * d)
+    source[place] = np.concatenate([np.arange(d * d), np.arange(d, d * d)])
+    factor[place] = 1.0 / np.concatenate([weight, weight[d:] * np.repeat([1.0, -1.0], len(iu))])
+    return pick, weight, source, factor, 2 * (d + 1) * np.arange(d) + 1
 
 
 def herm_to_vec(x):
@@ -195,9 +202,10 @@ def vec_to_herm(v, d):
     size = v.shape[-1] if v.ndim else v.size
     if size != d * d:
         raise ValidationError(f"vector of size {size} is not a dim-{d} Hermitian")
-    _, _, place, source, factor = _vec_layout(d)
-    out = np.zeros(v.shape[:-1] + (2 * d * d,))
-    out.T[place] = (v.take(source, axis=-1) * factor).T
+    _, _, source, factor, imag_diag = _vec_layout(d)
+    out = v.take(source, axis=-1)  # one gather, no scatter
+    out *= factor
+    out[..., imag_diag] = 0.0  # +0, where factor 0 may leave -0
     return out.view(complex).reshape(v.shape[:-1] + (d, d))
 
 

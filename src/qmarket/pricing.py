@@ -4,10 +4,10 @@ Both rest on one super-hedge.  The sup of tr(rho A) over martingale states
 is the super-hedging price min{alpha : alpha I + k - A >= 0, k in K}, and
 each period of the optional decomposition super-hedges one increment of V
 over K_t.  A target in span(I, K) is its own hedge: the projection that
-``replicate`` makes, with no solver.  Any other target is hedged by Newton
-steps on alpha - tau logdet(alpha I + k - A) over (alpha, k) for a geometric
-schedule of tau (Vandenberghe & Boyd, "Semidefinite Programming", SIAM
-Review 38, 1996).  Each step's dual estimate rho is a martingale state, and
+``replicate`` makes, with no solver, and its gap is 0.  Any other target is
+hedged by the Newton core of :mod:`qmarket.arbitrage` on
+alpha - tau logdet(alpha I + k - A) over (alpha, k), the solver that also
+decides no-arbitrage.  Its dual estimate rho is a martingale state, and
 alpha - tr(rho A) is the certified gap of the price; the solve stops once
 that gap is below GAP_TOL, relative to max(1, |A|_2).
 """
@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arbitrage import FAITHFUL_STATE_FOUND, NO_FAITHFUL_STATE, check_no_arbitrage
+from .arbitrage import FAITHFUL_STATE_FOUND, NO_FAITHFUL_STATE, check_no_arbitrage, newton_core
 from .errors import ArbitrageError, InternalConsistencyError, SolverError, ValidationError
 from .market import MartingaleConstraintSet, TradingStrategy, attainable_space
 from .operators import as_hermitian, herm_to_vec, hs_inner, vec_to_herm
@@ -28,10 +28,6 @@ ATTAINABLE_RESIDUAL_TOL = 1e-8
 # widest interval the super-hedge oracle in the tests may report for an attainable claim
 INTERVAL_WIDTH_TOL = 1e-7
 CONSUMPTION_PSD_TOL = 1e-8
-GAP_TOL = 1e-10  # the super-hedge stops once its certified gap is below this times the scale
-TAU_STEP = 0.02  # tau schedule 1, TAU_STEP, TAU_STEP^2, ...
-NEWTON_TOL = 1e-2  # squared Newton decrement at which an iterate counts as centred
-NEWTON_STEPS = 500
 
 
 @dataclass
@@ -59,20 +55,16 @@ class Replication:
 
 @dataclass
 class PriceInterval:
+    """[lower, upper] with each end's witness and certified gap; a singleton when attainable."""
+
     lower: float
     upper: float
     attainable: bool
     witness_states: tuple = (None, None)
-    interval_open: bool = True
+    gaps: tuple = (0.0, 0.0)
     replication: Optional[Replication] = field(default=None, repr=False)
     hedge: Optional[Replication] = field(default=None, repr=False)  # the upper super-hedge
-
-
-@dataclass
-class PriceClassification:
-    interval: PriceInterval
-    replication: Replication
-    unique_price: Optional[float] = None
+    unique_price: Optional[float] = None  # the replication's alpha when attainable
 
 
 @dataclass
@@ -125,61 +117,29 @@ def replicate(a, market):
 
 
 def _super_hedge(target, space):
-    """min alpha with alpha I + k - target >= 0 over k in the span: (hedge, witness rho).
+    """min alpha with alpha I + k - target >= 0 over k in the span: (hedge, witness rho, gap).
 
-    Newton steps on alpha - tau logdet X over x = (alpha, c), where
-    X = sum_i x_i B_i - target / scale with B = (I, K_1, ...), from the
-    strictly feasible alpha = lambda_max + 1, c = 0.  With X = L L* and
-    M_i = L^-1 B_i L^-*, the gradient is e_0 - tau tr M and the Hessian
-    tau Re<M_i, M_j>.  At the Newton step s, with S = sum_i s_i M_i, the
-    dual estimate rho = tau L^-*(I - S) L^-1 has tr rho = 1 and
-    tr(rho K_i) = 0, and alpha - tr(rho target) = tau (d - tr S) scale.
+    The Newton core over x = (alpha, k) on the scale max(1, |target|_2),
+    from the strictly feasible alpha = lambda_max + 1, k = 0.  Its dual rho
+    has tr rho = 1 and tr(rho K_i) = 0, and the gap alpha - tr(rho target)
+    is certified to GAP_TOL times the scale; a solve that stops short of it
+    raises SolverError.
     """
-    d = space.dim
     scale = max(1.0, float(np.linalg.norm(target, 2)))
     a = target / scale
-    basis = np.concatenate([np.eye(d, dtype=complex)[None], space.operators])
-    n = len(basis)
-    x = np.zeros(n)
-    x[0] = np.linalg.eigvalsh(a)[-1] + 1.0
-    tau = 1.0
-    for _ in range(NEWTON_STEPS):
-        slack = np.tensordot(x, basis, axes=1) - a
-        try:
-            linv = np.linalg.inv(np.linalg.cholesky(slack))
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("super-hedge iterate is not positive definite") from exc
-        m = herm_to_vec(linv @ (basis.reshape(n * d, d) @ linv.conj().T).reshape(n, d, d))
-        gram, traces = m @ m.T, m[:, :d].sum(axis=1)
-        while True:
-            grad = -tau * traces
-            grad[0] += 1.0
-            try:
-                step = -np.linalg.solve(tau * gram, grad)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(f"Newton system is singular at tau={tau:.1e}") from exc
-            s_mat = vec_to_herm(step @ m, d)
-            mu = np.linalg.eigvalsh(s_mat)
-            slope = float(grad @ step)  # -tau |S|_F^2, |S|_F the Newton decrement
-            # |S|_F <= 1/2 keeps rho >= tau L^-* L^-1 / 2 > 0: stop on its gap
-            if -slope <= 0.25 * tau and tau * (d - mu.sum()) <= GAP_TOL:
-                rho = tau * linv.conj().T @ (np.eye(d) - s_mat) @ linv
-                lam = np.linalg.eigvalsh(rho)[0]
-                if lam <= 0.0:
-                    raise SolverError(f"super-hedge witness is not positive definite: {lam:.3e}")
-                residual = float(np.linalg.norm(slack)) * scale
-                return Replication(float(x[0] * scale), x[1:] * scale, space, residual, scale), rho
-            if -slope > NEWTON_TOL * tau:
-                break
-            tau *= TAU_STEP  # centred: follow the central path
-        # backtrack on the exact change of the objective along the step, in whitened form
-        t = 1.0
-        while t * mu[0] <= -1.0 or t * step[0] - tau * np.log1p(t * mu).sum() > 0.25 * t * slope:
-            t *= 0.5
-            if t < 1e-12:
-                raise SolverError(f"super-hedge line search failed at tau={tau:.1e}")
-        x = x + t * step
-    raise SolverError(f"super-hedge did not converge in {NEWTON_STEPS} Newton steps")
+    objective = np.zeros(1 + space.rank)
+    objective[0] = 1.0
+    start = objective * (np.linalg.eigvalsh(a)[-1] + 1.0)
+    x, rho, gap, _, failure = newton_core(objective, -a, space.vecs, start)
+    if failure:
+        raise SolverError(f"super-hedge: {failure}")
+    lam = np.linalg.eigvalsh(rho)[0]
+    if lam <= 0.0:
+        raise SolverError(f"super-hedge witness is not positive definite: {lam:.3e}")
+    slack = vec_to_herm(x[1:] @ space.vecs, space.dim) + x[0] * np.eye(space.dim) - a
+    residual = float(np.linalg.norm(slack)) * scale
+    hedge = Replication(float(x[0] * scale), x[1:] * scale, space, residual, scale)
+    return hedge, rho, gap * scale
 
 
 def price_bounds(a, market):
@@ -194,7 +154,7 @@ def price_bounds(a, market):
             certificate=na.arbitrage_claim,
         )
     if na.status != FAITHFUL_STATE_FOUND:
-        raise SolverError("no-arbitrage decision is indeterminate")
+        raise SolverError(f"no-arbitrage decision is indeterminate: {na.note}")
 
     space = attainable_space(market)
     # P(A) is the part of A outside span(I, K): |P(A)| = rep.residual
@@ -214,23 +174,20 @@ def price_bounds(a, market):
             )
         return PriceInterval(
             price, price, attainable=True, witness_states=(witness, witness),
-            interval_open=False, replication=rep, hedge=rep,
+            replication=rep, hedge=rep, unique_price=rep.alpha,
         )
-    upper, rho_hi = _super_hedge(a, space)
-    lower, rho_lo = _super_hedge(-a, space)
+    upper, rho_hi, gap_hi = _super_hedge(a, space)
+    lower, rho_lo, gap_lo = _super_hedge(-a, space)
     return PriceInterval(
         -lower.alpha, upper.alpha, attainable=False,
         witness_states=(DensityState(rho_lo), DensityState(rho_hi)),
-        interval_open=True, replication=rep, hedge=upper,
+        gaps=(gap_lo, gap_hi), replication=rep, hedge=upper,
     )
 
 
 def arbitrage_free_prices(a, market):
-    """Classify the price set: singleton (attainable) or open interval."""
-    interval = price_bounds(a, market)
-    rep = interval.replication
-    unique = rep.alpha if interval.attainable else None
-    return PriceClassification(interval, rep, unique_price=unique)
+    """Classify the price set: a unique price (attainable) or an open interval."""
+    return price_bounds(a, market)
 
 
 def is_complete(market):
@@ -290,8 +247,8 @@ def optional_decomposition(values, market):
         dv = vals[t] - vals[t - 1]
         hedge = _split(dv, period)
         if not hedge.attainable:
-            hedge, _ = _super_hedge(dv, period)
-        dc = np.tensordot(hedge.coeffs, period.operators, axes=1) - dv  # hedge gain minus dv
+            hedge = _super_hedge(dv, period)[0]
+        dc = vec_to_herm(hedge.coeffs @ period.vecs, d) - dv  # hedge gain minus dv
         lam = float(np.linalg.eigvalsh(dc)[0])
         if lam < -CONSUMPTION_PSD_TOL:
             raise SolverError(

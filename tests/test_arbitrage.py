@@ -1,8 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
-import qmarket.arbitrage as arbitrage_mod
 from qmarket.arbitrage import (
     CLAIM_PSD_TOL,
     FAITHFUL_STATE_FOUND,
@@ -34,30 +36,60 @@ def qubit_market(r=0.05):
     return build_single_period(QubitMarketSpec(0.05, 0.15, 0.0, 0.0, r=r, s0=100.0))
 
 
-# --- the tangent-basis ascent the slice projector replaced: the oracle ------
+# --- the smoothed lambda_min ascent the Newton decision replaced: the oracle --
+
+
+def ascend_lambda_min(x0, span, adjoint, size):
+    """Maximize lambda_min(x0 + span(c)) over c in R^size: (lambda, c, evaluations).
+
+    The deleted no-arbitrage ascent: L-BFGS on the smoothed surrogates
+    -log sum exp(-beta * spectrum) / beta with beta = 8, 64, ... up to
+    1.2e12, 500 iterations per stage (Nesterov, Math. Program. 110, 2007).
+    ``adjoint`` maps W to [tr(span(e_i) W)]_i; x0 and span are on a scale
+    of about one.
+    """
+
+    def objective(c, beta):
+        vals, vecs = np.linalg.eigh(x0 + span(c))
+        z = np.exp(-beta * (vals - vals[0]))
+        weight = (vecs * (z / z.sum())) @ vecs.conj().T
+        return -(vals[0] - np.log(z.sum()) / beta), -adjoint(weight)
+
+    c, evals, beta = np.zeros(size), 0, 8.0
+    while beta <= 1.2e12 and evals < 50_000:
+        res = scipy.optimize.minimize(
+            objective, c, args=(beta,), jac=True, method="L-BFGS-B",
+            options={"maxiter": 500, "ftol": 1e-18, "gtol": 1e-14},
+        )
+        c, evals, beta = res.x, evals + res.nfev, beta * 8.0
+    return float(np.linalg.eigvalsh(x0 + span(c))[0]), c, evals
+
+
+def slice_point(cs):
+    """x0 = perp / |perp|^2, the projection of I/d onto the slice."""
+    return vec_to_herm(cs.perp / (cs.perp @ cs.perp), cs.dim)
 
 
 def tangent_basis_slice(cs):
     """(x0, orthonormal tangent basis of the slice): null_space of [I; K]."""
     eye = herm_to_vec(np.eye(cs.dim, dtype=complex))
     null = scipy.linalg.null_space(np.vstack([eye, cs.vecs]))
-    perp = cs.perp
-    return vec_to_herm(perp / (perp @ perp), cs.dim), vec_to_herm(null.T, cs.dim)
+    return slice_point(cs), vec_to_herm(null.T, cs.dim)
 
 
 def maximize_lambda_min(x0, basis):
     """max lambda_min(x0 + sum_i c_i B_i) over coordinates c: (lambda, c, evals).
 
-    The package's explicit-basis ascent under its old name, on the one L-BFGS
-    loop; with tangent_basis_slice it is the ascent the projector replaced.
-    With no basis there is nothing to ascend: lambda_min(x0), in no evaluations.
+    The oracle ascent over an explicit basis; with tangent_basis_slice it
+    is the tangent-coordinate ascent over the slice.  With no basis there is
+    nothing to ascend: lambda_min(x0), in no evaluations.
     """
     if len(basis) == 0:
         return float(np.linalg.eigvalsh(x0)[0]), np.zeros(0), 0
     stack = np.asarray(basis, dtype=complex).reshape(len(basis), x0.size)
     scale = max(1.0, float(np.linalg.norm(x0, 2)))
     flat = stack / scale
-    _, c, evals, _ = arbitrage_mod.maximize_lambda_min(
+    _, c, evals = ascend_lambda_min(
         x0 / scale,
         lambda cv: (cv @ flat).reshape(x0.shape),
         lambda w: (flat @ w.conj().reshape(-1)).real,  # tr(B_i W)
@@ -65,6 +97,21 @@ def maximize_lambda_min(x0, basis):
     )
     rho = x0 + (c @ stack).reshape(x0.shape)
     return float(np.linalg.eigvalsh(rho)[0]), c, evals
+
+
+def projector_ascent(cs):
+    """The oracle ascent over the slice as x0 + P(y) for herm-vec y, P = cs.slice_step."""
+    d, x0 = cs.dim, slice_point(cs)
+    scale = max(1.0, float(np.linalg.norm(x0, 2)))
+    step = cs.slice_step
+    lam, _, _ = ascend_lambda_min(
+        x0 / scale, lambda y: vec_to_herm(step(y), d), lambda w: step(herm_to_vec(w)), d * d
+    )
+    return lam * scale
+
+
+def operators(cs):
+    return vec_to_herm(cs.vecs, cs.dim)
 
 
 def test_unconstrained_slice_maximally_mixed():
@@ -89,9 +136,9 @@ def test_maximize_lambda_min_diagonal():
 
 def test_affine_slice_qubit(rng):
     cs = build_constraints(discount(qubit_market()))
-    x0 = cs.slice_point
+    x0 = slice_point(cs)
     assert np.trace(x0).real == pytest.approx(1.0)
-    assert abs(hs_inner(x0, cs.operators[0])) <= 1e-10
+    assert abs(hs_inner(x0, operators(cs)[0])) <= 1e-10
     # P projects onto the sigma_y, sigma_z directions
     steps = np.array([cs.slice_step(y) for y in rng.standard_normal((6, 4))])
     assert np.linalg.matrix_rank(steps, tol=1e-10) == 2
@@ -99,7 +146,7 @@ def test_affine_slice_qubit(rng):
         np.testing.assert_allclose(cs.slice_step(v), v, atol=1e-12)
         b = vec_to_herm(v, 2)
         assert abs(np.trace(b)) <= 1e-10
-        assert abs(hs_inner(b, cs.operators[0])) <= 1e-10
+        assert abs(hs_inner(b, operators(cs)[0])) <= 1e-10
         assert abs(hs_inner(b, SX)) <= 1e-10
 
 
@@ -121,7 +168,7 @@ def test_rate_above_spectrum_gives_arbitrage():
     assert min_eigenvalue(claim) >= -1e-8
     # the claim is an attainable gain: lies in the constraint span
     cs = build_constraints(discount(qubit_market(r=0.3)))
-    proj = sum(hs_inner(claim, g) * g for g in cs.operators)
+    proj = sum(hs_inner(claim, g) * g for g in operators(cs))
     assert np.linalg.norm(proj - claim) <= 1e-6
 
 
@@ -142,7 +189,7 @@ def test_rate_sweep_matches_spectrum_band():
 
 def test_boundary_rate_is_not_faithful():
     # r == b: martingale states exist but none are faithful; lambda* is
-    # zero and the ascent's dual still gives the certificate
+    # zero and the Newton iterate still gives the certificate
     two_period = build_n_period(NPeriodSpec(2, -0.1, 0.2, 0.2, 100.0))
     for mkt in (qubit_market(r=0.2), two_period):
         res = check_no_arbitrage(mkt)
@@ -192,7 +239,7 @@ def test_static_market_every_state_martingale(rng):
     filt = Filtration([OperatorAlgebra.trivial(2), OperatorAlgebra.full(2)])
     static = MarketModel(filt, [1.0, 1.0], [[100 * np.eye(2), 100 * np.eye(2)]])
     res = check_no_arbitrage(static)
-    # K is empty: the slice is every state, and the ascent stays at I/d
+    # K is empty: the slice is every state, and the Newton core stays at I/d
     assert res.status == FAITHFUL_STATE_FOUND
     assert res.lambda_star == 0.5
     np.testing.assert_array_equal(res.witness_state.mat, np.eye(2) / 2)
@@ -232,8 +279,8 @@ def test_random_full_algebra_markets_decided(rng):
 
 def test_constraint_operators_orthonormal():
     cs = build_constraints(discount(trinomial_market()))
-    for i, gi in enumerate(cs.operators):
-        for j, gj in enumerate(cs.operators):
+    for i, gi in enumerate(operators(cs)):
+        for j, gj in enumerate(operators(cs)):
             want = 1.0 if i == j else 0.0
             assert hs_inner(gi, gj) == pytest.approx(want, abs=1e-10)
 
@@ -305,26 +352,23 @@ def test_certificate_matches_positive_claim_oracle(name):
         assert lam_cert > 0
 
 
-def test_claim_decision_without_a_positive_claim_is_indeterminate():
-    # +-dS projected onto K is indefinite (or has no positive trace): no claim
+def test_undecided_interval_is_indeterminate(monkeypatch):
+    # a Newton system that fails at the start leaves [-inf, 1/d]: no sign is
+    # certified, and the note says why and where lambda* lies
     cs = build_constraints(discount(qubit_market()))
-    for sign in (1.0, -1.0):
-        res = arbitrage_mod._claim_decision(cs, sign * cs.operators[0], 0.0, 7)
-        assert res.status == INDETERMINATE and res.arbitrage_claim is None
-        assert res.iterations == 7
-        assert res.note.startswith("no faithful state, best positive-claim lambda ")
-    res = arbitrage_mod._claim_decision(cs, cs.operators[0], 0.0, 7, note="capped")
-    assert res.note.startswith("capped; no faithful state, best positive-claim lambda ")
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    res = max_min_eig_over_slice(cs)
+    assert res.status == INDETERMINATE
+    assert res.witness_state is None and res.arbitrage_claim is None
+    assert res.lambda_interval == (-np.inf, 0.5) and res.iterations == 0
+    assert res.note == "Newton system is singular at tau=1.0e+00; lambda* in [-inf, 5.000e-01]"
 
 
-def test_capped_ascent_stages_are_reported():
-    full8 = check_no_arbitrage(ARBITRAGE_MARKETS["full8"]())
-    assert full8.status == NO_FAITHFUL_STATE
-    assert full8.note == "5 smoothing stages stopped at their 500-iteration cap"
-    assert check_no_arbitrage(qubit_market()).note == ""
-
-
-# --- the projector ascent against the tangent-basis ascent -------------------
+# --- lambda* against the oracle ascent -----------------------------------------
 
 PAULI = [[0.15, 0.0, 0.0], [0.0, 0.15, 0.0], [0.09, 0.0, 0.12], [0.0, 0.09, 0.12]]
 
@@ -348,17 +392,68 @@ SLICE_MARKETS = {
     },
 }
 
-# the full markets put lambda* on a kink so flat that the last smoothing
-# stages stop at their iteration cap or in the line search, where rounding
-# decides the stopping point: there the two ascents differ by up to 1e-10
+ALL_MARKETS = {**SLICE_MARKETS, **ARBITRAGE_MARKETS}
+
+# the full markets put lambda* on a kink so flat that the oracle's last
+# smoothing stages stop at their iteration cap or in the line search, where
+# rounding decides the stopping point: there its two forms differ by up to 1e-10
 KINK_TOL = {f"full{d}": 1e-9 for d in range(3, 9)}
+
+
+@functools.lru_cache(maxsize=None)
+def tangent_lambda(name):
+    """The oracle ascent's lambda* in tangent coordinates, once per market name."""
+    cs = build_constraints(discount(ALL_MARKETS[name]()))
+    return maximize_lambda_min(*tangent_basis_slice(cs))[0]
 
 
 @pytest.mark.parametrize("name", sorted(SLICE_MARKETS))
 def test_projector_ascent_matches_tangent_basis_ascent(name):
-    # x0 + P(y) over herm-vec y and x0 + sum_i c_i B_i over an orthonormal
-    # tangent basis B are the same slice: L-BFGS differs by rounding only
+    # x0 + P(y) over herm-vec y, P the slice_step projector, and x0 + sum_i c_i B_i
+    # over an orthonormal tangent basis B are the same slice: the oracle ascent
+    # differs by rounding only
     cs = build_constraints(discount(SLICE_MARKETS[name]()))
-    lam_tangent, _, _ = maximize_lambda_min(*tangent_basis_slice(cs))
-    res = max_min_eig_over_slice(cs)
-    assert res.lambda_star == pytest.approx(lam_tangent, abs=KINK_TOL.get(name, 1e-12))
+    assert projector_ascent(cs) == pytest.approx(tangent_lambda(name), abs=KINK_TOL.get(name, 1e-12))
+
+
+@pytest.mark.parametrize("name", sorted(ALL_MARKETS))
+def test_newton_interval_brackets_the_oracle_lambda(name):
+    # [nu, c] is certified: the oracle's lambda* lies in it, and it is at most
+    # 1e-9 wide wherever the solve reached its gap (no failure in the note)
+    res = max_min_eig_over_slice(build_constraints(discount(ALL_MARKETS[name]())))
+    nu, c = res.lambda_interval
+    assert res.lambda_star == c
+    assert nu - 1e-9 <= tangent_lambda(name) <= c + 1e-9
+    if res.note == "":
+        assert c - nu <= 1e-9
+
+
+def test_newton_decision_settles_where_the_ascent_stalled():
+    # S_1 = P + 0.1 I on C^3 (conftest's random_positive, seed 1411302): the
+    # ascent stopped at 0.1301461; the market padded by (x) I_2 gives twice
+    # 0.0650919, and the Newton decision reaches that value
+    filt = Filtration([OperatorAlgebra.trivial(3), OperatorAlgebra.full(3)])
+    s1 = random_positive(np.random.default_rng(1411302), 3) + 0.1 * np.eye(3)
+    mkt = MarketModel(filt, [1.0, 1.0], [[np.eye(3, dtype=complex), s1]])
+    res = check_no_arbitrage(mkt)
+    assert res.status == FAITHFUL_STATE_FOUND and res.note == ""
+    assert res.lambda_star == pytest.approx(0.1301837403, abs=1e-9)
+    assert min_eigenvalue(res.witness_state.mat) == pytest.approx(res.lambda_star, abs=1e-9)
+    assert is_martingale_state(res.witness_state, mkt, tol=1e-8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_lambda_star_matches_the_closed_form_off_centre(n):
+    # the product of per-period risk-neutral disk states is optimal:
+    # lambda* = min(q, 1 - q)^N with q = (r - a) / (b - a), for any directions
+    a, b = -0.1, 0.2
+    dirs = np.random.default_rng(100 + n).standard_normal((n, 3))
+    pauli = [tuple(p) for p in (b - a) / 2.0 * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)]
+    for r in (0.0, 0.14):
+        mkt = build_n_period(NPeriodSpec(n, a, b, r, 100.0, 1.0, pauli))
+        res = check_no_arbitrage(mkt)
+        q = (r - a) / (b - a)
+        assert res.status == FAITHFUL_STATE_FOUND
+        assert res.lambda_star == pytest.approx(min(q, 1.0 - q) ** n, abs=1e-9)
+        assert res.witness_residual <= 1e-8
+        assert is_martingale_state(res.witness_state, mkt, tol=1e-8)

@@ -39,7 +39,7 @@ from qmarket.market import (
     discount,
     gain_process,
 )
-from qmarket.operators import SX, apply_function, herm_to_vec
+from qmarket.operators import SX, apply_function, herm_to_vec, vec_to_herm
 from qmarket.pricing import (
     INTERVAL_WIDTH_TOL,
     _super_hedge,
@@ -127,17 +127,19 @@ def test_only_non_attainable_claims_build_barrier_coordinates(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "null_space", counting)
     hedges = count_calls(monkeypatch, pricing_mod, "_super_hedge")
+    solves = count_calls(monkeypatch, arbitrage_mod, "newton_core")
     mkt, tri = nperiod_market(2), discount(trinomial_market())
     for m in (mkt, tri):
         assert check_no_arbitrage(m).status == FAITHFUL_STATE_FOUND
+    assert len(solves) == 2  # one decision per market
     interval = price_bounds(call_payoff(mkt, 100.0), mkt)
     assert interval.attainable and hedges == []
     rep = interval.replication
     values = [rep.alpha * np.eye(mkt.dim) + g for g in gain_process(rep.strategy, mkt)]
     optional_decomposition(values, mkt)
-    assert hedges == []
+    assert hedges == [] and len(solves) == 2
     assert not price_bounds(call_payoff(tri, 100.0), tri).attainable
-    assert len(hedges) == 2
+    assert len(hedges) == 2 and len(solves) == 4
     assert null_spaces == []
 
 
@@ -146,8 +148,8 @@ def test_the_attainable_space_is_the_constraint_set(rng):
     space = attainable_space(mkt)
     assert build_constraints(mkt) is space
     assert len(space) == space.rank == sum(4 ** t for t in range(2))
-    x0 = space.slice_point
-    assert space.slice_point is x0 and not x0.flags.writeable
+    perp = space.perp
+    assert space.perp is perp and not perp.flags.writeable
     # the slice directions are traceless and orthogonal to K
     eye = herm_to_vec(np.eye(mkt.dim, dtype=complex))
     for y in rng.standard_normal((4, mkt.dim ** 2)):
@@ -213,7 +215,7 @@ def test_replicate_strategy_per_asset_bound_random_markets(rng):
     for _ in range(4):
         mkt = random_market(rng, int(rng.integers(2, 5)), 2, n_assets=2)
         space = attainable_space(mkt)
-        target = np.tensordot(rng.standard_normal(space.rank), space.operators, axes=1)
+        target = vec_to_herm(rng.standard_normal(space.rank) @ space.vecs, space.dim)
         claim = 2.0 * np.eye(mkt.dim) + target
         rep = replicate(claim, mkt)
         assert rep.attainable
@@ -314,7 +316,7 @@ def test_attainable_claim_runs_no_barrier(monkeypatch):
     hedges = count_calls(monkeypatch, pricing_mod, "_super_hedge")
     mkt = nperiod_market(2)
     interval = price_bounds(call_payoff(mkt, 100.0), mkt)
-    assert interval.attainable and not interval.interval_open
+    assert interval.attainable and interval.gaps == (0.0, 0.0)
     assert interval.lower == interval.upper
     assert interval.upper == pytest.approx(interval.replication.alpha, abs=1e-9)
     assert interval.witness_states[0] is interval.witness_states[1]
@@ -323,16 +325,16 @@ def test_attainable_claim_runs_no_barrier(monkeypatch):
 
 
 def test_no_arbitrage_is_decided_once_per_market(monkeypatch):
-    ascents = count_calls(monkeypatch, arbitrage_mod, "maximize_lambda_min")
+    solves = count_calls(monkeypatch, arbitrage_mod, "newton_core")
     mkt = nperiod_market(2)
     for strike in (100.0, 90.0):
-        cls = arbitrage_free_prices(call_payoff(mkt, strike), mkt)
-        assert cls.unique_price == pytest.approx(
+        iv = arbitrage_free_prices(call_payoff(mkt, strike), mkt)
+        assert iv.unique_price == pytest.approx(
             crr_price(2, 100.0, strike, 0.05, -0.1, 0.2), abs=1e-9
         )
-    assert len(ascents) == 1
+    assert len(solves) == 1
     assert check_no_arbitrage(mkt) is check_no_arbitrage(mkt)
-    assert len(ascents) == 1
+    assert len(solves) == 1
 
 
 def qubit_market():
@@ -414,9 +416,8 @@ def test_identity_split_matches_least_squares_oracles(name):
     rhs = np.zeros(len(rows))
     rhs[0] = 1.0
     corr, *_ = np.linalg.lstsq(rows, rhs - rows @ eye / mkt.dim, rcond=None)
-    np.testing.assert_allclose(
-        herm_to_vec(space.slice_point), eye / mkt.dim + corr, atol=1e-10
-    )
+    perp = space.perp
+    np.testing.assert_allclose(perp / (perp @ perp), eye / mkt.dim + corr, atol=1e-10)
     report = is_complete(mkt)
     assert report.affine_dim == np.linalg.matrix_rank(rows, tol=1e-9)
     # O(A_T) is spanned by the Hermitian and anti-Hermitian parts of its basis
@@ -445,7 +446,6 @@ def test_identity_in_the_attainable_space_empties_the_slice():
     mkt = degenerate_market()
     space = attainable_space(mkt)
     assert space.perp is None
-    assert space.slice_point is None
     res = check_no_arbitrage(mkt)
     assert res.status == NO_FAITHFUL_STATE
     cert = res.arbitrage_claim
@@ -467,17 +467,17 @@ def test_identity_in_the_attainable_space_empties_the_slice():
     assert is_complete(mkt).affine_dim == space.rank == 2
 
 
-def test_arbitrage_is_decided_by_one_ascent(monkeypatch):
-    # the certificate is the dual of the ascent: no second search for it
-    ascents = count_calls(monkeypatch, arbitrage_mod, "maximize_lambda_min")
+def test_arbitrage_is_decided_by_one_newton_solve(monkeypatch):
+    # the certificate is the solve's own primal iterate: no second search for it
+    solves = count_calls(monkeypatch, arbitrage_mod, "newton_core")
     above = discount(build_single_period(QubitMarketSpec(0.05, 0.15, 0.0, 0.0, r=0.3, s0=100.0)))
     assert check_no_arbitrage(above).status == NO_FAITHFUL_STATE
-    assert len(ascents) == 1
-    # with I in K the certificate is I / d and the slice is empty: no ascent
+    assert len(solves) == 1
+    # with I in K the certificate is I / d and the slice is empty: no solve
     res = check_no_arbitrage(degenerate_market())
     assert res.status == NO_FAITHFUL_STATE
     np.testing.assert_allclose(res.arbitrage_claim, np.eye(2) / 2, atol=1e-10)
-    assert len(ascents) == 1
+    assert len(solves) == 1
 
 
 def test_pricing_builds_no_strategy(monkeypatch):

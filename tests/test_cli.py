@@ -136,6 +136,28 @@ def test_run_check_arbitrage():
     assert "bloch" in report["results"]["witness"]
 
 
+def test_check_arbitrage_reports_its_certified_interval():
+    # lambda_star is the interval's upper end c; the witness annihilates K
+    report, _ = run("check-arbitrage", parse_scenario(NPERIOD_YAML.replace("r: 0.05", "r: 0.0")))
+    res = report["results"]
+    nu, c = res["lambda_interval"]
+    assert res["lambda_star"] == c and 0.0 <= c - nu <= 1e-10
+    assert c == pytest.approx((1.0 / 3.0) ** 2, abs=1e-9)  # min(q, 1 - q)^N, q = 1/3
+    assert 0.0 <= res["witness_residual"] <= 1e-8
+    assert report["diagnostics"]["iterations"] > 0
+    arbitrage, _ = run("check-arbitrage", parse_scenario(QUBIT_YAML.replace("r: 0.05", "r: 0.3")))
+    assert arbitrage["results"]["witness_residual"] is None
+    assert arbitrage["results"]["lambda_interval"][1] == arbitrage["results"]["lambda_star"] < 0.0
+
+
+def test_price_and_interval_report_each_end_gap():
+    for command in ("price", "interval"):
+        attainable = run(command, parse_scenario(QUBIT_YAML))[0]["results"]["atm_call"]
+        assert attainable["lower_gap"] == attainable["upper_gap"] == 0.0
+        out = run(command, parse_scenario(TRINOMIAL_YAML))[0]["results"]["call"]
+        assert 0.0 < out["lower_gap"] <= 1e-10 * 20.0 and 0.0 < out["upper_gap"] <= 1e-10 * 20.0
+
+
 def test_run_price_qubit_call():
     report, code = run("price", parse_scenario(QUBIT_YAML))
     assert code == EXIT_OK

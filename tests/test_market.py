@@ -17,7 +17,7 @@ from qmarket.market import (
     tensor_qubit_filtration,
     value_process,
 )
-from qmarket.operators import I2, SX, SZ, herm_to_vec, hs_inner, pauli_operator
+from qmarket.operators import I2, SX, SZ, herm_to_vec, hs_inner, pauli_operator, vec_to_herm
 from qmarket.quantum import expectation
 
 from conftest import random_hermitian, random_market, random_strategy
@@ -101,12 +101,13 @@ def test_discount_preserves_martingale_states():
     c2 = build_constraints(discount(discount(mkt)))
     assert len(c1) == len(c2) == 1
     # same one-dimensional span
-    assert abs(abs(hs_inner(c1.operators[0], c2.operators[0])) - 1.0) <= 1e-9
+    g1, g2 = vec_to_herm(c1.vecs[0], 2), vec_to_herm(c2.vecs[0], 2)
+    assert abs(abs(hs_inner(g1, g2)) - 1.0) <= 1e-9
 
 
 def test_qubit_constraint_is_sigma_x():
     cs = build_constraints(qubit_market())
-    g = cs.operators[0]
+    g = vec_to_herm(cs.vecs[0], 2)
     assert abs(abs(hs_inner(g, SX / np.sqrt(2))) - 1.0) <= 1e-9
 
 

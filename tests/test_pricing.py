@@ -88,7 +88,7 @@ def test_price_bounds_identity_claim():
     iv = price_bounds(np.eye(2), qubit_market())
     assert iv.lower == pytest.approx(1.0, abs=1e-8)
     assert iv.upper == pytest.approx(1.0, abs=1e-8)
-    assert iv.attainable and not iv.interval_open
+    assert iv.attainable and iv.gaps == (0.0, 0.0) and iv.unique_price == pytest.approx(1.0)
 
 
 def test_price_bounds_terminal_asset_is_initial_price():
@@ -117,7 +117,9 @@ def test_trinomial_interval_matches_lp_oracle():
     assert iv.upper == pytest.approx(hi, abs=1e-6)
     assert iv.lower == pytest.approx(TRI_LOWER, abs=1e-6)
     assert iv.upper == pytest.approx(TRI_UPPER, abs=1e-6)
-    assert not iv.attainable and iv.interval_open
+    assert not iv.attainable and iv.unique_price is None
+    # each end's certified gap: alpha - tr(rho A) of its super-hedge
+    assert all(0.0 < gap <= 1e-10 * np.linalg.norm(claim, 2) for gap in iv.gaps)
 
 
 def full_single_period_market():
@@ -178,12 +180,12 @@ def test_price_bounds_raises_on_arbitrage():
 
 def test_arbitrage_free_prices_classification():
     mkt = qubit_market()
-    cls = arbitrage_free_prices(qubit_call(mkt), mkt)
-    assert cls.unique_price == pytest.approx(QUBIT_CALL_PRICE, abs=1e-6)
+    iv = arbitrage_free_prices(qubit_call(mkt), mkt)
+    assert iv.unique_price == pytest.approx(QUBIT_CALL_PRICE, abs=1e-6)
+    assert iv.unique_price == iv.replication.alpha
     tri = discount(trinomial_market())
-    cls_tri = arbitrage_free_prices(tri_call(tri), tri)
-    assert cls_tri.unique_price is None
-    assert cls_tri.interval.interval_open
+    iv_tri = arbitrage_free_prices(tri_call(tri), tri)
+    assert iv_tri.unique_price is None and not iv_tri.attainable
 
 
 def test_is_complete():
