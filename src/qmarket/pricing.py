@@ -7,9 +7,10 @@ over K_t.  A target in span(I, K) is its own hedge: the projection that
 ``replicate`` makes, with no solver, and its gap is 0.  Any other target is
 hedged by the Newton core of :mod:`qmarket.arbitrage` on
 alpha - tau logdet(alpha I + k - A) over (alpha, k), the solver that also
-decides no-arbitrage.  Its dual estimate rho is a martingale state, and
-alpha - tr(rho A) is the certified gap of the price; the solve stops once
-that gap is below GAP_TOL, relative to max(1, |A|_2).
+decides no-arbitrage; ``price_bounds`` hedges A and -A in one stacked solve.
+Its dual estimate rho is a martingale state, and alpha - tr(rho A) is the
+certified gap of the price; the solve stops once that gap is below GAP_TOL,
+relative to max(1, |A|_2).
 """
 
 from dataclasses import dataclass, field
@@ -116,30 +117,35 @@ def replicate(a, market):
 # --- the super-hedge ---------------------------------------------------------
 
 
-def _super_hedge(target, space):
-    """min alpha with alpha I + k - target >= 0 over k in the span: (hedge, witness rho, gap).
+def _super_hedge(targets, space):
+    """Per target, min alpha with alpha I + k - target >= 0 over k in the span.
 
-    The Newton core over x = (alpha, k) on the scale max(1, |target|_2),
-    from the strictly feasible alpha = lambda_max + 1, k = 0.  Its dual rho
-    has tr rho = 1 and tr(rho K_i) = 0, and the gap alpha - tr(rho target)
-    is certified to GAP_TOL times the scale; a solve that stops short of it
-    raises SolverError.
+    One stacked Newton core over x = (alpha, k) for the (B, d, d) ``targets``,
+    each on its scale max(1, |target|_2) and from its strictly feasible
+    alpha = lambda_max + 1, k = 0.  Returns one (hedge, witness rho, gap) per
+    target.  Each dual rho has tr rho = 1 and tr(rho K_i) = 0, and the gap
+    alpha - tr(rho target) is certified to GAP_TOL times the scale; a solve
+    that stops short of it raises SolverError.
     """
-    scale = max(1.0, float(np.linalg.norm(target, 2)))
-    a = target / scale
+    scale = np.maximum(1.0, np.linalg.norm(targets, 2, axis=(1, 2)))
+    a = targets / scale[:, None, None]
     objective = np.zeros(1 + space.rank)
     objective[0] = 1.0
-    start = objective * (np.linalg.eigvalsh(a)[-1] + 1.0)
-    x, rho, gap, _, failure = newton_core(objective, -a, space.vecs, start)
-    if failure:
-        raise SolverError(f"super-hedge: {failure}")
-    lam = np.linalg.eigvalsh(rho)[0]
-    if lam <= 0.0:
-        raise SolverError(f"super-hedge witness is not positive definite: {lam:.3e}")
-    slack = vec_to_herm(x[1:] @ space.vecs, space.dim) + x[0] * np.eye(space.dim) - a
-    residual = float(np.linalg.norm(slack)) * scale
-    hedge = Replication(float(x[0] * scale), x[1:] * scale, space, residual, scale)
-    return hedge, rho, gap * scale
+    starts = np.outer(np.linalg.eigvalsh(a)[:, -1] + 1.0, objective)
+    out = []
+    for (x, rho, gap, _, failure), a_b, scale_b in zip(
+        newton_core(objective, -a, space.vecs, starts), a, scale.tolist()
+    ):
+        if failure:
+            raise SolverError(f"super-hedge: {failure}")
+        lam = np.linalg.eigvalsh(rho)[0]
+        if lam <= 0.0:
+            raise SolverError(f"super-hedge witness is not positive definite: {lam:.3e}")
+        slack = vec_to_herm(x[1:] @ space.vecs, space.dim) + x[0] * np.eye(space.dim) - a_b
+        residual = float(np.linalg.norm(slack)) * scale_b
+        hedge = Replication(float(x[0] * scale_b), x[1:] * scale_b, space, residual, scale_b)
+        out.append((hedge, rho, gap * scale_b))
+    return out
 
 
 def price_bounds(a, market):
@@ -176,8 +182,7 @@ def price_bounds(a, market):
             price, price, attainable=True, witness_states=(witness, witness),
             replication=rep, hedge=rep, unique_price=rep.alpha,
         )
-    upper, rho_hi, gap_hi = _super_hedge(a, space)
-    lower, rho_lo, gap_lo = _super_hedge(-a, space)
+    (upper, rho_hi, gap_hi), (lower, rho_lo, gap_lo) = _super_hedge(np.stack([a, -a]), space)
     return PriceInterval(
         -lower.alpha, upper.alpha, attainable=False,
         witness_states=(DensityState(rho_lo), DensityState(rho_hi)),
@@ -247,7 +252,7 @@ def optional_decomposition(values, market):
         dv = vals[t] - vals[t - 1]
         hedge = _split(dv, period)
         if not hedge.attainable:
-            hedge = _super_hedge(dv, period)[0]
+            [(hedge, _, _)] = _super_hedge(dv[None], period)
         dc = vec_to_herm(hedge.coeffs @ period.vecs, d) - dv  # hedge gain minus dv
         lam = float(np.linalg.eigvalsh(dc)[0])
         if lam < -CONSUMPTION_PSD_TOL:

@@ -216,6 +216,9 @@ def test_band_edge_is_decided_with_a_certificate(name):
     mkt = BAND_EDGE_MARKETS[name]()
     res = check_no_arbitrage(mkt)
     assert res.status == NO_FAITHFUL_STATE
+    if name.startswith("nperiod2"):
+        # the optimum Z is singular here: the least-squares Newton steps reach the gap
+        assert res.lambda_star <= 1e-10 and res.note == ""
     cert = res.arbitrage_claim
     assert min_eigenvalue(cert) >= -CLAIM_PSD_TOL
     assert np.trace(cert).real == pytest.approx(1.0, abs=1e-12)
@@ -353,19 +356,55 @@ def test_certificate_matches_positive_claim_oracle(name):
 
 
 def test_undecided_interval_is_indeterminate(monkeypatch):
-    # a Newton system that fails at the start leaves [-inf, 1/d]: no sign is
-    # certified, and the note says why and where lambda* lies
+    # a Newton system that fails at the start, and whose least-squares fallback
+    # fails too, leaves [-inf, 1/d]: no sign is certified, and the note says
+    # why and where lambda* lies
     cs = build_constraints(discount(qubit_market()))
 
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(np.linalg, "pinv", singular)
     res = max_min_eig_over_slice(cs)
     assert res.status == INDETERMINATE
     assert res.witness_state is None and res.arbitrage_claim is None
     assert res.lambda_interval == (-np.inf, 0.5) and res.iterations == 0
     assert res.note == "Newton system is singular at tau=1.0e+00; lambda* in [-inf, 5.000e-01]"
+
+
+def test_least_squares_newton_steps_decide_as_the_solve_does(monkeypatch):
+    # with every Newton system sent to the minimum-norm least-squares step, a
+    # nonsingular system is solved to rounding, so the decision is the same
+    markets = [qubit_market(), trinomial_market(), qubit_market(r=0.3)]
+    want = [max_min_eig_over_slice(build_constraints(discount(m))) for m in markets]
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    for mkt, ref in zip(markets, want):
+        res = max_min_eig_over_slice(build_constraints(discount(mkt)))
+        assert res.status == ref.status and res.note == ""
+        assert res.lambda_star == pytest.approx(ref.lambda_star, abs=1e-12)
+        assert res.iterations == ref.iterations
+
+
+def test_inexact_least_squares_steps_certify_nothing(monkeypatch):
+    # a least-squares step that misses its system gives a rho with
+    # tr(rho B_i) != c_i: its dual is never recorded, so nothing is certified
+    # (off the centre, where I / d is not already optimal)
+    cs = build_constraints(discount(qubit_market(r=0.0)))
+    pinv = np.linalg.pinv
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(np.linalg, "pinv", lambda h, **kw: 0.5 * pinv(h, **kw))
+    res = max_min_eig_over_slice(cs)
+    assert res.status == INDETERMINATE and res.witness_state is None
+    assert res.lambda_interval[0] == -np.inf
 
 
 # --- lambda* against the oracle ascent -----------------------------------------

@@ -117,7 +117,7 @@ def count_calls(monkeypatch, module, name):
 
 def test_only_non_attainable_claims_build_barrier_coordinates(monkeypatch):
     # no null space anywhere: the super-hedge runs over span(I, K), and only
-    # for a claim outside it, once per endpoint
+    # for a claim outside it, once for both endpoints
     null_spaces = []
     orig = scipy.linalg.null_space
 
@@ -138,8 +138,9 @@ def test_only_non_attainable_claims_build_barrier_coordinates(monkeypatch):
     values = [rep.alpha * np.eye(mkt.dim) + g for g in gain_process(rep.strategy, mkt)]
     optional_decomposition(values, mkt)
     assert hedges == [] and len(solves) == 2
+    # one stacked solve prices both ends
     assert not price_bounds(call_payoff(tri, 100.0), tri).attainable
-    assert len(hedges) == 2 and len(solves) == 4
+    assert len(hedges) == 1 and len(solves) == 3
     assert null_spaces == []
 
 
@@ -309,6 +310,57 @@ def test_nperiod_6_check_arbitrage_and_price_fit_the_envelope():
     assert out["maxrss_mb"] <= 500.0
 
 
+INTERVAL_SCRIPT = """
+import json, resource, time
+import numpy as np
+from qmarket.cli import parse_scenario, run
+d = 32
+m = np.random.default_rng(1).standard_normal((2, d, d))
+claim = 0.5 * (m[0] + 1j * m[1] + (m[0] + 1j * m[1]).conj().T)
+scenario = json.dumps({
+    "market": {"kind": "nperiod", "n": 5, "a": -0.1, "b": 0.2, "r": 0.0, "s0": 100.0},
+    "claims": [{"name": "h", "type": "matrix",
+                "entries": [[[z.real, z.imag] for z in row] for row in claim]}],
+})
+t0 = time.perf_counter()
+try:
+    report, code = run("interval", parse_scenario(scenario))
+    result = report["results"]["h"]
+except Exception as exc:
+    code, result = None, f"{type(exc).__name__}: {exc}"
+print(json.dumps({
+    "wall_s": time.perf_counter() - t0,
+    "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    "code": code,
+    "result": result,
+    "norm": float(np.linalg.norm(claim, 2)),
+}))
+"""
+
+
+def test_nperiod_5_non_attainable_interval_fits_the_envelope():
+    # both ends of an N = 5 interval are one stacked Newton solve over the
+    # 342 coordinates of span(I, K): a fresh process bounds its time and peak
+    # resident set.  This claim ends on the super-hedge's known small-tau
+    # failure (the Newton system is too ill-conditioned to centre near
+    # tau = 4e-11), which must be reported as a SolverError, not swallowed
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", INTERVAL_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["wall_s"] <= 30.0
+    assert out["maxrss_mb"] <= 250.0
+    if out["code"] is None:
+        assert out["result"].startswith("SolverError: super-hedge: ")
+    else:
+        res = out["result"]
+        assert out["code"] == 0 and not res["attainable"] and res["lower"] < res["upper"]
+        assert max(res["lower_gap"], res["upper_gap"]) <= 1e-10 * out["norm"]
+
+
 # --- attainable claims are priced without the super-hedge solve ---------------
 
 
@@ -358,8 +410,8 @@ def test_barrier_agrees_with_replication(name):
     mkt = ORACLE_MARKETS[name]()
     claim = call_payoff(mkt, 100.0)
     space = attainable_space(mkt)
-    upper = _super_hedge(claim, space)[0].alpha
-    lower = -_super_hedge(-claim, space)[0].alpha
+    (hi, _, _), (lo, _, _) = _super_hedge(np.stack([claim, -claim]), space)
+    upper, lower = hi.alpha, -lo.alpha
     interval = price_bounds(claim, mkt)
     scale = max(1.0, abs(upper))
     assert (upper - lower <= INTERVAL_WIDTH_TOL * scale) == interval.attainable

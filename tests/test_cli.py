@@ -445,6 +445,7 @@ def test_main_singular_barrier_exits_indeterminate(tmp_path, monkeypatch, capsys
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(np.linalg, "pinv", singular)
     scen = write(tmp_path, TRINOMIAL_YAML)
     assert main(["interval", "--scenario", scen]) == EXIT_INDETERMINATE
     assert "Newton system is singular" in capsys.readouterr().err

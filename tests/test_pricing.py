@@ -1,15 +1,22 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.optimize import linprog
 from hypothesis import strategies as st
 
-from qmarket.arbitrage import FAITHFUL_STATE_FOUND, check_no_arbitrage, is_martingale_state
+from qmarket.arbitrage import (
+    FAITHFUL_STATE_FOUND,
+    check_no_arbitrage,
+    is_martingale_state,
+    newton_core,
+)
 from qmarket.binomial import NPeriodSpec, QubitMarketSpec, build_n_period, build_single_period
 from qmarket.errors import ArbitrageError, SolverError, ValidationError
 from qmarket.market import (
     Filtration,
     MarketModel,
     OperatorAlgebra,
+    attainable_space,
     discount,
     gain_process,
     value_process,
@@ -345,7 +352,8 @@ def test_dephased_market_agrees_with_classical_bounds():
 
 
 def test_singular_barrier_newton_system_raises(monkeypatch):
-    # a failed Newton solve is reported, not replaced by a gradient step
+    # a Newton system that neither the solve nor its least-squares fallback
+    # solves is reported, not replaced by a gradient step
     mkt = discount(trinomial_market())
     assert check_no_arbitrage(mkt).witness_state is not None
 
@@ -353,8 +361,31 @@ def test_singular_barrier_newton_system_raises(monkeypatch):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(np.linalg, "pinv", singular)
     with pytest.raises(SolverError, match="Newton system is singular"):
         price_bounds(tri_call(mkt), mkt)
+
+
+def test_a_stacked_newton_solve_matches_its_single_solves():
+    # each problem of a stack keeps its own tau path and leaves once certified,
+    # so stacking changes no iterate, gap or step count: the two ends of the
+    # trinomial call and a third target, solved together and one by one
+    mkt = discount(trinomial_market())
+    space = attainable_space(mkt)
+    call = tri_call(mkt)
+    targets = np.stack([call, -call, np.diag([3.0, -1.0, 2.0]).astype(complex)])
+    targets /= np.linalg.norm(targets, 2, axis=(1, 2))[:, None, None]
+    objective = np.eye(1 + space.rank)[0]
+    starts = np.outer(np.linalg.eigvalsh(targets)[:, -1] + 1.0, objective)
+    stacked = newton_core(objective, -targets, space.vecs, starts)
+    for b, (x, rho, gap, steps, failure) in enumerate(stacked):
+        [(x1, rho1, gap1, steps1, failure1)] = newton_core(
+            objective, -targets[b : b + 1], space.vecs, starts[b : b + 1]
+        )
+        assert failure is None and failure1 is None and steps == steps1
+        np.testing.assert_allclose(x, x1, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rho, rho1, rtol=0, atol=1e-12)
+        assert gap == pytest.approx(gap1, abs=1e-15) and gap <= 1e-10
 
 
 def diagonal_market(rng):
@@ -391,6 +422,51 @@ def test_diagonal_markets_match_the_lp_and_decompose_at_the_upper_price(seed):
     res = optional_decomposition([iv.upper * np.eye(mkt.dim), claim], mkt)
     for before, after in zip(res.consumption, res.consumption[1:]):
         assert min_eigenvalue(after - before) >= -CONSUMPTION_PSD_TOL
+
+
+LP_TOL = 1e-10  # the oracle LP's primal and dual feasibility tolerance
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_reported_gaps_bound_the_distance_to_the_lp_endpoints(seed):
+    # each end is certified: the LP's sup lies in [upper - upper_gap, upper]
+    # and its inf in [lower, lower + lower_gap], up to the LP's own tolerance
+    mkt, claim, s0 = diagonal_market(np.random.default_rng(seed))
+    iv = price_bounds(claim, mkt)
+    outcomes, payoff = np.diag(mkt.assets[0][1]).real, np.diag(claim).real
+    n = len(payoff)
+    lp = {
+        "A_eq": np.vstack([np.ones(n), outcomes]), "b_eq": [1.0, s0], "bounds": [(0, None)] * n,
+        "options": {"primal_feasibility_tolerance": LP_TOL, "dual_feasibility_tolerance": LP_TOL},
+    }
+    inf, sup = linprog(payoff, **lp), linprog(-payoff, **lp)
+    assert inf.success and sup.success
+    tol = LP_TOL * max(1.0, np.abs(payoff).max())
+    assert iv.upper - iv.gaps[1] - tol <= -sup.fun <= iv.upper + tol
+    assert iv.lower - tol <= inf.fun <= iv.lower + iv.gaps[0] + tol
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(st.integers(2, 5), st.sampled_from([0.01, 100.0]), st.integers(0, 2**32 - 1))
+def test_scaling_the_market_and_claim_scales_the_prices(d, c, seed):
+    # c S_0, c S_1 has the same span K, so the decision and lambda* stay;
+    # the claim c A then has both ends times c, within the certified gaps
+    rng = np.random.default_rng(seed)
+    asset, claim = random_positive(rng, d) + 0.1 * np.eye(d), random_hermitian(rng, d)
+    filt = Filtration([OperatorAlgebra.trivial(d), OperatorAlgebra.full(d)])
+    base, scaled = (
+        MarketModel(filt, [1.0, 1.0], [[k * np.eye(d, dtype=complex), k * asset]]) for k in (1.0, c)
+    )
+    ref, res = check_no_arbitrage(base), check_no_arbitrage(scaled)
+    assert res.status == ref.status
+    assert res.lambda_star == pytest.approx(ref.lambda_star, abs=1e-9)
+    if ref.status == FAITHFUL_STATE_FOUND:
+        iv, civ = price_bounds(claim, base), price_bounds(c * claim, scaled)
+        for end, gap, c_end, c_gap in zip(
+            (iv.lower, iv.upper), iv.gaps, (civ.lower, civ.upper), civ.gaps
+        ):
+            assert abs(c_end - c * end) <= c_gap + c * gap + 1e-9 * max(1.0, abs(c * end))
 
 
 def one_period(assets, claim, active, pad=1):
