@@ -32,6 +32,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import ValidationError
 # MartingaleConstraintSet is re-exported here
 from .market import MartingaleConstraintSet, attainable_space, discount
 from .operators import as_hermitian, herm_to_vec, vec_to_herm
@@ -80,6 +81,8 @@ def is_martingale_state(rho, market, tol=1e-8):
     """True iff rho annihilates every (unit-norm) martingale constraint."""
     cs = build_constraints(discount(market))
     mat = as_hermitian(rho.mat if isinstance(rho, DensityState) else rho)
+    if mat.shape[0] != market.dim:
+        raise ValidationError(f"dimension mismatch: state {mat.shape[0]}, market {market.dim}")
     return bool(np.all(np.abs(cs.vecs @ herm_to_vec(mat)) <= tol))
 
 

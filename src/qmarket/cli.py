@@ -5,8 +5,9 @@ commands check-arbitrage, price, interval, replicate, decompose, disk, crr.
 
 Scenarios are YAML trees (see README for the grammar); reports are JSON with
 sorted keys, byte-stable for a fixed scenario and seed.  Matrices are encoded
-row-major as [re, im] pairs in both directions.  The ``solver`` mapping takes
-only ``seed``; any other key is rejected.  check-arbitrage exits 0 with a
+row-major as [re, im] pairs in both directions.  Each mapping is read through
+``FIELDS``, which rejects an unknown key, a missing field, a wrong type or a
+non-finite number by its ``<where>.<key>``.  check-arbitrage exits 0 with a
 witness or an arbitrage certificate (band-edge markets get a certificate)
 and 3 when neither is found; it reports the certified interval [nu, c]
 around lambda* (lambda_star is c), the witness's largest constraint
@@ -16,6 +17,7 @@ end's certified gap, 0 for an attainable claim.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -35,7 +37,7 @@ from .binomial import (
 )
 from .errors import InternalConsistencyError, QMarketError, SolverError, ValidationError
 from .market import Filtration, MarketModel, OperatorAlgebra, discount, gain_process
-from .operators import apply_function
+from .operators import apply_function, as_hermitian
 from .pricing import arbitrage_free_prices, optional_decomposition, replicate
 
 REPORT_SCHEMA = "qmarket.report/1"
@@ -53,14 +55,13 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 def _decode_matrix(rows, where):
     try:
-        mat = np.array(
-            [[complex(cell[0], cell[1]) for cell in row] for row in rows],
-            dtype=complex,
-        )
-    except (TypeError, IndexError, ValueError) as exc:
+        mat = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"{where}: matrix entries must be [re, im] pairs") from exc
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValidationError(f"{where}: matrix must be square")
+    if not np.isfinite(mat).all():
+        raise ValidationError(f"{where}: matrix entries must be finite")
     return mat
 
 
@@ -68,150 +69,142 @@ def _encode_matrix(mat):
     return [[[float(c.real), float(c.imag)] for c in row] for row in np.asarray(mat, dtype=complex)]
 
 
-def _require(mapping, key, where):
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise ValidationError(f"missing field {where}.{key}")
-    return mapping[key]
+def _algebra(entry, where):
+    """A filtration entry: trivial, full, or a {factor} or {basis} mapping read through FIELDS."""
+    if entry in ("trivial", "full"):
+        return entry
+    forms = FIELDS["filtration"]
+    form = next((key for key in forms if key in entry), None) if isinstance(entry, dict) else None
+    if form is None:
+        raise ValidationError(f"{where}: expected trivial|full|{{factor}}|{{basis}}, got {entry!r}")
+    return _read(entry, where, forms[form])
+
+
+# key -> (type,) for a required field, (type, default) otherwise, per mapping (markets by
+# kind, claims by type).  A type is float (finite), int, str, list, dict, a tuple of the
+# allowed values, [type] for a list of that type, or a reader called as f(value, where).
+FIELDS = {
+    "scenario": {"market": (dict,), "claims": (list, ()), "solver": (dict, None)},
+    "market": {
+        "qubit": {"x0": (float,), "x1": (float,), "x2": (float, 0.0), "x3": (float, 0.0),
+                  "r": (float,), "s0": (float,), "b0": (float, 1.0)},
+        "nperiod": {"n": (int,), "a": (float,), "b": (float,), "r": (float,), "s0": (float,),
+                    "b0": (float, 1.0), "pauli": ([[float]], None)},
+        "explicit": {"dim": (int,), "bank": ([float],), "filtration": ([_algebra],),
+                     "assets": ([[_decode_matrix]],)},
+    },
+    "claim": {
+        "call": {"name": (str,), "strike": (float,)},
+        "matrix": {"name": (str,), "entries": (_decode_matrix,)},
+        "spectral": {"name": (str,), "fn": (("call", "put"),), "strike": (float,)},
+    },
+    "solver": {"seed": (int, 0)},
+    "filtration": {"factor": {"factor": (int,)}, "basis": {"basis": ([_decode_matrix],)}},
+}
 
 
 def _typed(value, kind, where):
-    """``value`` as ``kind`` (float, int or list); a ValidationError naming ``where`` if not.
-
-    An int field refuses a non-integral number rather than truncate it.
-    """
+    """``value`` read as ``kind``, a type of FIELDS; an int refuses a non-integral number."""
+    if isinstance(kind, list):
+        items = _typed(value, list, where)
+        return [_typed(v, kind[0], f"{where}[{i}]") for i, v in enumerate(items)]
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        raise ValidationError(f"{where} must be {'|'.join(kind)}, got {value!r}")
+    if not isinstance(kind, type):
+        return kind(value, where)
     truncates = kind is int and isinstance(value, float) and not value.is_integer()
     try:
-        if not truncates and (kind is not list or isinstance(value, list)):
-            return kind(value)
+        if not truncates and (kind not in (str, list, dict) or isinstance(value, kind)):
+            out = kind(value)
+            if kind is not float or math.isfinite(out):
+                return out
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ValidationError(f"{where} must be {kind.__name__}, got {value!r}")
+    what = {float: "a finite float", str: "a string", dict: "a mapping"}.get(kind, kind.__name__)
+    raise ValidationError(f"{where} must be {what}, got {value!r}")
 
 
-def _field(mapping, key, where, kind=float, default=None):
-    """``mapping[key]`` read as ``kind``, required when no default is given."""
-    value = _require(mapping, key, where) if default is None else mapping.get(key, default)
-    return _typed(value, kind, f"{where}.{key}")
+def _read(value, where, fields, tag=None):
+    """The mapping ``value`` read through ``fields``, every field filled in.
+
+    With a ``tag``, ``fields`` maps each value of that key to the fields of
+    its form.  A null reads as absent where the default is None.
+    """
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where} must be a mapping, got {value!r}")
+    if tag is not None:
+        form = _typed(value.get(tag), tuple(fields), f"{where}.{tag}")
+        fields = {tag: (str,), **fields[form]}
+    out = {}
+    for key, (kind, *default) in fields.items():
+        if key in value and not (value[key] is None and default == [None]):
+            out[key] = _typed(value[key], kind, f"{where}.{key}")
+        elif default:
+            out[key] = default[0]
+        else:
+            raise ValidationError(f"missing field {where}.{key}")
+    for key in value:
+        if key not in fields:
+            raise ValidationError(
+                f"{where}.{key} is not a field of {where}, which takes {', '.join(fields)}"
+            )
+    return out
 
 
 def parse_scenario(text):
-    """Parse and validate a YAML scenario into a canonical dict."""
+    """Parse and validate a YAML scenario; the canonical dict echoes the market as written."""
     try:
-        raw = yaml.load(text, Loader=_YAML_LOADER)
+        tree = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ValidationError(f"scenario syntax error: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValidationError("scenario must be a mapping")
-    market = _require(raw, "market", "scenario")
-    kind = _require(market, "kind", "market")
-    if kind not in ("qubit", "nperiod", "explicit"):
-        raise ValidationError(f"market.kind must be qubit|nperiod|explicit, got {kind!r}")
-
-    scenario = {"market": dict(market), "claims": [], "solver": {}}
-    if kind == "explicit":
-        _build_explicit_market(market)  # validates
-    else:
+    raw = _read(tree, "scenario", FIELDS["scenario"])
+    market = _read(raw["market"], "market", FIELDS["market"], tag="kind")
+    if market["kind"] != "explicit":
         _market_spec(market)  # validates
 
-    names = set()
-    for i, claim in enumerate(_field(raw, "claims", "scenario", list, [])):
+    claims, names = [], set()
+    for i, claim in enumerate(raw["claims"]):
         where = f"claims[{i}]"
-        name = _require(claim, "name", where)
-        if not isinstance(name, str):
-            raise ValidationError(f"{where}.name must be a string, got {name!r}")
-        if name in names:
-            raise ValidationError(f"{where}.name {name!r} repeats an earlier claim's name")
-        names.add(name)
-        ctype = _require(claim, "type", where)
-        if ctype == "call":
-            entry = {"name": name, "type": "call", "strike": _field(claim, "strike", where)}
-        elif ctype == "matrix":
-            mat = _decode_matrix(_require(claim, "entries", where), where)
-            if np.abs(mat - mat.conj().T).max() > 1e-12 * max(1.0, np.abs(mat).max()):
-                raise ValidationError(f"{where}.entries: matrix is not Hermitian")
-            entry = {"name": name, "type": "matrix", "entries": _encode_matrix(mat)}
-        elif ctype == "spectral":
-            fn = _require(claim, "fn", where)
-            if fn not in ("call", "put"):
-                raise ValidationError(f"{where}.fn must be call|put")
-            entry = {
-                "name": name,
-                "type": "spectral",
-                "fn": fn,
-                "strike": _field(claim, "strike", where),
-            }
-        else:
-            raise ValidationError(f"{where}.type must be call|matrix|spectral, got {ctype!r}")
-        scenario["claims"].append(entry)
-
-    solver = raw.get("solver") or {}
-    if not isinstance(solver, dict):
-        raise ValidationError(f"solver must be a mapping, got {solver!r}")
-    for key in solver:
-        if key != "seed":
-            raise ValidationError(f"solver.{key} is not a solver field; solver takes only seed")
-    scenario["solver"] = {"seed": _field(solver, "seed", "solver", int, 0)}
-    return scenario
+        entry = _read(claim, where, FIELDS["claim"], tag="type")
+        if entry["name"] in names:
+            raise ValidationError(f"{where}.name {entry['name']!r} repeats an earlier claim's name")
+        names.add(entry["name"])
+        if entry["type"] == "matrix":
+            try:
+                as_hermitian(entry["entries"])
+            except ValidationError as exc:
+                raise ValidationError(f"{where}.entries: {exc}") from exc
+            entry["entries"] = _encode_matrix(entry["entries"])
+        claims.append(entry)
+    solver = _read(raw["solver"] or {}, "solver", FIELDS["solver"])
+    return {"market": raw["market"], "claims": claims, "solver": solver}
 
 
-def _market_spec(market):
-    """The QubitMarketSpec or NPeriodSpec of a qubit or nperiod market mapping."""
-
-    def num(key, default=None):
-        return _field(market, key, "market", float, default)
-
-    if market["kind"] == "qubit":
-        return QubitMarketSpec(
-            num("x0"), num("x1"), num("x2", 0.0), num("x3", 0.0),
-            num("r"), num("s0"), num("b0", 1.0),
-        )
-    n = _field(market, "n", "market", int)
-    if not 1 <= n <= 6:
-        raise ValidationError(f"market.n = {n} outside 1..6 (dimension cap 2^N <= 64)")
-    pauli = market.get("pauli")
-    if pauli is not None:
-        pauli = [
-            [_typed(x, float, f"market.pauli[{j}]") for x in _typed(p, list, f"market.pauli[{j}]")]
-            for j, p in enumerate(_typed(pauli, list, "market.pauli"))
-        ]
-    return NPeriodSpec(n, num("a"), num("b"), num("r"), num("s0"), num("b0", 1.0), pauli)
+def _market_spec(m):
+    """The QubitMarketSpec or NPeriodSpec of a read qubit or nperiod market."""
+    if m["kind"] == "qubit":
+        return QubitMarketSpec(m["x0"], m["x1"], m["x2"], m["x3"], m["r"], m["s0"], m["b0"])
+    if not 1 <= m["n"] <= 6:
+        raise ValidationError(f"market.n = {m['n']} outside 1..6 (dimension cap 2^N <= 64)")
+    return NPeriodSpec(m["n"], m["a"], m["b"], m["r"], m["s0"], m["b0"], m["pauli"])
 
 
 def _build_explicit_market(market):
-    dim = _field(market, "dim", "market", int)
-    bank = [
-        _typed(b, float, f"market.bank[{t}]")
-        for t, b in enumerate(_field(market, "bank", "market", list))
+    """The MarketModel of a read explicit market; MarketModel checks its operators."""
+    dim = market["dim"]
+    algebras = [
+        getattr(OperatorAlgebra, e)(dim) if isinstance(e, str)
+        else OperatorAlgebra.tensor_factor(e["factor"], dim) if "factor" in e
+        else OperatorAlgebra.from_basis(e["basis"])
+        for e in market["filtration"]
     ]
-    algebras = []
-    for t, spec in enumerate(_field(market, "filtration", "market", list)):
-        where = f"market.filtration[{t}]"
-        if spec == "trivial":
-            algebras.append(OperatorAlgebra.trivial(dim))
-        elif spec == "full":
-            algebras.append(OperatorAlgebra.full(dim))
-        elif isinstance(spec, dict) and "factor" in spec:
-            algebras.append(OperatorAlgebra.tensor_factor(_field(spec, "factor", where, int), dim))
-        elif isinstance(spec, dict) and "basis" in spec:
-            algebras.append(
-                OperatorAlgebra.from_basis(
-                    [_decode_matrix(m, where) for m in _field(spec, "basis", where, list)]
-                )
-            )
-        else:
-            raise ValidationError(f"{where}: expected trivial|full|{{factor}}|{{basis}}")
-    filtration = Filtration(algebras)
-    assets = []
-    for j, proc in enumerate(_field(market, "assets", "market", list)):
-        where = f"market.assets[{j}]"
-        assets.append(
-            [_decode_matrix(m, f"{where}[{t}]") for t, m in enumerate(_typed(proc, list, where))]
-        )
-    return MarketModel(filtration, bank, assets)
+    return MarketModel(Filtration(algebras), market["bank"], market["assets"])
 
 
 def build_market(scenario):
-    market = scenario["market"]
+    market = _read(scenario["market"], "market", FIELDS["market"], tag="kind")
     if market["kind"] == "explicit":
         return _build_explicit_market(market), None
     spec = _market_spec(market)
@@ -251,6 +244,8 @@ def _decompose_values(interval, payoff, market):
 def run(command, scenario, samples=100):
     """Dispatch a command against a parsed scenario; returns (report, exit_code)."""
     seed = scenario["solver"]["seed"]
+    if seed < 0:
+        raise ValidationError(f"solver.seed (or --seed) must be non-negative, got {seed}")
     market, spec = build_market(scenario)
     results = {}
     diagnostics = {}

@@ -17,6 +17,7 @@ from qmarket.arbitrage import (
     max_min_eig_over_slice,
 )
 from qmarket.binomial import NPeriodSpec, QubitMarketSpec, build_n_period, build_single_period
+from qmarket.errors import ValidationError
 from qmarket.market import Filtration, MarketModel, OperatorAlgebra, discount
 from qmarket.operators import (
     SX,
@@ -259,6 +260,11 @@ def test_is_martingale_state_qubit_plane():
     assert is_martingale_state(tilted, mkt)
     off_plane = DensityState(0.5 * (np.eye(2) + 0.3 * SX))
     assert not is_martingale_state(off_plane, mkt)
+
+
+def test_is_martingale_state_rejects_a_state_of_another_dimension():
+    with pytest.raises(ValidationError, match=r"dimension mismatch: state 4, market 2"):
+        is_martingale_state(DensityState.maximally_mixed(4), qubit_market())
 
 
 def test_is_martingale_state_accepts_undiscounted_input():

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -429,6 +430,33 @@ MALFORMED = [
         ),
         id="name_repeated",
     ),
+    # a number or a matrix entry that is not finite
+    pytest.param("market.r", QUBIT_YAML.replace("r: 0.05", "r: .inf"), id="rate_inf"),
+    pytest.param(
+        "claims[0].strike", QUBIT_YAML.replace("strike: 100.0", "strike: .nan"), id="strike_nan"
+    ),
+    pytest.param(
+        "market.pauli[0]",
+        NPERIOD_YAML.replace("claims:", "  pauli: [[.inf, 0.15, 0.0], [0.09, 0.0, 0.12]]\nclaims:"),
+        id="pauli_inf",
+    ),
+    pytest.param(
+        "claims[0].entries",
+        TWO_PERIOD_EXPLICIT_YAML.replace("[[0.0, 0.0], [1.0, 0.0]]", "[[.nan, 0.0], [1.0, 0.0]]"),
+        id="claim_matrix_nan",
+    ),
+    pytest.param(
+        "market.assets[0][2]",
+        TWO_PERIOD_EXPLICIT_YAML.replace("[120.0, 0.0]]]\nclaims", "[-.inf, 0.0]]]\nclaims"),
+        id="asset_matrix_inf",
+    ),
+    pytest.param("market.bank[1]", TRINOMIAL_YAML.replace("1.05]", ".inf]"), id="bank_inf"),
+    # a matrix entry is exactly one [re, im] pair
+    pytest.param(
+        "claims[0].entries",
+        TWO_PERIOD_EXPLICIT_YAML.replace("[[0.0, 0.0], [1.0, 0.0]]", "[[0.0, 0.0, 7], [1.0, 0.0]]"),
+        id="claim_matrix_triple",
+    ),
 ]
 
 
@@ -438,6 +466,102 @@ def test_main_rejects_malformed_field(tmp_path, capsys, field, text):
     assert main(["check-arbitrage", "--scenario", scen]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
+
+
+# one key that no field reads, in each kind of mapping
+UNKNOWN_KEYS = [
+    pytest.param("scenario.claim", QUBIT_YAML.replace("claims:", "claim:"), id="top_level"),
+    pytest.param(
+        "market.paulis", QUBIT_YAML.replace("x1: 0.15", "x1: 0.15\n  paulis: [0.0, 0.15, 0.0]"),
+        id="qubit_market",
+    ),
+    pytest.param(
+        "market.bo", NPERIOD_YAML.replace("s0: 100.0", "s0: 100.0\n  bo: 2.0"), id="nperiod_market"
+    ),
+    pytest.param(
+        "market.horizon", TRINOMIAL_YAML.replace("dim: 3", "dim: 3\n  horizon: 1"),
+        id="explicit_market",
+    ),
+    pytest.param(
+        "claims[0].fn", QUBIT_YAML.replace("strike: 100.0", "strike: 100.0\n    fn: put"),
+        id="call_claim",
+    ),
+    pytest.param(
+        "claims[0].strike",
+        TWO_PERIOD_EXPLICIT_YAML.replace("type: matrix", "type: matrix\n    strike: 1.0"),
+        id="matrix_claim",
+    ),
+    pytest.param(
+        "claims[0].entries",
+        QUBIT_YAML.replace("type: call", "type: spectral\n    fn: call\n    entries: []"),
+        id="spectral_claim",
+    ),
+    pytest.param("solver.max_iters", QUBIT_YAML + "  max_iters: 5\n", id="solver"),
+    pytest.param(
+        "market.filtration[1].levels",
+        TWO_STATE_YAML.format(
+            dim=4, algebra="{factor: 2, levels: 2}",
+            one=_diagonal_yaml([1, 1, 1, 1]), s1=_diagonal_yaml([0.9, 0.9, 1.2, 1.2]),
+        ),
+        id="factor_entry",
+    ),
+    pytest.param(
+        "market.filtration[1].hermitian",
+        TWO_STATE_YAML.format(
+            dim=2,
+            algebra=(
+                f"{{basis: [{_diagonal_yaml([1, 0])}, {_diagonal_yaml([0, 1])}], hermitian: true}}"
+            ),
+            one=_diagonal_yaml([1, 1]), s1=_diagonal_yaml([0.9, 1.2]),
+        ),
+        id="basis_entry",
+    ),
+]
+
+
+@pytest.mark.parametrize("field,text", UNKNOWN_KEYS)
+def test_main_rejects_a_key_that_is_not_a_field(tmp_path, capsys, field, text):
+    scen = write(tmp_path, text)
+    assert main(["price", "--scenario", scen]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{field} is not a field" in err
+
+
+def test_main_rejects_a_negative_seed_from_the_scenario_or_the_option(tmp_path, capsys):
+    scen = write(tmp_path, QUBIT_YAML.replace("seed: 42", "seed: -3"))
+    assert main(["disk", "--scenario", scen]) == EXIT_VALIDATION
+    assert "solver.seed" in capsys.readouterr().err
+    scen = write(tmp_path, QUBIT_YAML)
+    assert main(["disk", "--scenario", scen, "--seed", "-3"]) == EXIT_VALIDATION
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_null_fields_keep_their_meaning():
+    # a null claims list is an error; a null solver or pauli takes its default
+    with pytest.raises(ValidationError, match=r"scenario\.claims"):
+        parse_scenario(QUBIT_YAML.split("claims:")[0] + "claims:\n")
+    assert parse_scenario(QUBIT_YAML.split("solver:")[0] + "solver:\n")["solver"] == {"seed": 0}
+    null_pauli = parse_scenario(NPERIOD_YAML.replace("claims:", "  pauli:\nclaims:"))
+    assert build_market(null_pauli)[1] == build_market(parse_scenario(NPERIOD_YAML))[1]
+
+
+def test_readme_scenario_parses_and_prices(tmp_path, capsys):
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = readme.split("```yaml\n")[1].split("```")[0]
+    assert [c["name"] for c in parse_scenario(text)["claims"]] == ["atm_call"]
+    assert main(["price", "--scenario", write(tmp_path, text)]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)["results"]["atm_call"]
+    assert out["unique_price"] == pytest.approx(200.0 / 21.0, abs=1e-9)
+
+
+def test_main_builds_an_explicit_market_once(tmp_path, monkeypatch):
+    built = []
+    build = cli._build_explicit_market
+    monkeypatch.setattr(
+        cli, "_build_explicit_market", lambda market: built.append(market) or build(market)
+    )
+    assert main(["price", "--scenario", write(tmp_path, TRINOMIAL_YAML)]) == EXIT_OK
+    assert len(built) == 1
 
 
 def test_main_singular_barrier_exits_indeterminate(tmp_path, monkeypatch, capsys):
