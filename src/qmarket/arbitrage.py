@@ -23,7 +23,8 @@ rho + nu I with nu = (1 - tr rho)/d, so [nu, c] brackets lambda*.  nu above
 FEASIBILITY_THRESHOLD certifies a faithful witness; c at or below it makes
 Z - c I = sum_i y_i K_i >= -c I the positive attainable claim.  A band edge
 of a binomial market (r = a or r = b), where lambda* = 0, is decided with a
-certificate too.
+certificate too.  Pricing reads only the sign, so its decision stops once
+nu certifies a faithful witness; ``check_no_arbitrage`` runs to the gap.
 """
 
 import math
@@ -66,6 +67,7 @@ class FeasibilityResult:
     note: str = ""
     lambda_interval: Optional[tuple] = None  # the certified [nu, c] around lambda*
     witness_residual: Optional[float] = None  # max_m |tr(witness G_m)|
+    sign_only: bool = False  # stopped once nu certified the witness, short of lambda*'s gap
 
 
 def build_constraints(market):
@@ -89,7 +91,7 @@ def is_martingale_state(rho, market, tol=1e-8):
 # --- the Newton core ---------------------------------------------------------
 
 
-def newton_core(objective, offsets, rows, starts):
+def newton_core(objective, offsets, rows, starts, floor=None):
     """min c.x over X(x) = F + (c.x) I + sum_j x_{l+j} G_j > 0, c = ``objective``, per F.
 
     Solves a stack of such problems that share c and the span: F runs over
@@ -113,11 +115,14 @@ def newton_core(objective, offsets, rows, starts):
     takes the minimum-norm least-squares step, and a rho from such a step
     counts only if the step solves the system to rounding (SOLVE_TOL).
 
+    With a ``floor``, a problem also leaves, certified, at a centred iterate
+    whose certified lower bound c.x - gap is above it.
+
     Returns one (x, rho, gap, steps, failure) per problem: x the last iterate
     with X(x) positive definite, rho and gap those of the last centred
-    iterate (None and inf before the first), and failure None once the gap is
-    at most GAP_TOL, else the reason the solve stopped.  What a failure means
-    is the caller's to decide.
+    iterate (None and inf before the first), and failure None once certified,
+    else the reason the solve stopped.  What a failure means is the caller's
+    to decide.
     """
     count, d = offsets.shape[0], offsets.shape[-1]
     lead = len(objective) - len(rows)
@@ -164,7 +169,7 @@ def newton_core(objective, offsets, rows, starts):
             if not ids:
                 return out
             x, offsets, tau, lam, vecs = x[keep], offsets[keep], tau[keep], lam[keep], vecs[keep]
-        size = len(ids)
+        size, values = len(ids), (x @ objective).tolist()
         good, w = x, vecs / np.sqrt(lam)[:, None, :]
         # whiten B_i = c_i I + G_{i-l} in blocks: M_i = c_i diag(1 / lam) + W* G W
         m, rhs = m_all[:size], rhs_all[:size]
@@ -205,13 +210,15 @@ def newton_core(objective, offsets, rows, starts):
             if min(decs) > 0.25:
                 break
             follow = False
-            for j, (dec, trace, t) in enumerate(zip(decs, s_vec[:, :d].sum(axis=1).tolist(), tau.tolist())):
+            traces = s_vec[:, :d].sum(axis=1).tolist()
+            for j, (dec, trace, t, value) in enumerate(zip(decs, traces, tau.tolist(), values)):
                 if done[j]:
                     continue
                 if dec <= 0.25 and exact[j]:
                     centred[ids[j]] = (t, w[j], s_vec[j])
                     fresh.discard(ids[j])
-                    done[j] = t * (d - trace) <= GAP_TOL
+                    gap = t * (d - trace)
+                    done[j] = gap <= GAP_TOL or floor is not None and value - gap > floor
                 if dec <= NEWTON_TOL and not done[j]:
                     tau[j] = t * TAU_STEP  # centred: follow the central path
                     follow = True
@@ -254,12 +261,13 @@ def newton_core(objective, offsets, rows, starts):
     return out
 
 
-def max_min_eig_over_slice(constraints):
+def max_min_eig_over_slice(constraints, sign_only=False):
     """Decide max lambda_min(rho) over the martingale-state slice by the Newton core.
 
     A certified positive lambda* returns its witness, a certified
     non-positive one the positive attainable claim; an interval that still
-    straddles the threshold is INDETERMINATE.
+    straddles the threshold is INDETERMINATE.  With ``sign_only`` the solve
+    stops once nu certifies the witness, leaving lambda* in [nu, c].
     """
     d = constraints.dim
     if constraints.perp is None:
@@ -270,14 +278,16 @@ def max_min_eig_over_slice(constraints):
         )
     vecs = constraints.vecs
     shift = -vecs[:, :d].sum(axis=1) / d  # -tr(K_i) / d: T_i = K_i + shift_i I
-    [(y, rho, _, steps, failure)] = newton_core(
-        shift, np.eye(d, dtype=complex)[None] / d, vecs, np.zeros((1, len(vecs)))
+    floor = FEASIBILITY_THRESHOLD - 1.0 / d if sign_only else None  # c.x - gap = nu - 1/d
+    [(y, rho, gap, steps, failure)] = newton_core(
+        shift, np.eye(d, dtype=complex)[None] / d, vecs, np.zeros((1, len(vecs))), floor
     )
     c = 1.0 / d + float(shift @ y)
     nu = -np.inf if rho is None else (1.0 - float(np.trace(rho).real)) / d
     bounds = f"lambda* in [{nu:.3e}, {c:.3e}]"
     note = f"{failure}; {bounds}" if failure else ""
     res = FeasibilityResult(INDETERMINATE, c, iterations=steps, note=note, lambda_interval=(nu, c))
+    res.sign_only = not failure and gap > GAP_TOL
     if nu > FEASIBILITY_THRESHOLD:
         witness = rho + nu * np.eye(d)
         witness /= np.trace(witness).real
@@ -292,13 +302,22 @@ def max_min_eig_over_slice(constraints):
     return res
 
 
+def _decide_sign(market):
+    """The kept decision, or one stopped at its certified sign; no witness: the full one."""
+    cs = build_constraints(discount(market))
+    if cs.decision is None:
+        cs.decision = max_min_eig_over_slice(cs, sign_only=True)
+    return cs.decision if cs.decision.status == FAITHFUL_STATE_FOUND else check_no_arbitrage(market)
+
+
 def check_no_arbitrage(market):
     """Fundamental-theorem decision: faithful witness or positive-claim certificate.
 
-    The decision is kept on the market's constraint set, and every later
-    call on the same market returns that same result object.
+    The market's constraint set keeps the most complete decision so far: a
+    sign-only one, pricing's, is decided again, and every later call on the
+    same market returns that same result object.
     """
     cs = build_constraints(discount(market))
-    if cs.decision is None:
+    if cs.decision is None or cs.decision.sign_only:
         cs.decision = max_min_eig_over_slice(cs)
     return cs.decision

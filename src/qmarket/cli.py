@@ -58,6 +58,8 @@ def _decode_matrix(rows, where):
         mat = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{where}: matrix entries must be [re, im] pairs") from exc
+    if any(isinstance(x, bool) for row in rows for pair in row for x in pair):
+        raise ValidationError(f"{where}: matrix entries must be numbers, not booleans")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValidationError(f"{where}: matrix must be square")
     if not np.isfinite(mat).all():
@@ -104,7 +106,10 @@ FIELDS = {
 
 
 def _typed(value, kind, where):
-    """``value`` read as ``kind``, a type of FIELDS; an int refuses a non-integral number."""
+    """``value`` read as ``kind``, a type of FIELDS; a number is checked, never converted.
+
+    A float takes an int or a finite float, an int only an int; neither takes a bool.
+    """
     if isinstance(kind, list):
         items = _typed(value, list, where)
         return [_typed(v, kind[0], f"{where}[{i}]") for i, v in enumerate(items)]
@@ -114,13 +119,13 @@ def _typed(value, kind, where):
         raise ValidationError(f"{where} must be {'|'.join(kind)}, got {value!r}")
     if not isinstance(kind, type):
         return kind(value, where)
-    truncates = kind is int and isinstance(value, float) and not value.is_integer()
+    takes = (int, float) if kind is float else kind
     try:
-        if not truncates and (kind not in (str, list, dict) or isinstance(value, kind)):
+        if isinstance(value, takes) and not isinstance(value, bool):
             out = kind(value)
             if kind is not float or math.isfinite(out):
                 return out
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
         pass
     what = {float: "a finite float", str: "a string", dict: "a mapping"}.get(kind, kind.__name__)
     raise ValidationError(f"{where} must be {what}, got {value!r}")

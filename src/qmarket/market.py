@@ -220,6 +220,11 @@ class MarketModel:
                 if len(proc) != T + 1:
                     raise ValidationError(f"asset {j} has wrong process length")
                 for t, s in enumerate(proc):
+                    if len(s) != filtration.dim:
+                        raise ValidationError(
+                            f"asset {j} at t={t} is {len(s)} x {len(s)}, "
+                            f"the market's dimension is {filtration.dim}"
+                        )
                     if min_eigenvalue(s) < -POSITIVITY_TOL:
                         raise ValidationError(f"asset {j} not positive at t={t}")
                     if not filtration[t].contains(s):
@@ -353,10 +358,10 @@ class MartingaleConstraintSet:
 
     ``vecs`` holds the herm-vec rows of the G_m; subclasses set ``dim`` and ``vecs``.
     ``perp`` is read-only; ``slice_step`` gives the directions of the slice of
-    martingale states; ``decision`` keeps the no-arbitrage result.
+    martingale states; ``decision`` keeps the most complete no-arbitrage result.
     """
 
-    decision = None  # check_no_arbitrage's result, set once decided
+    decision = None  # pricing's sign-only decision until check_no_arbitrage decides in full
 
     def __init__(self, dim, operators):
         self.dim = int(dim)

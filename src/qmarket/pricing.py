@@ -10,7 +10,8 @@ alpha - tau logdet(alpha I + k - A) over (alpha, k), the solver that also
 decides no-arbitrage; ``price_bounds`` hedges A and -A in one stacked solve.
 Its dual estimate rho is a martingale state, and alpha - tr(rho A) is the
 certified gap of the price; the solve stops once that gap is below GAP_TOL,
-relative to max(1, |A|_2).
+relative to max(1, |A|_2).  An attainable price's witness is a certified
+faithful martingale state, not the one that maximises lambda_min.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arbitrage import FAITHFUL_STATE_FOUND, NO_FAITHFUL_STATE, check_no_arbitrage, newton_core
+from .arbitrage import FAITHFUL_STATE_FOUND, NO_FAITHFUL_STATE, _decide_sign, newton_core
 from .errors import ArbitrageError, InternalConsistencyError, SolverError, ValidationError
 from .market import MartingaleConstraintSet, TradingStrategy, attainable_space
 from .operators import as_hermitian, herm_to_vec, hs_inner, vec_to_herm
@@ -89,6 +90,10 @@ def _require_discounted(market):
 
 def _require_terminal_observable(a, market):
     a = as_hermitian(a)
+    if len(a) != market.dim:
+        raise ValidationError(
+            f"claim is {len(a)} x {len(a)}, the market's dimension is {market.dim}"
+        )
     if not market.filtration[market.horizon].contains(a):
         raise ValidationError("claim is not adapted to the terminal algebra A_T")
     return a
@@ -152,8 +157,9 @@ def price_bounds(a, market):
     """Arbitrage-free price interval [inf, sup] of tr(rho A) over martingale states."""
     _require_discounted(market)
     a = _require_terminal_observable(a, market)
-    rep = replicate(a, market)
-    na = check_no_arbitrage(market)
+    space = attainable_space(market)
+    rep = _split(a, space)
+    na = _decide_sign(market)
     if na.status == NO_FAITHFUL_STATE:
         raise ArbitrageError(
             "market admits arbitrage; price bounds undefined",
@@ -162,7 +168,6 @@ def price_bounds(a, market):
     if na.status != FAITHFUL_STATE_FOUND:
         raise SolverError(f"no-arbitrage decision is indeterminate: {na.note}")
 
-    space = attainable_space(market)
     # P(A) is the part of A outside span(I, K): |P(A)| = rep.residual
     q_norm = float(np.linalg.norm(space.slice_step(herm_to_vec(a))))
     if (q_norm <= ATTAINABLE_RESIDUAL_TOL * rep.scale) != rep.attainable:
@@ -237,7 +242,7 @@ def optional_decomposition(values, market):
     d = market.dim
     v0 = float(np.trace(vals[0]).real) / d
 
-    na = check_no_arbitrage(market)
+    na = _decide_sign(market)
     if na.status != FAITHFUL_STATE_FOUND:
         raise ArbitrageError("optional decomposition requires an arbitrage-free market")
     if not supermartingale_check(vals, na.witness_state, market):

@@ -17,10 +17,12 @@ import qmarket.pricing as pricing_mod
 from qmarket.arbitrage import (
     CLAIM_PSD_TOL,
     FAITHFUL_STATE_FOUND,
+    FEASIBILITY_THRESHOLD,
     NO_FAITHFUL_STATE,
     build_constraints,
     check_no_arbitrage,
     is_martingale_state,
+    max_min_eig_over_slice,
 )
 from qmarket.binomial import (
     NPeriodSpec,
@@ -30,7 +32,7 @@ from qmarket.binomial import (
     crr_price,
 )
 from qmarket.cli import parse_scenario, run
-from qmarket.errors import InternalConsistencyError
+from qmarket.errors import ArbitrageError, InternalConsistencyError
 from qmarket.market import (
     Filtration,
     MarketModel,
@@ -39,7 +41,7 @@ from qmarket.market import (
     discount,
     gain_process,
 )
-from qmarket.operators import SX, apply_function, herm_to_vec, vec_to_herm
+from qmarket.operators import SX, apply_function, herm_to_vec, min_eigenvalue, vec_to_herm
 from qmarket.pricing import (
     INTERVAL_WIDTH_TOL,
     _super_hedge,
@@ -377,6 +379,9 @@ def test_attainable_claim_runs_no_barrier(monkeypatch):
 
 
 def test_no_arbitrage_is_decided_once_per_market(monkeypatch):
+    # pricing reads only the decision's sign, and its solve stops there;
+    # check_no_arbitrage then decides lambda* in full, once, and that full
+    # decision serves every later call, pricing too
     solves = count_calls(monkeypatch, arbitrage_mod, "newton_core")
     mkt = nperiod_market(2)
     for strike in (100.0, 90.0):
@@ -385,8 +390,54 @@ def test_no_arbitrage_is_decided_once_per_market(monkeypatch):
             crr_price(2, 100.0, strike, 0.05, -0.1, 0.2), abs=1e-9
         )
     assert len(solves) == 1
-    assert check_no_arbitrage(mkt) is check_no_arbitrage(mkt)
+    res = check_no_arbitrage(mkt)
+    assert len(solves) == 2 and not res.sign_only
+    assert check_no_arbitrage(mkt) is res
+    assert len(solves) == 2
+
+    solves.clear()
+    mkt = nperiod_market(2)
+    check_no_arbitrage(mkt)
+    prices = [price_bounds(call_payoff(mkt, strike), mkt) for strike in (100.0, 90.0)]
     assert len(solves) == 1
+    # the full decision's witness prices as it did before pricing stopped at the sign
+    assert [(iv.lower, iv.upper) for iv in prices] == [
+        (13.605442176870731, 13.605442176870731),
+        (20.408163265306104, 20.408163265306104),
+    ]
+
+
+@pytest.mark.parametrize("r", [0.0, 0.03, 0.12])
+@pytest.mark.parametrize("n,most", [(1, 3), (2, 3), (3, 3), (4, 8), (5, 8)])
+def test_the_sign_only_decision_certifies_a_faithful_witness_in_few_steps(n, most, r):
+    mkt = discount(build_n_period(NPeriodSpec(n, -0.1, 0.2, r, 100.0)))
+    cs = build_constraints(mkt)
+    sign, full = max_min_eig_over_slice(cs, sign_only=True), max_min_eig_over_slice(cs)
+    assert sign.status == full.status == FAITHFUL_STATE_FOUND
+    assert sign.sign_only and sign.iterations <= most
+    assert not full.sign_only and 13 <= full.iterations <= 26
+    nu, c = sign.lambda_interval
+    assert FEASIBILITY_THRESHOLD < nu <= full.lambda_star <= c
+    assert min_eigenvalue(sign.witness_state.mat) >= nu
+    assert is_martingale_state(sign.witness_state, mkt, tol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("r", [-0.2, -0.1, 0.2, 0.25], ids=["below", "at_a", "at_b", "above"])
+def test_pricing_an_arbitrage_market_raises_the_decisions_certificate(n, r):
+    # the sign-only solve of a market without a faithful state runs to its
+    # gap: it is the full decision, certificate and all
+    def market():
+        return discount(build_n_period(NPeriodSpec(n, -0.1, 0.2, r, 100.0)))
+
+    mkt = market()
+    with pytest.raises(ArbitrageError) as raised:
+        price_bounds(call_payoff(mkt, 100.0), mkt)
+    res = check_no_arbitrage(market())
+    assert res.status == NO_FAITHFUL_STATE
+    assert raised.value.certificate.tobytes() == res.arbitrage_claim.tobytes()
+    kept = check_no_arbitrage(mkt)
+    assert not kept.sign_only and kept.arbitrage_claim is raised.value.certificate
 
 
 def qubit_market():
@@ -426,13 +477,14 @@ def test_barrier_agrees_with_replication(name):
 @pytest.mark.parametrize("name,residual", [("nperiod2", 1.0), ("trinomial", 0.0)])
 def test_forged_replication_residual_is_caught(monkeypatch, name, residual):
     mkt = ORACLE_MARKETS[name]()
+    split = pricing_mod._split
 
-    def forged(a, market):
-        rep = replicate(a, market)
+    def forged(target, space):
+        rep = split(target, space)
         rep.residual = residual
         return rep
 
-    monkeypatch.setattr(pricing_mod, "replicate", forged)
+    monkeypatch.setattr(pricing_mod, "_split", forged)
     with pytest.raises(InternalConsistencyError, match="attainability disagreement"):
         price_bounds(call_payoff(mkt, 100.0), mkt)
 

@@ -536,6 +536,69 @@ def test_main_rejects_a_negative_seed_from_the_scenario_or_the_option(tmp_path, 
     assert "--seed" in capsys.readouterr().err
 
 
+# a number field takes a number as written: no bool and no quoted string is converted
+NOT_A_NUMBER = [
+    pytest.param("market.x0", QUBIT_YAML.replace("x0: 0.05", "x0: false"), id="x0_bool"),
+    pytest.param("market.x1", QUBIT_YAML.replace("x1: 0.15", 'x1: "0.15"'), id="x1_string"),
+    pytest.param(
+        "claims[0].strike", QUBIT_YAML.replace("strike: 100.0", 'strike: "1e2"'), id="strike_string"
+    ),
+    pytest.param("solver.seed", QUBIT_YAML.replace("seed: 42", "seed: false"), id="seed_bool"),
+    pytest.param(
+        "claims[0].entries",
+        TWO_PERIOD_EXPLICIT_YAML.replace("[[0.0, 0.0], [1.0, 0.0]]", "[[true, 0.0], [1.0, 0.0]]"),
+        id="matrix_entry_bool",
+    ),
+]
+
+
+@pytest.mark.parametrize("field,text", NOT_A_NUMBER)
+def test_main_rejects_a_number_field_that_is_not_a_number(tmp_path, capsys, field, text):
+    scen = write(tmp_path, text)
+    assert main(["price", "--scenario", scen]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+
+
+WRONG_SIZE = [
+    pytest.param(
+        "asset 0 at t=0 is 2 x 2, the market's dimension is 3",
+        """
+market:
+  kind: explicit
+  dim: 3
+  bank: [1.0, 1.0]
+  filtration: [trivial, full]
+  assets:
+    - - [[[100.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [100.0, 0.0]]]
+      - [[[90.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [120.0, 0.0]]]
+claims:
+  - name: call
+    type: call
+    strike: 100.0
+""",
+        id="explicit_assets_2x2_in_dim_3",
+    ),
+    pytest.param(
+        "claim is 3 x 3, the market's dimension is 2",
+        QUBIT_YAML.replace(
+            "type: call\n    strike: 100.0",
+            "type: matrix\n    entries: [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],"
+            " [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]",
+        ),
+        id="matrix_claim_3x3_on_the_qubit",
+    ),
+]
+
+
+@pytest.mark.parametrize("message,text", WRONG_SIZE)
+def test_main_names_both_dimensions_of_an_operator_of_the_wrong_size(
+    tmp_path, capsys, message, text
+):
+    assert main(["price", "--scenario", write(tmp_path, text)]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
 def test_null_fields_keep_their_meaning():
     # a null claims list is an error; a null solver or pauli takes its default
     with pytest.raises(ValidationError, match=r"scenario\.claims"):
