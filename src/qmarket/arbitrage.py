@@ -11,9 +11,12 @@ F + alpha I + k >= 0 over k in K.  :func:`newton_core` solves it by Newton
 steps on the log-det barrier for a geometric schedule of tau (Vandenberghe
 & Boyd, "Semidefinite Programming", SIAM Review 38, 1996, sections 3 and
 6); each centred step's dual estimate rho bounds the optimum from below, so
-the solve stops on a certified gap.  It solves a stack of such programs
-that share K in one pass, each on its own tau path: the two ends of a
-price interval are one call.
+the solve stops on a certified gap.  A Newton step goes at least the damped
+length 1/(1 + |S|_F) of a self-concordant barrier (Nesterov, "Introductory
+Lectures on Convex Optimization", 2004, section 4.1.5), so a tau stage of a
+one-generator decision takes about one step.  It solves a stack of such
+programs that share K in one pass, each on its own tau path: the two ends of
+a price interval are one call.
 
 For the decision, lambda* = max lambda_min(rho) over martingale states is
 min{c : Z = c I + k >= 0, tr Z = 1, k in K}.  With T_i = K_i - tr(K_i)/d I,
@@ -50,7 +53,7 @@ GAP_TOL = 1e-10  # the Newton core stops once its certified gap is below this
 TAU_STEP = 0.005  # tau schedule 1, TAU_STEP, TAU_STEP^2, ...
 NEWTON_TOL = 1e-2  # squared Newton decrement at which an iterate counts as centred
 NEWTON_STEPS = 500
-SOLVE_TOL = 1e-12  # backward error below which a least-squares Newton step solves its system
+SOLVE_TOL = 1e-12  # relative error below which a Newton step solves its system
 WHITEN_ROWS = 64  # basis rows whitened per block, which bounds the solver's working set
 LINE_GRID = 2.0 ** (-np.arange(320) / 8)  # trial step lengths 2^(-k/8) from 1 down to 1e-12
 # LINE_WINDOWS[k] holds the 64 grid steps from the k-th on, NaN past the end of the grid
@@ -115,6 +118,17 @@ def newton_core(objective, offsets, rows, starts, floor=None):
     takes the minimum-norm least-squares step, and a rho from such a step
     counts only if the step solves the system to rounding (SOLVE_TOL).
 
+    The line search takes the longest step on the grid 2^(-k/8) at which
+    c.x - tau logdet X still descends, and a step that solves its system
+    goes at least the damped length t = 1/(1 + |S|_F): with mu the
+    eigenvalues of S, every 1 + t mu_i >= t > 0, and as c.s =
+    tau (tr S - |S|_F^2) the slope tau sum_i mu_i^2 (t - 1 - t mu_i) /
+    (1 + t mu_i) is not positive up to that t.  Without it the grid falls
+    just short of the next centre after each tau cut, and each stage pays
+    two corrector steps.  An ill-conditioned solve at small tau can miss
+    that identity, so the damped step is taken only where it holds to
+    SOLVE_TOL.
+
     With a ``floor``, a problem also leaves, certified, at a centred iterate
     whose certified lower bound c.x - gap is above it.
 
@@ -161,7 +175,8 @@ def newton_core(objective, offsets, rows, starts, floor=None):
         else:
             span = (x[:, lead:] @ mats.reshape(len(rows), d * d)).reshape(-1, d, d)
         lam, vecs = np.linalg.eigh(offsets + span)
-        lam += (x @ objective)[:, None]
+        values = x @ objective
+        lam += values[:, None]
         lows = lam[:, 0].tolist()
         if min(lows) <= 0.0:
             verdicts = ["iterate is not positive definite" if low <= 0.0 else False for low in lows]
@@ -169,7 +184,8 @@ def newton_core(objective, offsets, rows, starts, floor=None):
             if not ids:
                 return out
             x, offsets, tau, lam, vecs = x[keep], offsets[keep], tau[keep], lam[keep], vecs[keep]
-        size, values = len(ids), (x @ objective).tolist()
+            values = values[keep]
+        size, values = len(ids), values.tolist()
         good, w = x, vecs / np.sqrt(lam)[:, None, :]
         # whiten B_i = c_i I + G_{i-l} in blocks: M_i = c_i diag(1 / lam) + W* G W
         m, rhs = m_all[:size], rhs_all[:size]
@@ -244,6 +260,14 @@ def newton_core(objective, offsets, rows, starts, floor=None):
             for j, k in enumerate(descent.argmax(axis=1).tolist()):
                 if descent[j, k] and not lengths[j]:
                     lengths[j] = grid[j, k]
+                    # a step that solves its Newton system, c.s = tau (tr S - |S|_F^2),
+                    # descends up to the damped step 1/(1 + |S|_F), which the grid can miss
+                    damped = 1.0 / (1.0 + math.sqrt(decs[j]))
+                    if damped > lengths[j]:
+                        trace = float(s_vec[j, :d].sum())
+                        miss = abs(rates[j, 0] - tau[j] * (trace - decs[j]))
+                        if miss <= SOLVE_TOL * tau[j] * (abs(trace) + decs[j]):
+                            lengths[j] = damped
             if all(lengths):
                 break
         if any(done) or not all(lengths):

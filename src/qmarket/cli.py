@@ -314,6 +314,7 @@ def run(command, scenario, samples=100):
                     payload["unique_price"] = iv.unique_price
                     payload["replication_alpha"] = iv.replication.alpha
                 results[entry["name"]] = payload
+                diagnostics.setdefault("newton_steps", {})[entry["name"]] = list(iv.steps)
     elif command == "disk":
         if scenario["market"]["kind"] != "qubit":
             raise ValidationError("disk command requires a qubit market scenario")

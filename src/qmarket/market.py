@@ -203,6 +203,12 @@ def tensor_qubit_filtration(n_periods):
     )
 
 
+def require_dim(mat, dim, what):
+    """Reject a square operator that is not dim x dim, naming both sizes."""
+    if len(mat) != dim:
+        raise ValidationError(f"{what} is {len(mat)} x {len(mat)}, the market's dimension is {dim}")
+
+
 class MarketModel:
     """Bank account B_0..B_T plus d adapted positive asset processes."""
 
@@ -220,11 +226,7 @@ class MarketModel:
                 if len(proc) != T + 1:
                     raise ValidationError(f"asset {j} has wrong process length")
                 for t, s in enumerate(proc):
-                    if len(s) != filtration.dim:
-                        raise ValidationError(
-                            f"asset {j} at t={t} is {len(s)} x {len(s)}, "
-                            f"the market's dimension is {filtration.dim}"
-                        )
+                    require_dim(s, filtration.dim, f"asset {j} at t={t}")
                     if min_eigenvalue(s) < -POSITIVITY_TOL:
                         raise ValidationError(f"asset {j} not positive at t={t}")
                     if not filtration[t].contains(s):
@@ -293,6 +295,7 @@ class TradingStrategy:
             if t < 1 or t > filtration.horizon:
                 raise ValidationError(f"strategy period {t} outside 1..{filtration.horizon}")
             for _a, mat in pairs:
+                require_dim(mat, filtration.dim, f"strategy coefficient at period {t}")
                 if not filtration[t - 1].contains(mat):
                     raise ValidationError(
                         f"strategy coefficient at period {t} is not in A_{t - 1}"

@@ -22,7 +22,7 @@ import numpy as np
 
 from .arbitrage import FAITHFUL_STATE_FOUND, NO_FAITHFUL_STATE, _decide_sign, newton_core
 from .errors import ArbitrageError, InternalConsistencyError, SolverError, ValidationError
-from .market import MartingaleConstraintSet, TradingStrategy, attainable_space
+from .market import MartingaleConstraintSet, TradingStrategy, attainable_space, require_dim
 from .operators import as_hermitian, herm_to_vec, hs_inner, vec_to_herm
 from .quantum import DensityState
 
@@ -45,6 +45,7 @@ class Replication:
     space: MartingaleConstraintSet = field(repr=False)
     residual: float
     scale: float = 1.0
+    steps: int = 0  # Newton steps of the super-hedge solve; 0 for a projection
 
     @property
     def attainable(self):
@@ -64,6 +65,7 @@ class PriceInterval:
     attainable: bool
     witness_states: tuple = (None, None)
     gaps: tuple = (0.0, 0.0)
+    steps: tuple = (0, 0)  # each end's super-hedge Newton steps; (0, 0) when attainable
     replication: Optional[Replication] = field(default=None, repr=False)
     hedge: Optional[Replication] = field(default=None, repr=False)  # the upper super-hedge
     unique_price: Optional[float] = None  # the replication's alpha when attainable
@@ -90,10 +92,7 @@ def _require_discounted(market):
 
 def _require_terminal_observable(a, market):
     a = as_hermitian(a)
-    if len(a) != market.dim:
-        raise ValidationError(
-            f"claim is {len(a)} x {len(a)}, the market's dimension is {market.dim}"
-        )
+    require_dim(a, market.dim, "claim")
     if not market.filtration[market.horizon].contains(a):
         raise ValidationError("claim is not adapted to the terminal algebra A_T")
     return a
@@ -128,9 +127,9 @@ def _super_hedge(targets, space):
     One stacked Newton core over x = (alpha, k) for the (B, d, d) ``targets``,
     each on its scale max(1, |target|_2) and from its strictly feasible
     alpha = lambda_max + 1, k = 0.  Returns one (hedge, witness rho, gap) per
-    target.  Each dual rho has tr rho = 1 and tr(rho K_i) = 0, and the gap
-    alpha - tr(rho target) is certified to GAP_TOL times the scale; a solve
-    that stops short of it raises SolverError.
+    target; the hedge carries its Newton steps.  Each dual rho has tr rho = 1
+    and tr(rho K_i) = 0, and the gap alpha - tr(rho target) is certified to
+    GAP_TOL times the scale; a solve that stops short of it raises SolverError.
     """
     scale = np.maximum(1.0, np.linalg.norm(targets, 2, axis=(1, 2)))
     a = targets / scale[:, None, None]
@@ -138,7 +137,7 @@ def _super_hedge(targets, space):
     objective[0] = 1.0
     starts = np.outer(np.linalg.eigvalsh(a)[:, -1] + 1.0, objective)
     out = []
-    for (x, rho, gap, _, failure), a_b, scale_b in zip(
+    for (x, rho, gap, steps, failure), a_b, scale_b in zip(
         newton_core(objective, -a, space.vecs, starts), a, scale.tolist()
     ):
         if failure:
@@ -148,7 +147,7 @@ def _super_hedge(targets, space):
             raise SolverError(f"super-hedge witness is not positive definite: {lam:.3e}")
         slack = vec_to_herm(x[1:] @ space.vecs, space.dim) + x[0] * np.eye(space.dim) - a_b
         residual = float(np.linalg.norm(slack)) * scale_b
-        hedge = Replication(float(x[0] * scale_b), x[1:] * scale_b, space, residual, scale_b)
+        hedge = Replication(float(x[0] * scale_b), x[1:] * scale_b, space, residual, scale_b, steps)
         out.append((hedge, rho, gap * scale_b))
     return out
 
@@ -191,7 +190,7 @@ def price_bounds(a, market):
     return PriceInterval(
         -lower.alpha, upper.alpha, attainable=False,
         witness_states=(DensityState(rho_lo), DensityState(rho_hi)),
-        gaps=(gap_lo, gap_hi), replication=rep, hedge=upper,
+        gaps=(gap_lo, gap_hi), steps=(lower.steps, upper.steps), replication=rep, hedge=upper,
     )
 
 
@@ -237,6 +236,7 @@ def optional_decomposition(values, market):
         raise ValidationError("value process length does not match the horizon")
     vals = [as_hermitian(v) for v in values]
     for t, v in enumerate(vals):
+        require_dim(v, market.dim, f"value process at t={t}")
         if not market.filtration[t].contains(v):
             raise ValidationError(f"value process not adapted at t={t}")
     d = market.dim

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmarket.arbitrage import (
     CLAIM_PSD_TOL,
@@ -411,6 +413,62 @@ def test_inexact_least_squares_steps_certify_nothing(monkeypatch):
     res = max_min_eig_over_slice(cs)
     assert res.status == INDETERMINATE and res.witness_state is None
     assert res.lambda_interval[0] == -np.inf
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.integers(2, 8), st.floats(1e-3, 1e3), st.floats(1e-12, 1.0), st.integers(0, 2**32 - 1))
+def test_the_damped_step_of_a_newton_step_still_descends(d, size, tau, seed):
+    # along a Newton step with whitened S, c.s = tau (tr S - |S|_F^2); at
+    # t = 1 / (1 + |S|_F) every 1 + t mu_i is positive and the line search's
+    # descent test holds, so the damped step needs no test of its own
+    s = random_hermitian(np.random.default_rng(seed), d)
+    s *= size / np.linalg.norm(s)
+    mu = np.linalg.eigvalsh(s)
+    rate = tau * (np.trace(s).real - np.linalg.norm(s) ** 2)
+    t = 1.0 / (1.0 + np.linalg.norm(s))
+    assert 1.0 + t * mu[0] > 0.0
+    assert rate <= tau * (mu / (1.0 + t * mu)).sum()
+
+
+def test_a_step_that_misses_its_newton_identity_keeps_the_grid_step(monkeypatch):
+    # an ill-conditioned solve at small tau can return a step with
+    # c.s != tau (tr S - |S|_F^2), which need not descend up to the damped
+    # step; a solve scaled by 1 + 1e-9 misses it everywhere, and the decision
+    # takes the 13-14 grid steps it took before the damped step
+    want = {r: check_no_arbitrage(qubit_market(r)) for r in (0.0, 0.3)}
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-9))
+    for r, ref in want.items():
+        res = check_no_arbitrage(qubit_market(r))
+        assert res.status == ref.status and ref.iterations == 7 and res.iterations >= 13
+        assert res.lambda_star == pytest.approx(ref.lambda_star, abs=1e-10)
+
+
+def diagonal_market(d, r):
+    """Single-period commutative market diag(100 (1 + rates)) on C^d, rates in [-0.1, 0.2]."""
+    rates = np.linspace(-0.1, 0.2, d)
+    filt = Filtration([OperatorAlgebra.trivial(d), OperatorAlgebra.full(d)])
+    s1 = 100.0 * np.diag(1.0 + rates).astype(complex)
+    return MarketModel(filt, [1.0, 1.0 + r], [[100.0 * np.eye(d, dtype=complex), s1]])
+
+
+ONE_GENERATOR_MARKETS = {  # each band is [-0.1, 0.2]
+    "qubit": qubit_market,
+    "nperiod1": lambda r: build_n_period(NPeriodSpec(1, -0.1, 0.2, r, 100.0)),
+    "trinomial": trinomial_market,
+    **{f"diagonal{d}": functools.partial(diagonal_market, d) for d in range(3, 9)},
+}
+
+
+@pytest.mark.parametrize("r", [-0.2, 0.0, 0.03, 0.12, 0.3])
+@pytest.mark.parametrize("name", sorted(ONE_GENERATOR_MARKETS))
+def test_one_generator_decisions_take_few_newton_steps(name, r):
+    # with the damped step a tau stage takes about one Newton step; on the
+    # grid step alone these decisions took 12-16
+    res = check_no_arbitrage(ONE_GENERATOR_MARKETS[name](r))
+    assert res.status == (FAITHFUL_STATE_FOUND if -0.1 < r < 0.2 else NO_FAITHFUL_STATE)
+    most = 8 if name in ("qubit", "nperiod1") else 10
+    assert 1 <= res.iterations <= most
 
 
 # --- lambda* against the oracle ascent -----------------------------------------

@@ -159,6 +159,17 @@ def test_price_and_interval_report_each_end_gap():
         assert 0.0 < out["lower_gap"] <= 1e-10 * 20.0 and 0.0 < out["upper_gap"] <= 1e-10 * 20.0
 
 
+def test_price_and_interval_report_each_end_newton_steps(tmp_path):
+    # the super-hedge steps of each end, [lower, upper]; none for an attainable claim
+    out = tmp_path / "report.json"
+    cases = ((TRINOMIAL_YAML, {"call": [9, 20]}), (QUBIT_YAML, {"atm_call": [0, 0]}))
+    for command in ("price", "interval"):
+        for text, steps in cases:
+            scen = write(tmp_path, text)
+            assert main([command, "--scenario", scen, "--out", str(out)]) == EXIT_OK
+            assert json.loads(out.read_text())["diagnostics"] == {"newton_steps": steps}
+
+
 def test_run_price_qubit_call():
     report, code = run("price", parse_scenario(QUBIT_YAML))
     assert code == EXIT_OK

@@ -132,6 +132,12 @@ def test_gain_adaptedness_enforced():
         gain_process(h, mkt)
 
 
+def test_strategy_coefficient_of_the_wrong_size_names_both_dimensions():
+    h = TradingStrategy({(1, 0): [(1.0, np.eye(3))]})
+    with pytest.raises(ValidationError, match="at period 1 is 3 x 3, the market's dimension is 2"):
+        gain_process(h, qubit_market())
+
+
 def test_replication_strategy_gain_matches_payoff_minus_price():
     # gamma (S1bar - S0) = discounted payoff - price, with gamma = 2/3
     mkt = qubit_market()

@@ -309,6 +309,11 @@ def test_optional_decomposition_rejects_submartingale():
         optional_decomposition([np.eye(2), 2.0 * np.eye(2)], mkt)
 
 
+def test_optional_decomposition_names_both_dimensions_of_a_value_of_the_wrong_size():
+    with pytest.raises(ValidationError, match="at t=0 is 3 x 3, the market's dimension is 2"):
+        optional_decomposition([np.eye(3)] * 2, qubit_market())
+
+
 def test_optional_decomposition_random_markets(rng):
     for _ in range(5):
         mkt = random_market(rng, 3, 2)
