@@ -28,6 +28,12 @@ Z - c I = sum_i y_i K_i >= -c I the positive attainable claim.  A band edge
 of a binomial market (r = a or r = b), where lambda* = 0, is decided with a
 certificate too.  Pricing reads only the sign, so its decision stops once
 nu certifies a faithful witness; ``check_no_arbitrage`` runs to the gap.
+
+Neither runs the solver where K factorizes, as on a K of rank one and on
+the paper's N-period binomial market, a tensor product of one-period qubit
+markets: :func:`product_decision` brackets lambda* by tensor products of
+per-period optima, each from one eigh, and decides wherever that bracket
+is as tight as the solver's gap.
 """
 
 import math
@@ -36,9 +42,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError
 # MartingaleConstraintSet is re-exported here
-from .market import MartingaleConstraintSet, attainable_space, discount
+from .market import SPAN_TOL, MartingaleConstraintSet, attainable_space, discount, require_dim
 from .operators import as_hermitian, herm_to_vec, vec_to_herm
 from .quantum import DensityState
 
@@ -84,11 +89,10 @@ def build_constraints(market):
 
 def is_martingale_state(rho, market, tol=1e-8):
     """True iff rho annihilates every (unit-norm) martingale constraint."""
+    mat = rho.mat if isinstance(rho, DensityState) else rho
+    require_dim(mat, market.dim, "state")
     cs = build_constraints(discount(market))
-    mat = as_hermitian(rho.mat if isinstance(rho, DensityState) else rho)
-    if mat.shape[0] != market.dim:
-        raise ValidationError(f"dimension mismatch: state {mat.shape[0]}, market {market.dim}")
-    return bool(np.all(np.abs(cs.vecs @ herm_to_vec(mat)) <= tol))
+    return bool(np.all(np.abs(cs.vecs @ herm_to_vec(as_hermitian(mat))) <= tol))
 
 
 # --- the Newton core ---------------------------------------------------------
@@ -285,6 +289,26 @@ def newton_core(objective, offsets, rows, starts, floor=None):
     return out
 
 
+def _settle(res, witness, claim, vecs):
+    """Set res's status from its [nu, c] and return it.
+
+    nu above FEASIBILITY_THRESHOLD certifies the ``witness`` state, whose
+    residual max_m |tr(witness G_m)| is read off the state as reported; c at
+    or below it makes the positive attainable ``claim``, scaled to unit
+    trace, the certificate; any other interval is INDETERMINATE, with its
+    bounds in the note.
+    """
+    nu, c = res.lambda_interval
+    if nu > FEASIBILITY_THRESHOLD:
+        res.status, res.witness_state = FAITHFUL_STATE_FOUND, witness
+        res.witness_residual = float(np.abs(vecs @ herm_to_vec(witness.mat)).max(initial=0.0))
+    elif c <= FEASIBILITY_THRESHOLD:
+        res.status, res.arbitrage_claim = NO_FAITHFUL_STATE, claim / np.trace(claim).real
+    else:
+        res.note = res.note or f"lambda* in [{nu:.3e}, {c:.3e}]"
+    return res
+
+
 def max_min_eig_over_slice(constraints, sign_only=False):
     """Decide max lambda_min(rho) over the martingale-state slice by the Newton core.
 
@@ -308,29 +332,106 @@ def max_min_eig_over_slice(constraints, sign_only=False):
     )
     c = 1.0 / d + float(shift @ y)
     nu = -np.inf if rho is None else (1.0 - float(np.trace(rho).real)) / d
-    bounds = f"lambda* in [{nu:.3e}, {c:.3e}]"
-    note = f"{failure}; {bounds}" if failure else ""
+    note = f"{failure}; lambda* in [{nu:.3e}, {c:.3e}]" if failure else ""
     res = FeasibilityResult(INDETERMINATE, c, iterations=steps, note=note, lambda_interval=(nu, c))
     res.sign_only = not failure and gap > GAP_TOL
+    witness = None
     if nu > FEASIBILITY_THRESHOLD:
         witness = rho + nu * np.eye(d)
-        witness /= np.trace(witness).real
-        res.status, res.witness_state = FAITHFUL_STATE_FOUND, DensityState(witness)
-        res.witness_residual = float(np.abs(vecs @ herm_to_vec(witness)).max(initial=0.0))
-    elif c <= FEASIBILITY_THRESHOLD:
-        # Z - c I = sum_i y_i K_i: in K by construction, and >= -c I
-        claim = vec_to_herm(y @ vecs, d)
-        res.status, res.arbitrage_claim = NO_FAITHFUL_STATE, claim / np.trace(claim).real
-    else:
-        res.note = note or bounds
-    return res
+        witness = DensityState(witness / np.trace(witness).real)
+    # Z - c I = sum_i y_i K_i: in K by construction, and >= -c I
+    return _settle(res, witness, vec_to_herm(y @ vecs, d), vecs)
+
+
+def _factor_pieces(constraints):
+    """[(n, D)] with K = sum_t Herm(M_{n_1...n_{t-1}}) (x) D_t (x) I, or None.
+
+    The pieces split C^d as C^{n_1} (x) ... (x) C^{n_T}, and D is Hermitian
+    on its piece, or None for a period that attains nothing.  A K of rank at
+    most one is one piece, its element on C^d.  A factor filtration whose
+    every W_t (see :class:`qmarket.market.PeriodSpan`) holds at most one
+    element D_t (x) I has one piece per period: C^{n_t} is the factor that
+    A_t adds to A_{t-1}, and the last period takes the rest of C^d.
+    """
+    d = constraints.dim
+    if constraints.rank <= 1:
+        return [(d, vec_to_herm(constraints.vecs[0], d) if constraints.rank else None)]
+    periods = constraints.periods
+    if any(p.w is None or len(p.w) > 1 for p in periods):
+        return None
+    sizes = [p.w.shape[-1] for p in periods] + [1]  # W_t acts on C^{d / m_{t-1}}
+    pieces = []
+    for p, k, rest in zip(periods, sizes, sizes[1:]):
+        n = k // rest
+        if not len(p.w):
+            pieces.append((n, None))
+            continue
+        d_t = np.trace(p.w[0].reshape(n, rest, n, rest), axis1=1, axis2=3) / rest
+        if np.linalg.norm(p.w[0] - np.kron(d_t, np.eye(rest))) > SPAN_TOL:
+            return None
+        pieces.append((n, d_t))
+    return pieces
+
+
+def product_decision(constraints):
+    """The decision in closed form where K factorizes (``_factor_pieces``), else None.
+
+    On one piece C^n with D's eigenvalues g_1 <= ... <= g_n and s = tr D,
+    max lambda_min over {rho : tr rho = 1, tr rho D = 0} is
+    lambda_t = min(-g_1 / (s - n g_1), g_n / (n g_n - s)), 1/n without D.
+    It is reached at rho_t = lambda_t I + (1 - n lambda_t) v v*, v the
+    eigenvector of the binding end, and bounded by Z_t = lambda_t I + y_t D,
+    which is positive semidefinite of unit trace.  The product state
+    (x)_t rho_t annihilates every Herm(M) (x) D_t (x) I, and
+    (x)_t Z_t - (prod_t lambda_t) I lies in K (split off the last factor
+    and recurse), so lambda* lies in [nu, c] with c = prod_t lambda_t and
+    nu = lambda_min((x)_t rho_t), kept at most c.  When every lambda_t is
+    non-negative, or K is one piece, nu = c up to rounding.  The closed form
+    is taken only where c - nu is within GAP_TOL, the gap at which the Newton
+    core stops; it takes no Newton step.
+    """
+    if constraints.perp is None:
+        return None
+    pieces = _factor_pieces(constraints)
+    if pieces is None:
+        return None
+    witness = bound = np.ones((1, 1))
+    c = 1.0
+    for n, d_t in pieces:
+        if d_t is None:
+            lam, rho, z = 1.0 / n, np.eye(n) / n, np.eye(n) / n
+        else:
+            g, v = np.linalg.eigh(d_t)
+            # s - n g_1 and n g_n - s, both positive: D_t is no multiple of I, as I is not in K
+            low, high = float((g - g[0]).sum()), float((g[-1] - g).sum())
+            if -g[0] * high <= g[-1] * low:
+                lam, vec, z = -g[0] / low, v[:, 0], (d_t - g[0] * np.eye(n)) / low
+            else:
+                lam, vec, z = g[-1] / high, v[:, -1], (g[-1] * np.eye(n) - d_t) / high
+            rho = lam * np.eye(n) + (1.0 - n * lam) * np.outer(vec, vec.conj())
+        witness, bound, c = np.kron(witness, rho), np.kron(bound, z), c * float(lam)
+    witness /= np.trace(witness).real
+    nu = min(float(np.linalg.eigvalsh(witness)[0]), c)
+    if c - nu > GAP_TOL:
+        return None
+    if nu > FEASIBILITY_THRESHOLD:
+        # nu is then the least eigenvalue of the state as reported, after its trace repair
+        witness = DensityState(witness)
+        nu = min(float(np.linalg.eigvalsh(witness.mat)[0]), c)
+    res = FeasibilityResult(INDETERMINATE, c, lambda_interval=(nu, c))
+    return _settle(res, witness, bound - c * np.eye(constraints.dim), constraints.vecs)
+
+
+def _decide(constraints, sign_only=False):
+    """The closed-form decision where K factorizes, else the Newton decision."""
+    return product_decision(constraints) or max_min_eig_over_slice(constraints, sign_only)
 
 
 def _decide_sign(market):
     """The kept decision, or one stopped at its certified sign; no witness: the full one."""
     cs = build_constraints(discount(market))
     if cs.decision is None:
-        cs.decision = max_min_eig_over_slice(cs, sign_only=True)
+        cs.decision = _decide(cs, sign_only=True)
     return cs.decision if cs.decision.status == FAITHFUL_STATE_FOUND else check_no_arbitrage(market)
 
 
@@ -343,5 +444,5 @@ def check_no_arbitrage(market):
     """
     cs = build_constraints(discount(market))
     if cs.decision is None or cs.decision.sign_only:
-        cs.decision = max_min_eig_over_slice(cs)
+        cs.decision = _decide(cs)
     return cs.decision

@@ -163,7 +163,8 @@ class OperatorAlgebra:
 
     def is_subalgebra_of(self, other):
         if self.is_factor and other.is_factor:
-            return self._factor_dim <= other._factor_dim and self.dim == other.dim
+            # B(C^a) (x) I lies in B(C^b) (x) I exactly when C^b = C^a (x) C^(b/a)
+            return other._factor_dim % self._factor_dim == 0 and self.dim == other.dim
         return all(other.contains(b) for b in self.basis)
 
 
@@ -448,7 +449,8 @@ class PeriodSpan(MartingaleConstraintSet):
     K_t = Herm(M_m) (x) W_t, with W_t the span of sum_ac g_ac X_ac over
     Hermitian g, and P (x) w has the preimage h = g (x) P.  The SVD then
     runs on the m^2 block combinations instead of the m^4 basis pairs, and
-    ``_hmaps[j]`` sends coefficients over the W_t basis to asset j's g.
+    ``_hmaps[j]`` sends coefficients over the W_t basis to asset j's g, and
+    ``w`` holds that basis as k x k matrices (None over a generic basis).
     """
 
     def __init__(self, period, algebra, increments):
@@ -466,10 +468,10 @@ class PeriodSpan(MartingaleConstraintSet):
         hmap, rows = _orthonormal_rows(np.concatenate([_pair_images(b) for b in blocks]))
         self._hmaps = np.split(hmap, len(blocks))
         if self._basis is not None:
-            self.vecs = rows
+            self.vecs, self.w = rows, None
         else:
             m, k = self._units
-            w = vec_to_herm(rows, k)
+            self.w = w = vec_to_herm(rows, k)
             units = vec_to_herm(np.eye(m * m), m)
             prod = np.einsum("aij,bkl->abikjl", units, w).reshape(-1, d, d)
             self.vecs = herm_to_vec(prod)

@@ -208,11 +208,23 @@ def is_complete(market):
     return CompletenessReport(affine_dim == obs_dim, affine_dim, obs_dim)
 
 
+def _require_values(values, market):
+    """A value process as Hermitian operators: one per time, each of the market's size."""
+    if len(values) != market.horizon + 1:
+        raise ValidationError("value process length does not match the horizon")
+    vals = [as_hermitian(v) for v in values]
+    for t, v in enumerate(vals):
+        require_dim(v, market.dim, f"value process at t={t}")
+    return vals
+
+
 def supermartingale_check(values, rho, market):
     """Gram-matrix test of E_rho A* V_t A <= E_rho A* V_{t-1} A per period."""
-    mat = rho.mat if isinstance(rho, DensityState) else rho
+    vals = _require_values(values, market)
+    mat = as_hermitian(rho.mat if isinstance(rho, DensityState) else rho)
+    require_dim(mat, market.dim, "state")
     for t in range(1, market.horizon + 1):
-        dv = as_hermitian(values[t]) - as_hermitian(values[t - 1])
+        dv = vals[t] - vals[t - 1]
         basis = np.asarray(market.filtration[t - 1].basis)
         n = len(basis)
         # gram[p, q] = tr(rho A_p* dV A_q) = sum_jk conj(A_p[j, k]) (dV A_q rho)[j, k]
@@ -231,12 +243,8 @@ def optional_decomposition(values, market):
     increment.
     """
     _require_discounted(market)
-    horizon = market.horizon
-    if len(values) != horizon + 1:
-        raise ValidationError("value process length does not match the horizon")
-    vals = [as_hermitian(v) for v in values]
+    vals = _require_values(values, market)
     for t, v in enumerate(vals):
-        require_dim(v, market.dim, f"value process at t={t}")
         if not market.filtration[t].contains(v):
             raise ValidationError(f"value process not adapted at t={t}")
     d = market.dim

@@ -265,8 +265,19 @@ def test_is_martingale_state_qubit_plane():
 
 
 def test_is_martingale_state_rejects_a_state_of_another_dimension():
-    with pytest.raises(ValidationError, match=r"dimension mismatch: state 4, market 2"):
+    with pytest.raises(ValidationError, match=r"state is 4 x 4, the market's dimension is 2"):
         is_martingale_state(DensityState.maximally_mixed(4), qubit_market())
+
+
+def test_is_martingale_state_checks_the_size_before_it_builds_k(monkeypatch):
+    import qmarket.arbitrage as arbitrage_mod
+
+    def refuse(market):
+        raise AssertionError("a state of the wrong size needs no attainable space")
+
+    monkeypatch.setattr(arbitrage_mod, "build_constraints", refuse)
+    with pytest.raises(ValidationError, match=r"state is 3 x 3, the market's dimension is 2"):
+        is_martingale_state(np.eye(3) / 3, qubit_market())
 
 
 def test_is_martingale_state_accepts_undiscounted_input():
@@ -435,11 +446,14 @@ def test_a_step_that_misses_its_newton_identity_keeps_the_grid_step(monkeypatch)
     # c.s != tau (tr S - |S|_F^2), which need not descend up to the damped
     # step; a solve scaled by 1 + 1e-9 misses it everywhere, and the decision
     # takes the 13-14 grid steps it took before the damped step
-    want = {r: check_no_arbitrage(qubit_market(r)) for r in (0.0, 0.3)}
+    def decide(r):
+        return max_min_eig_over_slice(build_constraints(discount(qubit_market(r))))
+
+    want = {r: decide(r) for r in (0.0, 0.3)}
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-9))
     for r, ref in want.items():
-        res = check_no_arbitrage(qubit_market(r))
+        res = decide(r)
         assert res.status == ref.status and ref.iterations == 7 and res.iterations >= 13
         assert res.lambda_star == pytest.approx(ref.lambda_star, abs=1e-10)
 
@@ -465,7 +479,7 @@ ONE_GENERATOR_MARKETS = {  # each band is [-0.1, 0.2]
 def test_one_generator_decisions_take_few_newton_steps(name, r):
     # with the damped step a tau stage takes about one Newton step; on the
     # grid step alone these decisions took 12-16
-    res = check_no_arbitrage(ONE_GENERATOR_MARKETS[name](r))
+    res = max_min_eig_over_slice(build_constraints(discount(ONE_GENERATOR_MARKETS[name](r))))
     assert res.status == (FAITHFUL_STATE_FOUND if -0.1 < r < 0.2 else NO_FAITHFUL_STATE)
     most = 8 if name in ("qubit", "nperiod1") else 10
     assert 1 <= res.iterations <= most
@@ -538,7 +552,7 @@ def test_newton_decision_settles_where_the_ascent_stalled():
     filt = Filtration([OperatorAlgebra.trivial(3), OperatorAlgebra.full(3)])
     s1 = random_positive(np.random.default_rng(1411302), 3) + 0.1 * np.eye(3)
     mkt = MarketModel(filt, [1.0, 1.0], [[np.eye(3, dtype=complex), s1]])
-    res = check_no_arbitrage(mkt)
+    res = max_min_eig_over_slice(build_constraints(discount(mkt)))
     assert res.status == FAITHFUL_STATE_FOUND and res.note == ""
     assert res.lambda_star == pytest.approx(0.1301837403, abs=1e-9)
     assert min_eigenvalue(res.witness_state.mat) == pytest.approx(res.lambda_star, abs=1e-9)
@@ -560,3 +574,94 @@ def test_lambda_star_matches_the_closed_form_off_centre(n):
         assert res.lambda_star == pytest.approx(min(q, 1.0 - q) ** n, abs=1e-9)
         assert res.witness_residual <= 1e-8
         assert is_martingale_state(res.witness_state, mkt, tol=1e-8)
+
+
+# --- the closed-form decision against the Newton decision ----------------------
+
+RATE_PLACES = ["inside", "at_a", "at_b", "below", "above"]
+
+
+def place_rate(where, a, b, u):
+    """A rate inside (a, b), on one of its ends or outside it, placed by u in [0, 1]."""
+    return {
+        "inside": a + (0.05 + 0.9 * u) * (b - a),
+        "at_a": a,
+        "at_b": b,
+        "below": a - (0.01 + u) * (b - a),
+        "above": b + (0.01 + u) * (b - a),
+    }[where]
+
+
+def random_single_period(d, where, seed):
+    """One asset on C^d: S_1 = s0 U diag(1 + rates) U*, with the rate placed against the band."""
+    rng = np.random.default_rng(seed)
+    rates = rng.uniform(-0.2, 0.3, d)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    s1 = 100.0 * (u * (1.0 + rates)) @ u.conj().T
+    r = place_rate(where, rates.min(), rates.max(), rng.uniform())
+    filt = Filtration([OperatorAlgebra.trivial(d), OperatorAlgebra.full(d)])
+    return MarketModel(filt, [1.0, 1.0 + r], [[100.0 * np.eye(d, dtype=complex), s1]])
+
+
+def random_nperiod(n, where, seed):
+    """An N-period binomial market with random Pauli directions, a = -0.1, b = 0.2."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((n, 3))
+    pauli = 0.15 * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    r = place_rate(where, -0.1, 0.2, rng.uniform())
+    return build_n_period(NPeriodSpec(n, -0.1, 0.2, r, 100.0, 1.0, [tuple(p) for p in pauli]))
+
+
+def assert_closed_form_agrees_with_newton(mkt):
+    cs = build_constraints(discount(mkt))
+    res, ref = check_no_arbitrage(mkt), max_min_eig_over_slice(cs)
+    assert res.status == ref.status
+    nu, c = ref.lambda_interval
+    assert nu - 1e-10 <= res.lambda_star <= c + 1e-10
+    lo, hi = res.lambda_interval
+    assert lo <= hi == res.lambda_star
+    if res.witness_state is not None:
+        assert res.witness_residual <= 1e-12
+        assert min_eigenvalue(res.witness_state.mat) >= lo
+    if res.arbitrage_claim is not None:
+        cert = res.arbitrage_claim
+        assert min_eigenvalue(cert) >= -CLAIM_PSD_TOL
+        vec = herm_to_vec(cert)
+        assert np.linalg.norm(vec - (cs.vecs @ vec) @ cs.vecs) <= 1e-10
+    return res
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.integers(2, 8), st.sampled_from(RATE_PLACES), st.integers(0, 2**32 - 1))
+def test_closed_form_decision_of_a_one_asset_period_matches_newton(d, where, seed):
+    # K has rank one: the closed form is exact for either sign, with no step
+    res = assert_closed_form_agrees_with_newton(random_single_period(d, where, seed))
+    assert res.iterations == 0 and not res.sign_only
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.sampled_from(RATE_PLACES), st.integers(0, 2**32 - 1))
+def test_closed_form_decision_of_a_binomial_tensor_market_matches_newton(n, where, seed):
+    # inside the band and on its ends every period's lambda_t >= 0 and the
+    # product of the period optima is optimal; outside it a period's lambda_t
+    # is negative and, past one period, the Newton decision stays
+    res = assert_closed_form_agrees_with_newton(random_nperiod(n, where, seed))
+    assert (res.iterations == 0) == (n == 1 or where not in ("below", "above"))
+
+
+@pytest.mark.parametrize("where", ["inside", "at_b", "above"])
+def test_a_from_basis_filtration_keeps_the_newton_decision(where):
+    # the same two-period market with A_1, A_2 written as explicit bases:
+    # no factor structure to read, so the solver decides, and agrees
+    mkt = random_nperiod(2, where, seed=7)
+    dense = MarketModel(
+        Filtration(
+            [OperatorAlgebra.trivial(4)]
+            + [OperatorAlgebra.from_basis(alg.basis) for alg in mkt.filtration.algebras[1:]]
+        ),
+        mkt.bank, mkt.assets,
+    )
+    res, ref = check_no_arbitrage(dense), check_no_arbitrage(mkt)
+    assert res.iterations > 0 and (ref.iterations == 0) == (where != "above")
+    assert res.status == ref.status
+    assert res.lambda_star == pytest.approx(ref.lambda_star, abs=1e-9)

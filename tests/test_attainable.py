@@ -133,16 +133,16 @@ def test_only_non_attainable_claims_build_barrier_coordinates(monkeypatch):
     mkt, tri = nperiod_market(2), discount(trinomial_market())
     for m in (mkt, tri):
         assert check_no_arbitrage(m).status == FAITHFUL_STATE_FOUND
-    assert len(solves) == 2  # one decision per market
+    assert len(solves) == 0  # both decisions are closed-form: K factorizes
     interval = price_bounds(call_payoff(mkt, 100.0), mkt)
     assert interval.attainable and hedges == []
     rep = interval.replication
     values = [rep.alpha * np.eye(mkt.dim) + g for g in gain_process(rep.strategy, mkt)]
     optional_decomposition(values, mkt)
-    assert hedges == [] and len(solves) == 2
+    assert hedges == [] and len(solves) == 0
     # one stacked solve prices both ends
     assert not price_bounds(call_payoff(tri, 100.0), tri).attainable
-    assert len(hedges) == 1 and len(solves) == 3
+    assert len(hedges) == 1 and len(solves) == 1
     assert null_spaces == []
 
 
@@ -287,12 +287,15 @@ y = (
 t0 = time.perf_counter()
 check, check_code = run("check-arbitrage", parse_scenario(y))
 price, price_code = run("price", parse_scenario(y))
+off, off_code = run("check-arbitrage", parse_scenario(y.replace("r: 0.05", "r: 0.0")))
 print(json.dumps({
     "wall_s": time.perf_counter() - t0,
     "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-    "codes": [check_code, price_code],
+    "codes": [check_code, price_code, off_code],
     "status": check["results"]["status"],
     "price": price["results"]["atm"]["unique_price"],
+    "off_centre": [off["results"]["status"], off["results"]["lambda_star"],
+                   off["diagnostics"]["iterations"]],
 }))
 """
 
@@ -306,8 +309,12 @@ def test_nperiod_6_check_arbitrage_and_price_fit_the_envelope():
         capture_output=True, text=True, env=env, timeout=300, check=True,
     )
     out = json.loads(proc.stdout.splitlines()[-1])
-    assert out["codes"] == [0, 0] and out["status"] == FAITHFUL_STATE_FOUND
+    assert out["codes"] == [0, 0, 0] and out["status"] == FAITHFUL_STATE_FOUND
     assert out["price"] == pytest.approx(crr_price(6, 100.0, 100.0, 0.05, -0.1, 0.2), abs=1e-9)
+    # off the centre (r = 0, q = 1/3) K still factorizes: lambda* = min(q, 1 - q)^6 in closed form
+    status, lam, steps = out["off_centre"]
+    assert status == FAITHFUL_STATE_FOUND and steps == 0
+    assert lam == pytest.approx((1.0 / 3.0) ** 6, abs=1e-12)
     assert out["wall_s"] <= 60.0
     assert out["maxrss_mb"] <= 500.0
 
@@ -379,27 +386,28 @@ def test_attainable_claim_runs_no_barrier(monkeypatch):
 
 
 def test_no_arbitrage_is_decided_once_per_market(monkeypatch):
-    # pricing reads only the decision's sign, and its solve stops there;
-    # check_no_arbitrage then decides lambda* in full, once, and that full
-    # decision serves every later call, pricing too
+    # K factorizes on the binomial market, so pricing's first decision is
+    # already the full closed-form one, with no solve; that decision serves
+    # every later call, check_no_arbitrage's too
     solves = count_calls(monkeypatch, arbitrage_mod, "newton_core")
+    decisions = count_calls(monkeypatch, arbitrage_mod, "product_decision")
     mkt = nperiod_market(2)
     for strike in (100.0, 90.0):
         iv = arbitrage_free_prices(call_payoff(mkt, strike), mkt)
         assert iv.unique_price == pytest.approx(
             crr_price(2, 100.0, strike, 0.05, -0.1, 0.2), abs=1e-9
         )
-    assert len(solves) == 1
+    assert len(solves) == 0 and len(decisions) == 1
     res = check_no_arbitrage(mkt)
-    assert len(solves) == 2 and not res.sign_only
+    assert len(solves) == 0 and not res.sign_only
     assert check_no_arbitrage(mkt) is res
-    assert len(solves) == 2
+    assert len(solves) == 0 and len(decisions) == 1
 
     solves.clear()
     mkt = nperiod_market(2)
     check_no_arbitrage(mkt)
     prices = [price_bounds(call_payoff(mkt, strike), mkt) for strike in (100.0, 90.0)]
-    assert len(solves) == 1
+    assert len(solves) == 0 and len(decisions) == 2
     # the full decision's witness prices as it did before pricing stopped at the sign
     assert [(iv.lower, iv.upper) for iv in prices] == [
         (13.605442176870731, 13.605442176870731),
@@ -572,16 +580,17 @@ def test_identity_in_the_attainable_space_empties_the_slice():
 
 
 def test_arbitrage_is_decided_by_one_newton_solve(monkeypatch):
-    # the certificate is the solve's own primal iterate: no second search for it
+    # the certificate comes with the decision: no second search for it, and
+    # on a qubit market (K of rank one) no solve either
     solves = count_calls(monkeypatch, arbitrage_mod, "newton_core")
     above = discount(build_single_period(QubitMarketSpec(0.05, 0.15, 0.0, 0.0, r=0.3, s0=100.0)))
     assert check_no_arbitrage(above).status == NO_FAITHFUL_STATE
-    assert len(solves) == 1
+    assert len(solves) == 0
     # with I in K the certificate is I / d and the slice is empty: no solve
     res = check_no_arbitrage(degenerate_market())
     assert res.status == NO_FAITHFUL_STATE
     np.testing.assert_allclose(res.arbitrage_claim, np.eye(2) / 2, atol=1e-10)
-    assert len(solves) == 1
+    assert len(solves) == 0
 
 
 def test_pricing_builds_no_strategy(monkeypatch):

@@ -145,7 +145,7 @@ def test_check_arbitrage_reports_its_certified_interval():
     assert res["lambda_star"] == c and 0.0 <= c - nu <= 1e-10
     assert c == pytest.approx((1.0 / 3.0) ** 2, abs=1e-9)  # min(q, 1 - q)^N, q = 1/3
     assert 0.0 <= res["witness_residual"] <= 1e-8
-    assert report["diagnostics"]["iterations"] > 0
+    assert report["diagnostics"]["iterations"] == 0  # decided in closed form
     arbitrage, _ = run("check-arbitrage", parse_scenario(QUBIT_YAML.replace("r: 0.05", "r: 0.3")))
     assert arbitrage["results"]["witness_residual"] is None
     assert arbitrage["results"]["lambda_interval"][1] == arbitrage["results"]["lambda_star"] < 0.0
@@ -261,6 +261,21 @@ def test_main_validation_exit(tmp_path, capsys):
     assert main(["price", "--scenario", scen]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_main_rejects_factor_algebras_that_do_not_nest(tmp_path, capsys):
+    # on C^6, B(C^2) (x) I_3 does not lie in B(C^3) (x) I_2
+    eye = [[[100.0 if i == j else 0.0, 0.0] for j in range(6)] for i in range(6)]
+    scenario = {
+        "market": {
+            "kind": "explicit", "dim": 6, "bank": [1.0, 1.0, 1.0],
+            "filtration": ["trivial", {"factor": 2}, {"factor": 3}],
+            "assets": [[eye, eye, eye]],
+        },
+    }
+    scen = write(tmp_path, json.dumps(scenario))
+    assert main(["check-arbitrage", "--scenario", scen]) == EXIT_VALIDATION
+    assert "A_1 is not contained in A_2" in capsys.readouterr().err
 
 
 def test_main_arbitrage_market_reports_claim(tmp_path, capsys):

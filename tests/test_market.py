@@ -58,6 +58,24 @@ def test_filtration_validation():
     assert filt[1].is_subalgebra_of(filt[2])
 
 
+def test_factor_algebras_nest_exactly_when_one_size_divides_the_other():
+    # B(C^a) (x) I lies in B(C^b) (x) I iff a | b: the structural test against
+    # membership of every matrix unit, over the factor algebras of C^12
+    algebras = [OperatorAlgebra.tensor_factor(m, 12) for m in (1, 2, 3, 4, 6, 12)]
+    for small in algebras:
+        for big in algebras:
+            members = all(big.contains(x) for x in small.basis)
+            assert small.is_subalgebra_of(big) == members == (big.factor_dim % small.factor_dim == 0)
+
+
+def test_factor_algebras_that_do_not_nest_are_no_filtration():
+    two, three = OperatorAlgebra.tensor_factor(2, 6), OperatorAlgebra.tensor_factor(3, 6)
+    assert not two.is_subalgebra_of(three)
+    with pytest.raises(ValidationError, match="A_1 is not contained in A_2"):
+        Filtration([OperatorAlgebra.trivial(6), two, three])
+    assert Filtration([OperatorAlgebra.trivial(6), two, OperatorAlgebra.full(6)]).horizon == 2
+
+
 def test_filtration_reads_triviality_from_the_dimension():
     # an algebra holds I, so it is CI exactly when it is one-dimensional
     top = OperatorAlgebra.full(2)

@@ -229,6 +229,28 @@ def test_supermartingale_check():
     assert not supermartingale_check(increasing, rho, mkt)
 
 
+@pytest.mark.parametrize(
+    "values,state,message",
+    [
+        pytest.param(
+            [np.eye(3)] * 2, np.eye(2) / 2,
+            r"value process at t=0 is 3 x 3, the market's dimension is 2", id="value_3x3",
+        ),
+        pytest.param(
+            [np.eye(2)] * 2, np.eye(3) / 3, r"state is 3 x 3, the market's dimension is 2",
+            id="state_3x3",
+        ),
+        pytest.param(
+            [np.eye(2)], np.eye(2) / 2, "value process length does not match the horizon",
+            id="too_short",
+        ),
+    ],
+)
+def test_supermartingale_check_rejects_what_does_not_fit_the_market(values, state, message):
+    with pytest.raises(ValidationError, match=message):
+        supermartingale_check(values, DensityState(state), qubit_market())
+
+
 def loop_gram_top_eigenvalue(values, rho, market):
     """max_t of the top eigenvalue of [tr(rho A_p* dV_t A_q)]_pq, one trace per pair."""
     top = -np.inf
