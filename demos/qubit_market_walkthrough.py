@@ -10,13 +10,13 @@ import numpy as np
 from qmarket import (
     QubitMarketSpec,
     apply_function,
-    arbitrage_free_prices,
     build_single_period,
     check_no_arbitrage,
     discount,
     euro_call_price,
     euro_call_replication,
     expectation,
+    price_bounds,
     risk_neutral_disk,
     sample_disk_states,
 )
@@ -47,6 +47,6 @@ print("closed form:", euro_call_price(spec, 100.0), " (= 200/21)")
 beta, gamma = euro_call_replication(spec, 100.0)
 print("\nhedge: beta =", beta, " gamma =", gamma)
 
-iv = arbitrage_free_prices(payoff / 1.05, discount(market))
+iv = price_bounds(payoff / 1.05, discount(market))
 print("price interval:", (iv.lower, iv.upper))
 print("unique price:", iv.unique_price)

@@ -63,7 +63,6 @@ from .operators import (
 from .pricing import (
     PriceInterval,
     Replication,
-    arbitrage_free_prices,
     is_complete,
     optional_decomposition,
     price_bounds,

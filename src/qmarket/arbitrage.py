@@ -26,13 +26,13 @@ rho + nu I with nu = (1 - tr rho)/d, so [nu, c] brackets lambda*.  nu above
 FEASIBILITY_THRESHOLD certifies a faithful witness; c at or below it makes
 Z - c I = sum_i y_i K_i >= -c I the positive attainable claim.  A band edge
 of a binomial market (r = a or r = b), where lambda* = 0, is decided with a
-certificate too.  Pricing reads only the sign, so its decision stops once
-nu certifies a faithful witness; ``check_no_arbitrage`` runs to the gap.
+certificate too.
 
-Neither runs the solver where K factorizes, as on a K of rank one and on
-the paper's N-period binomial market, a tensor product of one-period qubit
-markets: :func:`product_decision` brackets lambda* by tensor products of
-per-period optima, each from one eigh, and decides wherever that bracket
+:func:`check_no_arbitrage` decides once per market, and pricing reads that
+decision.  It runs no solver where K factorizes, as on a K of rank one and
+on the paper's N-period binomial market, a tensor product of one-period
+qubit markets: :func:`product_decision` brackets lambda* by tensor products
+of per-period optima, each from one eigh, and decides wherever that bracket
 is as tight as the solver's gap.
 """
 
@@ -75,30 +75,20 @@ class FeasibilityResult:
     note: str = ""
     lambda_interval: Optional[tuple] = None  # the certified [nu, c] around lambda*
     witness_residual: Optional[float] = None  # max_m |tr(witness G_m)|
-    sign_only: bool = False  # stopped once nu certified the witness, short of lambda*'s gap
-
-
-def build_constraints(market):
-    """Martingale-state constraints of a discounted market: its attainable space.
-
-    rho is a martingale state iff it annihilates every element of the
-    orthonormal basis of K.
-    """
-    return attainable_space(market)
 
 
 def is_martingale_state(rho, market, tol=1e-8):
     """True iff rho annihilates every (unit-norm) martingale constraint."""
     mat = rho.mat if isinstance(rho, DensityState) else rho
     require_dim(mat, market.dim, "state")
-    cs = build_constraints(discount(market))
+    cs = attainable_space(discount(market))
     return bool(np.all(np.abs(cs.vecs @ herm_to_vec(as_hermitian(mat))) <= tol))
 
 
 # --- the Newton core ---------------------------------------------------------
 
 
-def newton_core(objective, offsets, rows, starts, floor=None):
+def newton_core(objective, offsets, rows, starts):
     """min c.x over X(x) = F + (c.x) I + sum_j x_{l+j} G_j > 0, c = ``objective``, per F.
 
     Solves a stack of such problems that share c and the span: F runs over
@@ -132,9 +122,6 @@ def newton_core(objective, offsets, rows, starts, floor=None):
     two corrector steps.  An ill-conditioned solve at small tau can miss
     that identity, so the damped step is taken only where it holds to
     SOLVE_TOL.
-
-    With a ``floor``, a problem also leaves, certified, at a centred iterate
-    whose certified lower bound c.x - gap is above it.
 
     Returns one (x, rho, gap, steps, failure) per problem: x the last iterate
     with X(x) positive definite, rho and gap those of the last centred
@@ -179,8 +166,7 @@ def newton_core(objective, offsets, rows, starts, floor=None):
         else:
             span = (x[:, lead:] @ mats.reshape(len(rows), d * d)).reshape(-1, d, d)
         lam, vecs = np.linalg.eigh(offsets + span)
-        values = x @ objective
-        lam += values[:, None]
+        lam += (x @ objective)[:, None]
         lows = lam[:, 0].tolist()
         if min(lows) <= 0.0:
             verdicts = ["iterate is not positive definite" if low <= 0.0 else False for low in lows]
@@ -188,8 +174,7 @@ def newton_core(objective, offsets, rows, starts, floor=None):
             if not ids:
                 return out
             x, offsets, tau, lam, vecs = x[keep], offsets[keep], tau[keep], lam[keep], vecs[keep]
-            values = values[keep]
-        size, values = len(ids), values.tolist()
+        size = len(ids)
         good, w = x, vecs / np.sqrt(lam)[:, None, :]
         # whiten B_i = c_i I + G_{i-l} in blocks: M_i = c_i diag(1 / lam) + W* G W
         m, rhs = m_all[:size], rhs_all[:size]
@@ -231,14 +216,13 @@ def newton_core(objective, offsets, rows, starts, floor=None):
                 break
             follow = False
             traces = s_vec[:, :d].sum(axis=1).tolist()
-            for j, (dec, trace, t, value) in enumerate(zip(decs, traces, tau.tolist(), values)):
+            for j, (dec, trace, t) in enumerate(zip(decs, traces, tau.tolist())):
                 if done[j]:
                     continue
                 if dec <= 0.25 and exact[j]:
                     centred[ids[j]] = (t, w[j], s_vec[j])
                     fresh.discard(ids[j])
-                    gap = t * (d - trace)
-                    done[j] = gap <= GAP_TOL or floor is not None and value - gap > floor
+                    done[j] = t * (d - trace) <= GAP_TOL
                 if dec <= NEWTON_TOL and not done[j]:
                     tau[j] = t * TAU_STEP  # centred: follow the central path
                     follow = True
@@ -309,13 +293,12 @@ def _settle(res, witness, claim, vecs):
     return res
 
 
-def max_min_eig_over_slice(constraints, sign_only=False):
+def max_min_eig_over_slice(constraints):
     """Decide max lambda_min(rho) over the martingale-state slice by the Newton core.
 
     A certified positive lambda* returns its witness, a certified
     non-positive one the positive attainable claim; an interval that still
-    straddles the threshold is INDETERMINATE.  With ``sign_only`` the solve
-    stops once nu certifies the witness, leaving lambda* in [nu, c].
+    straddles the threshold is INDETERMINATE.
     """
     d = constraints.dim
     if constraints.perp is None:
@@ -326,15 +309,13 @@ def max_min_eig_over_slice(constraints, sign_only=False):
         )
     vecs = constraints.vecs
     shift = -vecs[:, :d].sum(axis=1) / d  # -tr(K_i) / d: T_i = K_i + shift_i I
-    floor = FEASIBILITY_THRESHOLD - 1.0 / d if sign_only else None  # c.x - gap = nu - 1/d
-    [(y, rho, gap, steps, failure)] = newton_core(
-        shift, np.eye(d, dtype=complex)[None] / d, vecs, np.zeros((1, len(vecs))), floor
+    [(y, rho, _, steps, failure)] = newton_core(
+        shift, np.eye(d, dtype=complex)[None] / d, vecs, np.zeros((1, len(vecs)))
     )
     c = 1.0 / d + float(shift @ y)
     nu = -np.inf if rho is None else (1.0 - float(np.trace(rho).real)) / d
     note = f"{failure}; lambda* in [{nu:.3e}, {c:.3e}]" if failure else ""
     res = FeasibilityResult(INDETERMINATE, c, iterations=steps, note=note, lambda_interval=(nu, c))
-    res.sign_only = not failure and gap > GAP_TOL
     witness = None
     if nu > FEASIBILITY_THRESHOLD:
         witness = rho + nu * np.eye(d)
@@ -422,27 +403,14 @@ def product_decision(constraints):
     return _settle(res, witness, bound - c * np.eye(constraints.dim), constraints.vecs)
 
 
-def _decide(constraints, sign_only=False):
-    """The closed-form decision where K factorizes, else the Newton decision."""
-    return product_decision(constraints) or max_min_eig_over_slice(constraints, sign_only)
-
-
-def _decide_sign(market):
-    """The kept decision, or one stopped at its certified sign; no witness: the full one."""
-    cs = build_constraints(discount(market))
-    if cs.decision is None:
-        cs.decision = _decide(cs, sign_only=True)
-    return cs.decision if cs.decision.status == FAITHFUL_STATE_FOUND else check_no_arbitrage(market)
-
-
 def check_no_arbitrage(market):
     """Fundamental-theorem decision: faithful witness or positive-claim certificate.
 
-    The market's constraint set keeps the most complete decision so far: a
-    sign-only one, pricing's, is decided again, and every later call on the
-    same market returns that same result object.
+    Decided once per market, in closed form where K factorizes and by the
+    Newton core elsewhere; every later call on the same market, pricing's
+    too, returns that same result object.
     """
-    cs = build_constraints(discount(market))
-    if cs.decision is None or cs.decision.sign_only:
-        cs.decision = _decide(cs)
+    cs = attainable_space(discount(market))
+    if cs.decision is None:
+        cs.decision = product_decision(cs) or max_min_eig_over_slice(cs)
     return cs.decision

@@ -22,6 +22,13 @@ DISK_EDGE_SHRINK = 1e-6
 DISK_TOL = 1e-10
 
 
+def _require_finite(spec, names):
+    for name in names:
+        value = getattr(spec, name)
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class QubitMarketSpec:
     """Single-period market B_1 = B_0(1+r), S_1 = S_0(1+A) on C^2."""
@@ -35,6 +42,7 @@ class QubitMarketSpec:
     b0: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self, ("x0", "x1", "x2", "x3", "r", "s0", "b0"))
         if self.pauli_norm == 0.0:
             raise ValidationError("pauli coordinates (x1, x2, x3) must not vanish")
         if self.s0 <= 0 or self.b0 <= 0:
@@ -176,6 +184,7 @@ class NPeriodSpec:
     def __post_init__(self):
         if not 1 <= self.n_periods <= 6:
             raise ValidationError("n_periods must be in 1..6 (dimension cap 64)")
+        _require_finite(self, ("a", "b", "r", "s0", "b0"))
         if not (-1 < self.a < self.b):
             raise ValidationError("need -1 < a < b")
         if self.r <= -1:
@@ -191,6 +200,8 @@ class NPeriodSpec:
                 raise ValidationError("one Pauli 3-vector required per period")
             half_gap_sq = (self.b - self.a) ** 2 / 4.0
             for j, p in enumerate(pauli):
+                if not all(map(math.isfinite, p)):
+                    raise ValidationError(f"period {j + 1}: pauli entries must be finite, got {p}")
                 if abs(sum(x * x for x in p) - half_gap_sq) > 1e-12:
                     raise ValidationError(
                         f"period {j + 1}: |pauli|^2 must equal (b-a)^2/4"

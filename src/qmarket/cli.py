@@ -38,7 +38,7 @@ from .binomial import (
 from .errors import InternalConsistencyError, QMarketError, SolverError, ValidationError
 from .market import Filtration, MarketModel, OperatorAlgebra, discount, gain_process
 from .operators import apply_function, as_hermitian
-from .pricing import arbitrage_free_prices, optional_decomposition, replicate
+from .pricing import optional_decomposition, price_bounds, replicate
 
 REPORT_SCHEMA = "qmarket.report/1"
 
@@ -285,7 +285,7 @@ def run(command, scenario, samples=100):
                     "strategy_terms": sum(len(v) for v in rep.strategy.terms.values()),
                 }
             elif command == "decompose":
-                values = _decompose_values(arbitrage_free_prices(payoff, dmkt), payoff, dmkt)
+                values = _decompose_values(price_bounds(payoff, dmkt), payoff, dmkt)
                 dec = optional_decomposition(values, dmkt)
                 recon = (
                     dec.v0 * np.eye(dmkt.dim)
@@ -301,7 +301,7 @@ def run(command, scenario, samples=100):
                     "strategy_terms": sum(len(v) for v in dec.strategy.terms.values()),
                 }
             else:
-                iv = arbitrage_free_prices(payoff, dmkt)
+                iv = price_bounds(payoff, dmkt)
                 payload = {
                     "lower": iv.lower,
                     "upper": iv.upper,
@@ -330,7 +330,7 @@ def run(command, scenario, samples=100):
         if scenario["market"]["kind"] != "nperiod":
             raise ValidationError("crr command requires an nperiod market scenario")
         for entry in scenario["claims"]:
-            if entry["type"] not in ("call", "spectral"):
+            if entry["type"] not in ("call", "spectral") or entry.get("fn") == "put":
                 raise ValidationError("crr command prices strike-based calls only")
             k = entry["strike"]
             value = crr_price(spec.n_periods, spec.s0, k, spec.r, spec.a, spec.b)

@@ -21,6 +21,7 @@ I against K, which gives replication and tells whether the slice of
 martingale states is empty.
 """
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -221,6 +222,8 @@ class MarketModel:
         if len(self.bank) != T + 1:
             raise ValidationError("bank account length does not match filtration")
         if check:
+            if not all(math.isfinite(b) for b in self.bank):
+                raise ValidationError(f"bank account must be finite, got {self.bank}")
             if any(b <= 0 for b in self.bank):
                 raise ValidationError("bank account must be strictly positive")
             for j, proc in enumerate(self.assets):
@@ -362,10 +365,10 @@ class MartingaleConstraintSet:
 
     ``vecs`` holds the herm-vec rows of the G_m; subclasses set ``dim`` and ``vecs``.
     ``perp`` is read-only; ``slice_step`` gives the directions of the slice of
-    martingale states; ``decision`` keeps the most complete no-arbitrage result.
+    martingale states; ``decision`` keeps the market's no-arbitrage result.
     """
 
-    decision = None  # pricing's sign-only decision until check_no_arbitrage decides in full
+    decision = None  # set by check_no_arbitrage, once
 
     def __init__(self, dim, operators):
         self.dim = int(dim)

@@ -10,8 +10,8 @@ alpha - tau logdet(alpha I + k - A) over (alpha, k), the solver that also
 decides no-arbitrage; ``price_bounds`` hedges A and -A in one stacked solve.
 Its dual estimate rho is a martingale state, and alpha - tr(rho A) is the
 certified gap of the price; the solve stops once that gap is below GAP_TOL,
-relative to max(1, |A|_2).  An attainable price's witness is a certified
-faithful martingale state, not the one that maximises lambda_min.
+relative to max(1, |A|_2).  An attainable price's witness is the faithful
+martingale state of the market's no-arbitrage decision (``check_no_arbitrage``).
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arbitrage import FAITHFUL_STATE_FOUND, NO_FAITHFUL_STATE, _decide_sign, newton_core
+from .arbitrage import FAITHFUL_STATE_FOUND, NO_FAITHFUL_STATE, check_no_arbitrage, newton_core
 from .errors import ArbitrageError, InternalConsistencyError, SolverError, ValidationError
 from .market import MartingaleConstraintSet, TradingStrategy, attainable_space, require_dim
 from .operators import as_hermitian, herm_to_vec, hs_inner, vec_to_herm
@@ -158,7 +158,7 @@ def price_bounds(a, market):
     a = _require_terminal_observable(a, market)
     space = attainable_space(market)
     rep = _split(a, space)
-    na = _decide_sign(market)
+    na = check_no_arbitrage(market)
     if na.status == NO_FAITHFUL_STATE:
         raise ArbitrageError(
             "market admits arbitrage; price bounds undefined",
@@ -192,11 +192,6 @@ def price_bounds(a, market):
         witness_states=(DensityState(rho_lo), DensityState(rho_hi)),
         gaps=(gap_lo, gap_hi), steps=(lower.steps, upper.steps), replication=rep, hedge=upper,
     )
-
-
-def arbitrage_free_prices(a, market):
-    """Classify the price set: a unique price (attainable) or an open interval."""
-    return price_bounds(a, market)
 
 
 def is_complete(market):
@@ -250,7 +245,7 @@ def optional_decomposition(values, market):
     d = market.dim
     v0 = float(np.trace(vals[0]).real) / d
 
-    na = _decide_sign(market)
+    na = check_no_arbitrage(market)
     if na.status != FAITHFUL_STATE_FOUND:
         raise ArbitrageError("optional decomposition requires an arbitrage-free market")
     if not supermartingale_check(vals, na.witness_state, market):

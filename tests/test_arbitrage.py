@@ -13,14 +13,13 @@ from qmarket.arbitrage import (
     INDETERMINATE,
     NO_FAITHFUL_STATE,
     MartingaleConstraintSet,
-    build_constraints,
     check_no_arbitrage,
     is_martingale_state,
     max_min_eig_over_slice,
 )
 from qmarket.binomial import NPeriodSpec, QubitMarketSpec, build_n_period, build_single_period
 from qmarket.errors import ValidationError
-from qmarket.market import Filtration, MarketModel, OperatorAlgebra, discount
+from qmarket.market import Filtration, MarketModel, OperatorAlgebra, attainable_space, discount
 from qmarket.operators import (
     SX,
     SY,
@@ -138,7 +137,7 @@ def test_maximize_lambda_min_diagonal():
 
 
 def test_affine_slice_qubit(rng):
-    cs = build_constraints(discount(qubit_market()))
+    cs = attainable_space(discount(qubit_market()))
     x0 = slice_point(cs)
     assert np.trace(x0).real == pytest.approx(1.0)
     assert abs(hs_inner(x0, operators(cs)[0])) <= 1e-10
@@ -170,7 +169,7 @@ def test_rate_above_spectrum_gives_arbitrage():
     assert np.trace(claim).real == pytest.approx(1.0, abs=1e-8)
     assert min_eigenvalue(claim) >= -1e-8
     # the claim is an attainable gain: lies in the constraint span
-    cs = build_constraints(discount(qubit_market(r=0.3)))
+    cs = attainable_space(discount(qubit_market(r=0.3)))
     proj = sum(hs_inner(claim, g) * g for g in operators(cs))
     assert np.linalg.norm(proj - claim) <= 1e-6
 
@@ -225,7 +224,7 @@ def test_band_edge_is_decided_with_a_certificate(name):
     cert = res.arbitrage_claim
     assert min_eigenvalue(cert) >= -CLAIM_PSD_TOL
     assert np.trace(cert).real == pytest.approx(1.0, abs=1e-12)
-    cs = build_constraints(discount(mkt))
+    cs = attainable_space(discount(mkt))
     vec = herm_to_vec(cert)
     assert np.linalg.norm(vec - (cs.vecs @ vec) @ cs.vecs) <= 1e-10
 
@@ -275,7 +274,7 @@ def test_is_martingale_state_checks_the_size_before_it_builds_k(monkeypatch):
     def refuse(market):
         raise AssertionError("a state of the wrong size needs no attainable space")
 
-    monkeypatch.setattr(arbitrage_mod, "build_constraints", refuse)
+    monkeypatch.setattr(arbitrage_mod, "attainable_space", refuse)
     with pytest.raises(ValidationError, match=r"state is 3 x 3, the market's dimension is 2"):
         is_martingale_state(np.eye(3) / 3, qubit_market())
 
@@ -300,7 +299,7 @@ def test_random_full_algebra_markets_decided(rng):
 
 
 def test_constraint_operators_orthonormal():
-    cs = build_constraints(discount(trinomial_market()))
+    cs = attainable_space(discount(trinomial_market()))
     for i, gi in enumerate(operators(cs)):
         for j, gj in enumerate(operators(cs)):
             want = 1.0 if i == j else 0.0
@@ -359,7 +358,7 @@ ARBITRAGE_MARKETS = {
 @pytest.mark.parametrize("name", sorted(ARBITRAGE_MARKETS))
 def test_certificate_matches_positive_claim_oracle(name):
     mkt = ARBITRAGE_MARKETS[name]()
-    cs = build_constraints(discount(mkt))
+    cs = attainable_space(discount(mkt))
     res = check_no_arbitrage(mkt)
     oracle, lam_oracle = positive_claim_oracle(cs)
     assert lam_oracle >= -CLAIM_PSD_TOL  # the deleted search also found a claim
@@ -378,7 +377,7 @@ def test_undecided_interval_is_indeterminate(monkeypatch):
     # a Newton system that fails at the start, and whose least-squares fallback
     # fails too, leaves [-inf, 1/d]: no sign is certified, and the note says
     # why and where lambda* lies
-    cs = build_constraints(discount(qubit_market()))
+    cs = attainable_space(discount(qubit_market()))
 
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
@@ -396,14 +395,14 @@ def test_least_squares_newton_steps_decide_as_the_solve_does(monkeypatch):
     # with every Newton system sent to the minimum-norm least-squares step, a
     # nonsingular system is solved to rounding, so the decision is the same
     markets = [qubit_market(), trinomial_market(), qubit_market(r=0.3)]
-    want = [max_min_eig_over_slice(build_constraints(discount(m))) for m in markets]
+    want = [max_min_eig_over_slice(attainable_space(discount(m))) for m in markets]
 
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(np.linalg, "solve", singular)
     for mkt, ref in zip(markets, want):
-        res = max_min_eig_over_slice(build_constraints(discount(mkt)))
+        res = max_min_eig_over_slice(attainable_space(discount(mkt)))
         assert res.status == ref.status and res.note == ""
         assert res.lambda_star == pytest.approx(ref.lambda_star, abs=1e-12)
         assert res.iterations == ref.iterations
@@ -413,7 +412,7 @@ def test_inexact_least_squares_steps_certify_nothing(monkeypatch):
     # a least-squares step that misses its system gives a rho with
     # tr(rho B_i) != c_i: its dual is never recorded, so nothing is certified
     # (off the centre, where I / d is not already optimal)
-    cs = build_constraints(discount(qubit_market(r=0.0)))
+    cs = attainable_space(discount(qubit_market(r=0.0)))
     pinv = np.linalg.pinv
 
     def singular(*args, **kwargs):
@@ -447,7 +446,7 @@ def test_a_step_that_misses_its_newton_identity_keeps_the_grid_step(monkeypatch)
     # step; a solve scaled by 1 + 1e-9 misses it everywhere, and the decision
     # takes the 13-14 grid steps it took before the damped step
     def decide(r):
-        return max_min_eig_over_slice(build_constraints(discount(qubit_market(r))))
+        return max_min_eig_over_slice(attainable_space(discount(qubit_market(r))))
 
     want = {r: decide(r) for r in (0.0, 0.3)}
     solve = np.linalg.solve
@@ -479,7 +478,7 @@ ONE_GENERATOR_MARKETS = {  # each band is [-0.1, 0.2]
 def test_one_generator_decisions_take_few_newton_steps(name, r):
     # with the damped step a tau stage takes about one Newton step; on the
     # grid step alone these decisions took 12-16
-    res = max_min_eig_over_slice(build_constraints(discount(ONE_GENERATOR_MARKETS[name](r))))
+    res = max_min_eig_over_slice(attainable_space(discount(ONE_GENERATOR_MARKETS[name](r))))
     assert res.status == (FAITHFUL_STATE_FOUND if -0.1 < r < 0.2 else NO_FAITHFUL_STATE)
     most = 8 if name in ("qubit", "nperiod1") else 10
     assert 1 <= res.iterations <= most
@@ -520,7 +519,7 @@ KINK_TOL = {f"full{d}": 1e-9 for d in range(3, 9)}
 @functools.lru_cache(maxsize=None)
 def tangent_lambda(name):
     """The oracle ascent's lambda* in tangent coordinates, once per market name."""
-    cs = build_constraints(discount(ALL_MARKETS[name]()))
+    cs = attainable_space(discount(ALL_MARKETS[name]()))
     return maximize_lambda_min(*tangent_basis_slice(cs))[0]
 
 
@@ -529,7 +528,7 @@ def test_projector_ascent_matches_tangent_basis_ascent(name):
     # x0 + P(y) over herm-vec y, P the slice_step projector, and x0 + sum_i c_i B_i
     # over an orthonormal tangent basis B are the same slice: the oracle ascent
     # differs by rounding only
-    cs = build_constraints(discount(SLICE_MARKETS[name]()))
+    cs = attainable_space(discount(SLICE_MARKETS[name]()))
     assert projector_ascent(cs) == pytest.approx(tangent_lambda(name), abs=KINK_TOL.get(name, 1e-12))
 
 
@@ -537,7 +536,7 @@ def test_projector_ascent_matches_tangent_basis_ascent(name):
 def test_newton_interval_brackets_the_oracle_lambda(name):
     # [nu, c] is certified: the oracle's lambda* lies in it, and it is at most
     # 1e-9 wide wherever the solve reached its gap (no failure in the note)
-    res = max_min_eig_over_slice(build_constraints(discount(ALL_MARKETS[name]())))
+    res = max_min_eig_over_slice(attainable_space(discount(ALL_MARKETS[name]())))
     nu, c = res.lambda_interval
     assert res.lambda_star == c
     assert nu - 1e-9 <= tangent_lambda(name) <= c + 1e-9
@@ -552,7 +551,7 @@ def test_newton_decision_settles_where_the_ascent_stalled():
     filt = Filtration([OperatorAlgebra.trivial(3), OperatorAlgebra.full(3)])
     s1 = random_positive(np.random.default_rng(1411302), 3) + 0.1 * np.eye(3)
     mkt = MarketModel(filt, [1.0, 1.0], [[np.eye(3, dtype=complex), s1]])
-    res = max_min_eig_over_slice(build_constraints(discount(mkt)))
+    res = max_min_eig_over_slice(attainable_space(discount(mkt)))
     assert res.status == FAITHFUL_STATE_FOUND and res.note == ""
     assert res.lambda_star == pytest.approx(0.1301837403, abs=1e-9)
     assert min_eigenvalue(res.witness_state.mat) == pytest.approx(res.lambda_star, abs=1e-9)
@@ -613,7 +612,7 @@ def random_nperiod(n, where, seed):
 
 
 def assert_closed_form_agrees_with_newton(mkt):
-    cs = build_constraints(discount(mkt))
+    cs = attainable_space(discount(mkt))
     res, ref = check_no_arbitrage(mkt), max_min_eig_over_slice(cs)
     assert res.status == ref.status
     nu, c = ref.lambda_interval
@@ -636,7 +635,7 @@ def assert_closed_form_agrees_with_newton(mkt):
 def test_closed_form_decision_of_a_one_asset_period_matches_newton(d, where, seed):
     # K has rank one: the closed form is exact for either sign, with no step
     res = assert_closed_form_agrees_with_newton(random_single_period(d, where, seed))
-    assert res.iterations == 0 and not res.sign_only
+    assert res.iterations == 0
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

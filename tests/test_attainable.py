@@ -19,7 +19,6 @@ from qmarket.arbitrage import (
     FAITHFUL_STATE_FOUND,
     FEASIBILITY_THRESHOLD,
     NO_FAITHFUL_STATE,
-    build_constraints,
     check_no_arbitrage,
     is_martingale_state,
     max_min_eig_over_slice,
@@ -45,7 +44,6 @@ from qmarket.operators import SX, apply_function, herm_to_vec, min_eigenvalue, v
 from qmarket.pricing import (
     INTERVAL_WIDTH_TOL,
     _super_hedge,
-    arbitrage_free_prices,
     is_complete,
     optional_decomposition,
     price_bounds,
@@ -57,14 +55,14 @@ from conftest import random_market, trinomial_market
 PAULI = [[0.15, 0.0, 0.0], [0.0, 0.15, 0.0], [0.09, 0.0, 0.12]]
 
 
-def nperiod_market(n, pauli=None):
-    spec = NPeriodSpec(n, -0.1, 0.2, 0.05, 100.0, 1.0, pauli or PAULI[:n])
+def nperiod_market(n, pauli=None, r=0.05):
+    spec = NPeriodSpec(n, -0.1, 0.2, r, 100.0, 1.0, pauli or PAULI[:n])
     return discount(build_n_period(spec))
 
 
-def basis_market(n):
+def basis_market(n, r=0.05):
     """nperiod_market(n) with A_1..A_n written as explicit bases: the dense route."""
-    mkt = nperiod_market(n)
+    mkt = nperiod_market(n, r=r)
     explicit = Filtration(
         [OperatorAlgebra.trivial(mkt.dim)]
         + [OperatorAlgebra.from_basis(alg.basis) for alg in mkt.filtration.algebras[1:]]
@@ -95,9 +93,9 @@ def count_builds(monkeypatch):
     return builds
 
 
-def test_arbitrage_free_prices_builds_the_space_once(count_builds):
+def test_price_bounds_builds_the_space_once(count_builds):
     mkt = nperiod_market(2)
-    cls = arbitrage_free_prices(call_payoff(mkt, 100.0), mkt)
+    cls = price_bounds(call_payoff(mkt, 100.0), mkt)
     assert cls.unique_price == pytest.approx(crr_price(2, 100.0, 100.0, 0.05, -0.1, 0.2), abs=1e-9)
     assert len(count_builds) == 1
 
@@ -149,7 +147,7 @@ def test_only_non_attainable_claims_build_barrier_coordinates(monkeypatch):
 def test_the_attainable_space_is_the_constraint_set(rng):
     mkt = nperiod_market(2)
     space = attainable_space(mkt)
-    assert build_constraints(mkt) is space
+    assert isinstance(space, market_mod.MartingaleConstraintSet)
     assert len(space) == space.rank == sum(4 ** t for t in range(2))
     perp = space.perp
     assert space.perp is perp and not perp.flags.writeable
@@ -386,55 +384,64 @@ def test_attainable_claim_runs_no_barrier(monkeypatch):
 
 
 def test_no_arbitrage_is_decided_once_per_market(monkeypatch):
-    # K factorizes on the binomial market, so pricing's first decision is
-    # already the full closed-form one, with no solve; that decision serves
-    # every later call, check_no_arbitrage's too
+    # K factorizes on the binomial market, so its one decision is the
+    # closed-form one, with no solve; that decision serves every later call,
+    # pricing's and check_no_arbitrage's alike
     solves = count_calls(monkeypatch, arbitrage_mod, "newton_core")
     decisions = count_calls(monkeypatch, arbitrage_mod, "product_decision")
     mkt = nperiod_market(2)
     for strike in (100.0, 90.0):
-        iv = arbitrage_free_prices(call_payoff(mkt, strike), mkt)
+        iv = price_bounds(call_payoff(mkt, strike), mkt)
         assert iv.unique_price == pytest.approx(
             crr_price(2, 100.0, strike, 0.05, -0.1, 0.2), abs=1e-9
         )
     assert len(solves) == 0 and len(decisions) == 1
     res = check_no_arbitrage(mkt)
-    assert len(solves) == 0 and not res.sign_only
-    assert check_no_arbitrage(mkt) is res
+    assert len(solves) == 0 and check_no_arbitrage(mkt) is res
+    assert iv.witness_states[0] is res.witness_state
     assert len(solves) == 0 and len(decisions) == 1
 
-    solves.clear()
     mkt = nperiod_market(2)
     check_no_arbitrage(mkt)
     prices = [price_bounds(call_payoff(mkt, strike), mkt) for strike in (100.0, 90.0)]
     assert len(solves) == 0 and len(decisions) == 2
-    # the full decision's witness prices as it did before pricing stopped at the sign
     assert [(iv.lower, iv.upper) for iv in prices] == [
         (13.605442176870731, 13.605442176870731),
         (20.408163265306104, 20.408163265306104),
     ]
 
+    # on a from_basis filtration K does not factorize: the first price runs
+    # the one Newton decision, and check_no_arbitrage returns it
+    decisions.clear()
+    mkt = basis_market(3, r=0.0)
+    iv = price_bounds(call_payoff(mkt, 100.0), mkt)
+    assert iv.attainable and len(solves) == 1 and len(decisions) == 1
+    res = check_no_arbitrage(mkt)
+    assert res.status == FAITHFUL_STATE_FOUND and res.iterations > 0
+    assert check_no_arbitrage(mkt) is res and iv.witness_states[0] is res.witness_state
+    assert len(solves) == 1 and len(decisions) == 1
+
 
 @pytest.mark.parametrize("r", [0.0, 0.03, 0.12])
-@pytest.mark.parametrize("n,most", [(1, 3), (2, 3), (3, 3), (4, 8), (5, 8)])
-def test_the_sign_only_decision_certifies_a_faithful_witness_in_few_steps(n, most, r):
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_the_newton_decision_certifies_a_faithful_witness_in_few_steps(n, r):
+    # the closed form gives lambda* of the binomial market; the Newton
+    # decision must bracket it and certify its witness
     mkt = discount(build_n_period(NPeriodSpec(n, -0.1, 0.2, r, 100.0)))
-    cs = build_constraints(mkt)
-    sign, full = max_min_eig_over_slice(cs, sign_only=True), max_min_eig_over_slice(cs)
-    assert sign.status == full.status == FAITHFUL_STATE_FOUND
-    assert sign.sign_only and sign.iterations <= most
-    assert not full.sign_only and sign.iterations < full.iterations <= 26
-    nu, c = sign.lambda_interval
-    assert FEASIBILITY_THRESHOLD < nu <= full.lambda_star <= c
-    assert min_eigenvalue(sign.witness_state.mat) >= nu
-    assert is_martingale_state(sign.witness_state, mkt, tol=1e-12)
+    cs = attainable_space(mkt)
+    res, exact = max_min_eig_over_slice(cs), arbitrage_mod.product_decision(cs)
+    assert res.status == exact.status == FAITHFUL_STATE_FOUND
+    assert 0 < res.iterations <= 26
+    nu, c = res.lambda_interval
+    assert FEASIBILITY_THRESHOLD < nu <= exact.lambda_star <= c == res.lambda_star
+    assert min_eigenvalue(res.witness_state.mat) >= nu
+    assert is_martingale_state(res.witness_state, mkt, tol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("r", [-0.2, -0.1, 0.2, 0.25], ids=["below", "at_a", "at_b", "above"])
 def test_pricing_an_arbitrage_market_raises_the_decisions_certificate(n, r):
-    # the sign-only solve of a market without a faithful state runs to its
-    # gap: it is the full decision, certificate and all
+    # pricing raises the certificate of the market's one decision
     def market():
         return discount(build_n_period(NPeriodSpec(n, -0.1, 0.2, r, 100.0)))
 
@@ -445,7 +452,7 @@ def test_pricing_an_arbitrage_market_raises_the_decisions_certificate(n, r):
     assert res.status == NO_FAITHFUL_STATE
     assert raised.value.certificate.tobytes() == res.arbitrage_claim.tobytes()
     kept = check_no_arbitrage(mkt)
-    assert not kept.sign_only and kept.arbitrage_claim is raised.value.certificate
+    assert kept.arbitrage_claim is raised.value.certificate
 
 
 def qubit_market():
@@ -594,7 +601,7 @@ def test_arbitrage_is_decided_by_one_newton_solve(monkeypatch):
 
 
 def test_pricing_builds_no_strategy(monkeypatch):
-    # price_bounds and arbitrage_free_prices read alpha and the residual only
+    # price_bounds reads alpha and the residual only
     built = []
     orig = market_mod.AttainableSpace.strategy
 
@@ -605,7 +612,7 @@ def test_pricing_builds_no_strategy(monkeypatch):
     monkeypatch.setattr(market_mod.AttainableSpace, "strategy", counting)
     mkt = nperiod_market(3)
     price_bounds(call_payoff(mkt, 100.0), mkt)
-    cls = arbitrage_free_prices(call_payoff(mkt, 105.0), mkt)
+    cls = price_bounds(call_payoff(mkt, 105.0), mkt)
     assert built == []
     # the strategy is built on first read, once
     assert cls.replication.strategy is cls.replication.strategy
@@ -620,5 +627,5 @@ def test_pricing_runs_no_lstsq_or_rank_solve(monkeypatch):
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
     monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
     for mkt in markets:
-        arbitrage_free_prices(call_payoff(mkt, 100.0), mkt)
+        price_bounds(call_payoff(mkt, 100.0), mkt)
         assert not is_complete(mkt).complete

@@ -140,6 +140,35 @@ def test_n_period_spec_validation():
     assert ok.pauli[1] == (0.0, 0.0, 0.15)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("r", NAN), ("x0", NAN), ("s0", INF), ("x1", INF), ("b0", NAN), ("r", -INF)],
+)
+def test_qubit_spec_rejects_a_non_finite_field(field, value):
+    fields = dict(x0=0.05, x1=0.15, x2=0.0, x3=0.0, r=0.05, s0=100.0)
+    fields[field] = value
+    with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        QubitMarketSpec(**fields)
+
+
+@pytest.mark.parametrize(
+    "field,value", [("r", NAN), ("r", INF), ("s0", INF), ("b0", NAN), ("b", INF)]
+)
+def test_n_period_spec_rejects_a_non_finite_field(field, value):
+    fields = dict(n_periods=2, a=-0.1, b=0.2, r=0.05, s0=100.0)
+    fields[field] = value
+    with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        NPeriodSpec(**fields)
+
+
+def test_n_period_spec_rejects_a_non_finite_pauli_entry():
+    with pytest.raises(ValidationError, match="period 2: pauli entries must be finite"):
+        NPeriodSpec(2, -0.1, 0.2, 0.05, 100.0, pauli=((0.15, 0.0, 0.0), (NAN, 0.0, 0.15)))
+
+
 def test_build_n_period_spectrum():
     spec = NPeriodSpec(2, -0.1, 0.2, 0.05, 100.0)
     mkt = build_n_period(spec)

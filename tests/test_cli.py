@@ -20,7 +20,7 @@ from qmarket.cli import (
 )
 from qmarket.errors import InternalConsistencyError, ValidationError
 from qmarket.market import discount
-from qmarket.pricing import CONSUMPTION_PSD_TOL, arbitrage_free_prices, optional_decomposition
+from qmarket.pricing import CONSUMPTION_PSD_TOL, optional_decomposition, price_bounds
 
 QUBIT_YAML = """
 market:
@@ -229,6 +229,19 @@ def test_run_crr():
     assert abs(out["difference"]) <= 1e-10
 
 
+def test_crr_rejects_a_spectral_put(tmp_path, capsys):
+    # the CRR closed form prices calls: a put must not be reported at the call's value
+    put = NPERIOD_YAML.replace("type: call", "type: spectral\n    fn: put")
+    with pytest.raises(ValidationError, match="strike-based calls only"):
+        run("crr", parse_scenario(put))
+    assert main(["crr", "--scenario", write(tmp_path, put)]) == EXIT_VALIDATION
+    assert "strike-based calls only" in capsys.readouterr().err
+    call = NPERIOD_YAML.replace("type: call", "type: spectral\n    fn: call")
+    report, code = run("crr", parse_scenario(call))
+    assert code == EXIT_OK
+    assert report["results"]["atm_call"]["crr"] == pytest.approx(13.605442176870748, abs=1e-9)
+
+
 def test_main_writes_report(tmp_path, capsys):
     scen = write(tmp_path, QUBIT_YAML)
     out = tmp_path / "report.json"
@@ -338,7 +351,7 @@ def test_main_decompose_two_periods_super_hedges_unattainable_claim(tmp_path, ca
     scenario = parse_scenario(TWO_PERIOD_EXPLICIT_YAML)
     market = discount(build_market(scenario)[0])
     payoff = cli.claim_payoff(scenario["claims"][0], market)
-    cls = arbitrage_free_prices(payoff, market)
+    cls = price_bounds(payoff, market)
     dec = optional_decomposition(cli._decompose_values(cls, payoff, market), market)
     for before, after in zip(dec.consumption, dec.consumption[1:]):
         assert np.linalg.eigvalsh(after - before)[0] >= -CONSUMPTION_PSD_TOL
@@ -679,7 +692,7 @@ def test_main_internal_inconsistency_exits_4(tmp_path, monkeypatch, capsys):
     def inconsistent(a, market):
         raise InternalConsistencyError("forged disagreement")
 
-    monkeypatch.setattr(cli, "arbitrage_free_prices", inconsistent)
+    monkeypatch.setattr(cli, "price_bounds", inconsistent)
     scen = write(tmp_path, QUBIT_YAML)
     assert main(["price", "--scenario", scen]) == EXIT_INCONSISTENT
     captured = capsys.readouterr()

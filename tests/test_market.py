@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmarket.arbitrage import build_constraints, check_no_arbitrage
+from qmarket.arbitrage import check_no_arbitrage
 from qmarket.binomial import QubitMarketSpec, build_single_period
 from qmarket.errors import ValidationError
 from qmarket.market import (
@@ -95,6 +95,13 @@ def test_market_validation():
         MarketModel(filt, [1.0, 1.0], [[100 * SX + 101 * I2, 100 * I2]])  # not adapted at 0
 
 
+@pytest.mark.parametrize("bank", [[1.0, float("inf")], [float("nan"), 1.05], [1.0, -float("inf")]])
+def test_market_rejects_a_non_finite_bank_account(bank):
+    filt = Filtration([OperatorAlgebra.trivial(2), OperatorAlgebra.full(2)])
+    with pytest.raises(ValidationError, match="bank account must be finite"):
+        MarketModel(filt, bank, [[100 * I2, 100 * I2 + 10 * SZ]])
+
+
 def test_bimodule_apply():
     u = random_hermitian(np.random.default_rng(0), 2)
     np.testing.assert_allclose(bimodule_apply((I2, I2), u), u)
@@ -115,8 +122,8 @@ def test_discount():
 
 def test_discount_preserves_martingale_states():
     mkt = build_single_period(SPEC)
-    c1 = build_constraints(discount(mkt))
-    c2 = build_constraints(discount(discount(mkt)))
+    c1 = attainable_space(discount(mkt))
+    c2 = attainable_space(discount(discount(mkt)))
     assert len(c1) == len(c2) == 1
     # same one-dimensional span
     g1, g2 = vec_to_herm(c1.vecs[0], 2), vec_to_herm(c2.vecs[0], 2)
@@ -124,7 +131,7 @@ def test_discount_preserves_martingale_states():
 
 
 def test_qubit_constraint_is_sigma_x():
-    cs = build_constraints(qubit_market())
+    cs = attainable_space(qubit_market())
     g = vec_to_herm(cs.vecs[0], 2)
     assert abs(abs(hs_inner(g, SX / np.sqrt(2))) - 1.0) <= 1e-9
 

@@ -24,7 +24,6 @@ from qmarket.market import (
 from qmarket.operators import SX, apply_function, min_eigenvalue
 from qmarket.pricing import (
     CONSUMPTION_PSD_TOL,
-    arbitrage_free_prices,
     is_complete,
     optional_decomposition,
     price_bounds,
@@ -185,13 +184,13 @@ def test_price_bounds_raises_on_arbitrage():
         price_bounds(np.eye(2), mkt)
 
 
-def test_arbitrage_free_prices_classification():
+def test_price_bounds_classification():
     mkt = qubit_market()
-    iv = arbitrage_free_prices(qubit_call(mkt), mkt)
+    iv = price_bounds(qubit_call(mkt), mkt)
     assert iv.unique_price == pytest.approx(QUBIT_CALL_PRICE, abs=1e-6)
     assert iv.unique_price == iv.replication.alpha
     tri = discount(trinomial_market())
-    iv_tri = arbitrage_free_prices(tri_call(tri), tri)
+    iv_tri = price_bounds(tri_call(tri), tri)
     assert iv_tri.unique_price is None and not iv_tri.attainable
 
 
