@@ -5,13 +5,14 @@ G_m of an orthonormal basis of the attainable-claim space, which the
 market builds once and which is itself the constraint set (see
 :class:`qmarket.market.AttainableSpace`).
 
-The decision and the super-hedge of :mod:`qmarket.pricing` are one
-semidefinite program over span(I, K): the least multiple alpha of I with
-F + alpha I + k >= 0 over k in K.  :func:`newton_core` solves it by Newton
-steps on the log-det barrier for a geometric schedule of tau (Vandenberghe
-& Boyd, "Semidefinite Programming", SIAM Review 38, 1996, sections 3 and
-6); each centred step's dual estimate rho bounds the optimum from below, so
-the solve stops on a certified gap.  A Newton step goes at least the damped
+The decision and the super-hedge of :mod:`qmarket.pricing` over a K of rank
+two or more are one semidefinite program over span(I, K): the least multiple
+alpha of I with F + alpha I + k >= 0 over k in K.  (Pricing hedges over a K
+of one element in one variable.)  :func:`newton_core` solves it by Newton
+steps on the log-det barrier for a geometric schedule of tau (Vandenberghe &
+Boyd, "Semidefinite Programming", SIAM Review 38, 1996, sections 3 and 6);
+each centred step's dual estimate rho bounds the optimum from below, so the
+solve stops on a certified gap.  A Newton step goes at least the damped
 length 1/(1 + |S|_F) of a self-concordant barrier (Nesterov, "Introductory
 Lectures on Convex Optimization", 2004, section 4.1.5), so a tau stage of a
 one-generator decision takes about one step.  It solves a stack of such
@@ -354,22 +355,39 @@ def _factor_pieces(constraints):
     return pieces
 
 
+def piece_optimum(d_t):
+    """(lambda, rho, Z) of one piece C^n whose Hermitian D is no multiple of I, from one eigh.
+
+    With D's eigenvalues g_1 <= ... <= g_n and s = tr D, max lambda_min over
+    {rho : tr rho = 1, tr rho D = 0} is
+    lambda = min(-g_1 / (s - n g_1), g_n / (n g_n - s)), positive iff D is
+    indefinite.  It is reached at rho = lambda I + (1 - n lambda) v v*, v the
+    eigenvector of the binding end, and bounded by Z = lambda I + y D, which
+    is positive semidefinite of unit trace.
+    """
+    n = len(d_t)
+    g, v = np.linalg.eigh(d_t)
+    # s - n g_1 and n g_n - s, both positive as D is no multiple of I
+    low, high = float((g - g[0]).sum()), float((g[-1] - g).sum())
+    if -g[0] * high <= g[-1] * low:
+        lam, vec, z = -g[0] / low, v[:, 0], (d_t - g[0] * np.eye(n)) / low
+    else:
+        lam, vec, z = g[-1] / high, v[:, -1], (g[-1] * np.eye(n) - d_t) / high
+    return lam, lam * np.eye(n) + (1.0 - n * lam) * np.outer(vec, vec.conj()), z
+
+
 def product_decision(constraints):
     """The decision in closed form where K factorizes (``_factor_pieces``), else None.
 
-    On one piece C^n with D's eigenvalues g_1 <= ... <= g_n and s = tr D,
-    max lambda_min over {rho : tr rho = 1, tr rho D = 0} is
-    lambda_t = min(-g_1 / (s - n g_1), g_n / (n g_n - s)), 1/n without D.
-    It is reached at rho_t = lambda_t I + (1 - n lambda_t) v v*, v the
-    eigenvector of the binding end, and bounded by Z_t = lambda_t I + y_t D,
-    which is positive semidefinite of unit trace.  The product state
-    (x)_t rho_t annihilates every Herm(M) (x) D_t (x) I, and
-    (x)_t Z_t - (prod_t lambda_t) I lies in K (split off the last factor
-    and recurse), so lambda* lies in [nu, c] with c = prod_t lambda_t and
-    nu = lambda_min((x)_t rho_t), kept at most c.  When every lambda_t is
-    non-negative, or K is one piece, nu = c up to rounding.  The closed form
-    is taken only where c - nu is within GAP_TOL, the gap at which the Newton
-    core stops; it takes no Newton step.
+    Each piece C^n has its optimum lambda_t, state rho_t and bound Z_t from
+    ``piece_optimum`` (1/n and I/n without D; no D_t is a multiple of I, as
+    I is not in K).  The product state (x)_t rho_t annihilates every Herm(M)
+    (x) D_t (x) I, and (x)_t Z_t - (prod_t lambda_t) I lies in K (split off
+    the last factor and recurse), so lambda* lies in [nu, c] with c = prod_t
+    lambda_t and nu = lambda_min((x)_t rho_t), kept at most c.  When every
+    lambda_t is non-negative, or K is one piece, nu = c up to rounding.  The
+    closed form is taken only where c - nu is within GAP_TOL, the gap at
+    which the Newton core stops; it takes no Newton step.
     """
     if constraints.perp is None:
         return None
@@ -382,14 +400,7 @@ def product_decision(constraints):
         if d_t is None:
             lam, rho, z = 1.0 / n, np.eye(n) / n, np.eye(n) / n
         else:
-            g, v = np.linalg.eigh(d_t)
-            # s - n g_1 and n g_n - s, both positive: D_t is no multiple of I, as I is not in K
-            low, high = float((g - g[0]).sum()), float((g[-1] - g).sum())
-            if -g[0] * high <= g[-1] * low:
-                lam, vec, z = -g[0] / low, v[:, 0], (d_t - g[0] * np.eye(n)) / low
-            else:
-                lam, vec, z = g[-1] / high, v[:, -1], (g[-1] * np.eye(n) - d_t) / high
-            rho = lam * np.eye(n) + (1.0 - n * lam) * np.outer(vec, vec.conj())
+            lam, rho, z = piece_optimum(d_t)
         witness, bound, c = np.kron(witness, rho), np.kron(bound, z), c * float(lam)
     witness /= np.trace(witness).real
     nu = min(float(np.linalg.eigvalsh(witness)[0]), c)

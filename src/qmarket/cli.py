@@ -12,7 +12,9 @@ witness or an arbitrage certificate (band-edge markets get a certificate)
 and 3 when neither is found; it reports the certified interval [nu, c]
 around lambda* (lambda_star is c), the witness's largest constraint
 residual, and the Newton steps taken.  price and interval report each
-end's certified gap, 0 for an attainable claim.
+end's certified gap, 0 for an attainable claim, and its super-hedge steps in
+``diagnostics.newton_steps``: Newton steps, or eigenvalue evaluations where
+K has one element.
 """
 
 import argparse

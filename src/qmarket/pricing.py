@@ -5,10 +5,14 @@ is the super-hedging price min{alpha : alpha I + k - A >= 0, k in K}, and
 each period of the optional decomposition super-hedges one increment of V
 over K_t.  A target in span(I, K) is its own hedge: the projection that
 ``replicate`` makes, with no solver, and its gap is 0.  Any other target is
-hedged by the Newton core of :mod:`qmarket.arbitrage` on
-alpha - tau logdet(alpha I + k - A) over (alpha, k), the solver that also
-decides no-arbitrage; ``price_bounds`` hedges A and -A in one stacked solve.
-Its dual estimate rho is a martingale state, and alpha - tr(rho A) is the
+hedged over its span.  A span of one element D, as in every one-asset
+single-period market, leaves one variable: alpha = min_y lambda_max(A - y D),
+which ``_hedge_one_element`` minimises by eigenvalue evaluations, bounded
+from below by two top eigenvectors.  A wider span is hedged by the Newton
+core of :mod:`qmarket.arbitrage` on alpha - tau logdet(alpha I + k - A) over
+(alpha, k), the solver that also decides no-arbitrage where K does not
+factorize; ``price_bounds`` hedges A and -A in one call.  Either way the
+witness rho is a faithful martingale state, and alpha - tr(rho A) is the
 certified gap of the price; the solve stops once that gap is below GAP_TOL,
 relative to max(1, |A|_2).  An attainable price's witness is the faithful
 martingale state of the market's no-arbitrage decision (``check_no_arbitrage``).
@@ -16,11 +20,19 @@ martingale state of the market's no-arbitrage decision (``check_no_arbitrage``).
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .arbitrage import FAITHFUL_STATE_FOUND, NO_FAITHFUL_STATE, check_no_arbitrage, newton_core
+from .arbitrage import (
+    FAITHFUL_STATE_FOUND,
+    GAP_TOL,
+    NEWTON_STEPS,
+    NO_FAITHFUL_STATE,
+    check_no_arbitrage,
+    newton_core,
+    piece_optimum,
+)
 from .errors import ArbitrageError, InternalConsistencyError, SolverError, ValidationError
 from .market import MartingaleConstraintSet, TradingStrategy, attainable_space, require_dim
 from .operators import as_hermitian, herm_to_vec, hs_inner, vec_to_herm
@@ -45,7 +57,7 @@ class Replication:
     space: MartingaleConstraintSet = field(repr=False)
     residual: float
     scale: float = 1.0
-    steps: int = 0  # Newton steps of the super-hedge solve; 0 for a projection
+    steps: int = 0  # super-hedge Newton steps, or eigh evaluations on one element; 0 if projected
 
     @property
     def attainable(self):
@@ -65,7 +77,7 @@ class PriceInterval:
     attainable: bool
     witness_states: tuple = (None, None)
     gaps: tuple = (0.0, 0.0)
-    steps: tuple = (0, 0)  # each end's super-hedge Newton steps; (0, 0) when attainable
+    steps: tuple = (0, 0)  # each end's super-hedge steps (see Replication); (0, 0) when attainable
     replication: Optional[Replication] = field(default=None, repr=False)
     hedge: Optional[Replication] = field(default=None, repr=False)  # the upper super-hedge
     unique_price: Optional[float] = None  # the replication's alpha when attainable
@@ -121,27 +133,121 @@ def replicate(a, market):
 # --- the super-hedge ---------------------------------------------------------
 
 
+class _TopLine(NamedTuple):
+    """f(y) = lambda_max(a - y D) at y; its top eigenvector v gives the line v*a v - y' v*Dv <= f."""
+
+    y: float
+    f: float
+    v_a_v: float
+    v_d_v: float
+    lam: np.ndarray  # the eigenvalues of a - y D
+    coupling: np.ndarray  # v_k* D v over its eigenvectors v_k
+    top: np.ndarray
+
+
+def _top_line(a, element, y):
+    lam, vecs = np.linalg.eigh(a - y * element)
+    top = vecs[:, -1]
+    coupling = vecs.conj().T @ (element @ top)
+    v_a_v = float((top.conj() @ a @ top).real)
+    return _TopLine(y, float(lam[-1]), v_a_v, float(coupling[-1].real), lam, coupling, top)
+
+
+def _hedge_one_element(a, norms, element):
+    """Per normalised target a_b: min_y f(y) = lambda_max(a_b - y D), D the span's one element.
+
+    f is convex, and the top eigenvector v at any y gives the line
+    v*a_b v - y v*Dv below f (Lewis & Overton, "Eigenvalue optimization",
+    Acta Numerica 5, 1996).  The minimum lies between a y where v*Dv > 0 and
+    one where v*Dv < 0, found at y = -(2|a_b|_2 + 1) / lambda_max(D) and
+    (2|a_b|_2 + 1) / -lambda_min(D).  The latest such line on each side, of
+    slopes -s_L < 0 < -s_R, cross at the value tr(rho_2 a_b) of the
+    martingale state rho_2 = p v_L v_L* + (1 - p) v_R v_R*,
+    p = -s_R / (s_L - s_R), which bounds min f from below.  The next y is a
+    Newton step on f' = -v*Dv with f'' = 2 sum_k |v_k* D v|^2 /
+    (lambda_max - lambda_k) from the eigh at the best y, or the crossing
+    where that step leaves the bracket or the last one did not halve the
+    gap; where D commutes with a_b, f is piecewise linear and the crossing
+    exact.  It stops once the best f is within GAP_TOL / 2 of the crossing,
+    after at most NEWTON_STEPS evaluations.  rho_2 mixed with D's faithful
+    optimum (``piece_optimum``) at weight GAP_TOL / 4 is the faithful
+    witness; as |a_b|_2 <= 1, its gap is at most GAP_TOL.
+
+    Returns one ((alpha, y), rho, gap, steps) per target, steps counting the
+    eigh evaluations; raises SolverError for a D that is not indefinite, a
+    failed bracket or no convergence.
+    """
+    g = np.linalg.eigvalsh(element)
+    if not g[0] < 0.0 < g[-1]:
+        raise SolverError(
+            f"super-hedge: the span's element is not indefinite, spectrum [{g[0]:.3e}, {g[-1]:.3e}]"
+        )
+    faithful = piece_optimum(element)[1]
+    out = []
+    for a_b, norm in zip(a, norms.tolist()):
+        reach = 2.0 * norm + 1.0
+        left, right = _top_line(a_b, element, -reach / g[-1]), _top_line(a_b, element, reach / -g[0])
+        if not left.v_d_v > 0.0 > right.v_d_v:
+            raise SolverError("super-hedge: the bracket of the one-element span failed")
+        best = min(left, right, key=lambda line: line.f)
+        steps, last = 2, np.inf
+        while True:
+            width = left.v_d_v - right.v_d_v
+            p = -right.v_d_v / width
+            gap = best.f - (p * left.v_a_v + (1.0 - p) * right.v_a_v)
+            if gap <= GAP_TOL / 2:
+                break
+            if steps >= NEWTON_STEPS:
+                raise SolverError(f"super-hedge: no convergence in {NEWTON_STEPS} evaluations")
+            y = (left.v_a_v - right.v_a_v) / width  # where the two lines cross
+            lam = best.lam
+            if gap <= last / 2 and lam[-1] > lam[-2]:
+                curve = 2.0 * float((np.abs(best.coupling[:-1]) ** 2 / (lam[-1] - lam[:-1])).sum())
+                newton = best.y + best.v_d_v / curve if curve > 0.0 else y
+                if left.y < newton < right.y:
+                    y = newton
+            line, steps, last = _top_line(a_b, element, y), steps + 1, gap
+            best = min(best, line, key=lambda line: line.f)
+            if line.v_d_v >= 0.0:
+                left = line
+            else:
+                right = line
+        rho = p * np.outer(left.top, left.top.conj())
+        rho += (1.0 - p) * np.outer(right.top, right.top.conj())
+        rho = (1.0 - GAP_TOL / 4) * rho + GAP_TOL / 4 * faithful
+        rho /= np.trace(rho).real
+        out.append((np.array([best.f, best.y]), rho, best.f - hs_inner(rho, a_b), steps))
+    return out
+
+
 def _super_hedge(targets, space):
     """Per target, min alpha with alpha I + k - target >= 0 over k in the span.
 
-    One stacked Newton core over x = (alpha, k) for the (B, d, d) ``targets``,
-    each on its scale max(1, |target|_2) and from its strictly feasible
-    alpha = lambda_max + 1, k = 0.  Returns one (hedge, witness rho, gap) per
-    target; the hedge carries its Newton steps.  Each dual rho has tr rho = 1
-    and tr(rho K_i) = 0, and the gap alpha - tr(rho target) is certified to
-    GAP_TOL times the scale; a solve that stops short of it raises SolverError.
+    Each target is hedged on its scale max(1, |target|_2).  A span of one
+    element D is hedged by ``_hedge_one_element`` over alpha = f(y), k = y D;
+    any other by one stacked Newton core over x = (alpha, k), each target from
+    its strictly feasible alpha = lambda_max + 1, k = 0.  Returns one (hedge,
+    witness rho, gap) per target; the hedge carries its steps, Newton steps
+    or eigenvalue evaluations.  Each rho has tr rho = 1 and tr(rho K_i) = 0,
+    and the gap alpha - tr(rho target) is certified to GAP_TOL times the
+    scale; a solve that stops short of it raises SolverError.
     """
-    scale = np.maximum(1.0, np.linalg.norm(targets, 2, axis=(1, 2)))
+    norms = np.linalg.norm(targets, 2, axis=(1, 2))
+    scale = np.maximum(1.0, norms)
     a = targets / scale[:, None, None]
-    objective = np.zeros(1 + space.rank)
-    objective[0] = 1.0
-    starts = np.outer(np.linalg.eigvalsh(a)[:, -1] + 1.0, objective)
+    if space.rank == 1:
+        solves = _hedge_one_element(a, norms / scale, vec_to_herm(space.vecs[0], space.dim))
+    else:
+        objective = np.zeros(1 + space.rank)
+        objective[0] = 1.0
+        starts = np.outer(np.linalg.eigvalsh(a)[:, -1] + 1.0, objective)
+        solves = []
+        for x, rho, gap, steps, failure in newton_core(objective, -a, space.vecs, starts):
+            if failure:
+                raise SolverError(f"super-hedge: {failure}")
+            solves.append((x, rho, gap, steps))
     out = []
-    for (x, rho, gap, steps, failure), a_b, scale_b in zip(
-        newton_core(objective, -a, space.vecs, starts), a, scale.tolist()
-    ):
-        if failure:
-            raise SolverError(f"super-hedge: {failure}")
+    for (x, rho, gap, steps), a_b, scale_b in zip(solves, a, scale.tolist()):
         lam = np.linalg.eigvalsh(rho)[0]
         if lam <= 0.0:
             raise SolverError(f"super-hedge witness is not positive definite: {lam:.3e}")

@@ -61,6 +61,11 @@ def trinomial_market(r=0.05, s0=100.0, rates=(-0.1, 0.05, 0.2)):
     return MarketModel(filt, [1.0, 1.0 + r], [[s0 * np.eye(dim, dtype=complex), s1]])
 
 
+# a claim outside span(I, K) of the tests' N = 2 binomial markets, whose K
+# has rank 1 + 4
+TWO_PERIOD_CLAIM = np.array([[1, 0, 0, 1], [0, 2, 1, 0], [0, 1, 3, 0], [1, 0, 0, 4]], dtype=complex)
+
+
 def classical_lp_bounds(prices_t1, s0, payoff):
     """LP oracle: extremize sum p_k h_k over {p >= 0, sum p = 1, sum p s_k = s0}.
 

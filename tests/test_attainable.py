@@ -30,7 +30,7 @@ from qmarket.binomial import (
     build_single_period,
     crr_price,
 )
-from qmarket.cli import parse_scenario, run
+from qmarket.cli import _decompose_values, parse_scenario, run
 from qmarket.errors import ArbitrageError, InternalConsistencyError
 from qmarket.market import (
     Filtration,
@@ -50,7 +50,7 @@ from qmarket.pricing import (
     replicate,
 )
 
-from conftest import random_market, trinomial_market
+from conftest import TWO_PERIOD_CLAIM, random_market, trinomial_market
 
 PAULI = [[0.15, 0.0, 0.0], [0.0, 0.15, 0.0], [0.09, 0.0, 0.12]]
 
@@ -138,10 +138,45 @@ def test_only_non_attainable_claims_build_barrier_coordinates(monkeypatch):
     values = [rep.alpha * np.eye(mkt.dim) + g for g in gain_process(rep.strategy, mkt)]
     optional_decomposition(values, mkt)
     assert hedges == [] and len(solves) == 0
-    # one stacked solve prices both ends
+    # one hedge prices both ends: over the trinomial's one-element span
+    # without the Newton core, over the N = 2 market's span by one stacked solve
     assert not price_bounds(call_payoff(tri, 100.0), tri).attainable
-    assert len(hedges) == 1 and len(solves) == 1
+    assert len(hedges) == 1 and len(solves) == 0
+    assert not price_bounds(TWO_PERIOD_CLAIM, mkt).attainable
+    assert len(hedges) == 2 and len(solves) == 1
     assert null_spaces == []
+
+
+def full_one_asset_market(d, seed):
+    """A discounted single-period market on C^d whose S_1 has a random eigenbasis."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    s1 = (q * np.linspace(90.0, 120.0, d)) @ q.conj().T
+    filt = Filtration([OperatorAlgebra.trivial(d), OperatorAlgebra.full(d)])
+    return discount(MarketModel(filt, [1.0, 1.05], [[100.0 * np.eye(d), 0.5 * (s1 + s1.conj().T)]]))
+
+
+def test_only_spans_of_rank_two_or_more_reach_the_newton_super_hedge(monkeypatch):
+    # a span of one element is hedged by its one-variable minimisation, in
+    # intervals and decompositions alike; wider spans keep the Newton core
+    solves = count_calls(monkeypatch, arbitrage_mod, "newton_core")
+    minimisations = count_calls(monkeypatch, pricing_mod, "_hedge_one_element")
+    tri, full = discount(trinomial_market()), full_one_asset_market(4, 0)
+    claims = (call_payoff(tri, 100.0), np.diag([1.0, 2.0, 3.0, 4.0]) + np.kron(SX, SX))
+    for mkt, claim in zip((tri, full), claims):
+        assert attainable_space(mkt).rank == 1
+        iv = price_bounds(claim, mkt)
+        assert not iv.attainable and min(iv.steps) > 0
+        optional_decomposition([iv.upper * np.eye(mkt.dim), claim], mkt)
+    assert len(minimisations) == 4 and len(solves) == 0
+    # the N = 2 market: one stacked solve for the interval's two ends, and one
+    # for the decomposition's second period, whose span has rank 4
+    mkt = nperiod_market(2)
+    iv = price_bounds(TWO_PERIOD_CLAIM, mkt)
+    assert not iv.attainable and len(solves) == 1
+    optional_decomposition(_decompose_values(iv, TWO_PERIOD_CLAIM, mkt), mkt)
+    assert [p.rank for p in attainable_space(mkt).periods] == [1, 4]
+    assert len(solves) == 2 and len(minimisations) == 4
 
 
 def test_the_attainable_space_is_the_constraint_set(rng):

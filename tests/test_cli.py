@@ -51,6 +51,25 @@ claims:
     strike: 100.0
 """
 
+# the N = 2 market with a claim outside span(I, K): K has rank 1 + 4, so
+# the super-hedge runs the Newton core
+NPERIOD_MATRIX_YAML = """
+market:
+  kind: nperiod
+  n: 2
+  a: -0.1
+  b: 0.2
+  r: 0.05
+  s0: 100.0
+claims:
+  - name: matrix
+    type: matrix
+    entries: [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+              [[0.0, 0.0], [2.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+              [[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [0.0, 0.0]],
+              [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [4.0, 0.0]]]
+"""
+
 TRINOMIAL_YAML = """
 market:
   kind: explicit
@@ -160,9 +179,15 @@ def test_price_and_interval_report_each_end_gap():
 
 
 def test_price_and_interval_report_each_end_newton_steps(tmp_path):
-    # the super-hedge steps of each end, [lower, upper]; none for an attainable claim
+    # the super-hedge steps of each end, [lower, upper]: Newton steps over a
+    # span of rank 5, eigenvalue evaluations over the trinomial's one-element
+    # span; none for an attainable claim
     out = tmp_path / "report.json"
-    cases = ((TRINOMIAL_YAML, {"call": [9, 20]}), (QUBIT_YAML, {"atm_call": [0, 0]}))
+    cases = (
+        (NPERIOD_MATRIX_YAML, {"matrix": [8, 8]}),
+        (TRINOMIAL_YAML, {"call": [3, 3]}),
+        (QUBIT_YAML, {"atm_call": [0, 0]}),
+    )
     for command in ("price", "interval"):
         for text, steps in cases:
             scen = write(tmp_path, text)
@@ -672,7 +697,7 @@ def test_main_singular_barrier_exits_indeterminate(tmp_path, monkeypatch, capsys
 
     monkeypatch.setattr(np.linalg, "solve", singular)
     monkeypatch.setattr(np.linalg, "pinv", singular)
-    scen = write(tmp_path, TRINOMIAL_YAML)
+    scen = write(tmp_path, NPERIOD_MATRIX_YAML)
     assert main(["interval", "--scenario", scen]) == EXIT_INDETERMINATE
     assert "Newton system is singular" in capsys.readouterr().err
 

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from qmarket.arbitrage import (
     FAITHFUL_STATE_FOUND,
+    GAP_TOL,
+    NEWTON_STEPS,
     check_no_arbitrage,
     is_martingale_state,
     newton_core,
@@ -15,15 +17,17 @@ from qmarket.errors import ArbitrageError, SolverError, ValidationError
 from qmarket.market import (
     Filtration,
     MarketModel,
+    MartingaleConstraintSet,
     OperatorAlgebra,
     attainable_space,
     discount,
     gain_process,
     value_process,
 )
-from qmarket.operators import SX, apply_function, min_eigenvalue
+from qmarket.operators import SX, apply_function, hs_inner, min_eigenvalue, vec_to_herm
 from qmarket.pricing import (
     CONSUMPTION_PSD_TOL,
+    _super_hedge,
     is_complete,
     optional_decomposition,
     price_bounds,
@@ -33,6 +37,7 @@ from qmarket.pricing import (
 from qmarket.quantum import DensityState, expectation
 
 from conftest import (
+    TWO_PERIOD_CLAIM,
     classical_lp_bounds,
     random_hermitian,
     random_market,
@@ -379,9 +384,11 @@ def test_dephased_market_agrees_with_classical_bounds():
 
 def test_singular_barrier_newton_system_raises(monkeypatch):
     # a Newton system that neither the solve nor its least-squares fallback
-    # solves is reported, not replaced by a gradient step
-    mkt = discount(trinomial_market())
+    # solves is reported, not replaced by a gradient step; the N = 2 market's
+    # K, of rank 1 + 4, is decided in closed form and hedged by the Newton core
+    mkt = discount(build_n_period(NPeriodSpec(2, -0.1, 0.2, 0.05, 100.0)))
     assert check_no_arbitrage(mkt).witness_state is not None
+    assert attainable_space(mkt).rank == 5 and not replicate(TWO_PERIOD_CLAIM, mkt).attainable
 
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
@@ -389,7 +396,7 @@ def test_singular_barrier_newton_system_raises(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", singular)
     monkeypatch.setattr(np.linalg, "pinv", singular)
     with pytest.raises(SolverError, match="Newton system is singular"):
-        price_bounds(tri_call(mkt), mkt)
+        price_bounds(TWO_PERIOD_CLAIM, mkt)
 
 
 def test_a_stacked_newton_solve_matches_its_single_solves():
@@ -412,6 +419,64 @@ def test_a_stacked_newton_solve_matches_its_single_solves():
         np.testing.assert_allclose(x, x1, rtol=0, atol=1e-12)
         np.testing.assert_allclose(rho, rho1, rtol=0, atol=1e-12)
         assert gap == pytest.approx(gap1, abs=1e-15) and gap <= 1e-10
+
+
+def one_element_span(d, kind, seed):
+    """A span of one indefinite D on C^d and a target: diagonal, near-commuting or full."""
+    rng = np.random.default_rng(seed)
+    rates = np.sort(rng.uniform(-0.3, 0.4, d))
+    shift = rates[0] + rng.uniform(0.2, 0.8) * (rates[-1] - rates[0])
+    if kind == "full":
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        element, target = (q * (rates - shift)) @ q.conj().T, random_hermitian(rng, d, 10.0)
+    else:
+        element, target = np.diag(rates - shift), np.diag(rng.uniform(0.0, 20.0, d))
+        if kind != "diagonal":
+            element = element + float(kind) * random_hermitian(rng, d)
+    element = 0.5 * (element + element.conj().T)
+    return MartingaleConstraintSet(d, [element / np.linalg.norm(element)]), target
+
+
+SPAN_KINDS = ["diagonal", "1e-9", "1e-4", "full"]  # 1e-9 and 1e-4: a diagonal D plus that much noise
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.integers(2, 8), st.sampled_from(SPAN_KINDS), st.integers(0, 2**32 - 1))
+def test_a_one_element_hedge_matches_the_newton_core(d, kind, seed):
+    # the Newton core, run directly, stays the reference: both ends agree
+    # within the two certified gaps, and the one-variable route's own
+    # certificate (gap, faithful martingale witness, hedge slack) holds
+    space, target = one_element_span(d, kind, seed)
+    targets = np.stack([target, -target])
+    scale = max(1.0, float(np.linalg.norm(target, 2)))
+    objective = np.eye(2)[0]
+    starts = np.outer(np.linalg.eigvalsh(targets / scale)[:, -1] + 1.0, objective)
+    reference = newton_core(objective, -targets / scale, space.vecs, starts)
+    element = vec_to_herm(space.vecs[0], d)
+    for (hedge, rho, gap), (x, _, ref_gap, _, failure), a in zip(
+        _super_hedge(targets, space), reference, targets
+    ):
+        assert failure is None and hedge.scale == scale
+        # the two gaps, plus rounding
+        assert abs(hedge.alpha - x[0] * scale) <= gap + ref_gap * scale + 1e-13 * scale
+        assert -1e-13 * scale <= gap <= GAP_TOL * scale and 0 < hedge.steps <= NEWTON_STEPS
+        assert np.linalg.eigvalsh(rho)[0] > 0.0 and abs(np.trace(rho).real - 1.0) <= 1e-12
+        assert abs(np.trace(rho @ element)) <= 1e-12
+        assert hedge.alpha - hs_inner(rho, a) == pytest.approx(gap, abs=1e-12 * scale)
+        slack = hedge.alpha * np.eye(d) + hedge.coeffs[0] * element - a
+        assert np.linalg.eigvalsh(slack)[0] >= -1e-10 * scale
+
+
+@pytest.mark.parametrize(
+    "element",
+    [np.diag([1.0, 0.5, 0.0]), np.diag([-1.0, -2.0, 0.0]), np.eye(3)],
+    ids=["psd", "nsd", "eye"],
+)
+def test_a_semidefinite_one_element_span_raises(element):
+    # no martingale state is faithful: the hedge reports it, with no NaN and no loop
+    space = MartingaleConstraintSet(3, [element / np.linalg.norm(element)])
+    with pytest.raises(SolverError, match="not indefinite"):
+        _super_hedge(np.diag([1.0, 2.0, 3.0]).astype(complex)[None], space)
 
 
 def diagonal_market(rng):
