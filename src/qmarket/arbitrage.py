@@ -15,9 +15,8 @@ each centred step's dual estimate rho bounds the optimum from below, so the
 solve stops on a certified gap.  A Newton step goes at least the damped
 length 1/(1 + |S|_F) of a self-concordant barrier (Nesterov, "Introductory
 Lectures on Convex Optimization", 2004, section 4.1.5), so a tau stage of a
-one-generator decision takes about one step.  It solves a stack of such
-programs that share K in one pass, each on its own tau path: the two ends of
-a price interval are one call.
+one-generator decision takes about one step.  Each call solves one such
+program: the two ends of a price interval are two calls.
 
 For the decision, lambda* = max lambda_min(rho) over martingale states is
 min{c : Z = c I + k >= 0, tr Z = 1, k in K}.  With T_i = K_i - tr(K_i)/d I,
@@ -62,8 +61,6 @@ NEWTON_STEPS = 500
 SOLVE_TOL = 1e-12  # relative error below which a Newton step solves its system
 WHITEN_ROWS = 64  # basis rows whitened per block, which bounds the solver's working set
 LINE_GRID = 2.0 ** (-np.arange(320) / 8)  # trial step lengths 2^(-k/8) from 1 down to 1e-12
-# LINE_WINDOWS[k] holds the 64 grid steps from the k-th on, NaN past the end of the grid
-LINE_WINDOWS = np.append(LINE_GRID, np.full(64, np.nan))[np.add.outer(np.arange(321), np.arange(64))]
 
 
 @dataclass
@@ -89,16 +86,13 @@ def is_martingale_state(rho, market, tol=1e-8):
 # --- the Newton core ---------------------------------------------------------
 
 
-def newton_core(objective, offsets, rows, starts):
-    """min c.x over X(x) = F + (c.x) I + sum_j x_{l+j} G_j > 0, c = ``objective``, per F.
+def newton_core(objective, offset, rows, start):
+    """min c.x over X(x) = offset + (c.x) I + sum_j x_{l+j} G_j > 0, c = ``objective``.
 
-    Solves a stack of such problems that share c and the span: F runs over
-    ``offsets`` (B, d, d), and each problem starts from its row of the
-    strictly feasible ``starts`` (B, n).  G_j are the herm-vec ``rows`` and
-    l = n - len(rows): the first l coordinates move I alone.  Newton steps on
-    c.x - tau logdet X, each problem on its own tau schedule; a step makes one
-    stacked eigh, one solve and one eigvalsh for the problems still in the
-    stack, and a problem leaves the stack once its own gap is certified.
+    G_j are the herm-vec ``rows`` and l = len(c) - len(rows): the first l
+    coordinates move I alone.  Newton steps on c.x - tau logdet X from the
+    strictly feasible ``start``; a step makes one eigh, one solve and one
+    eigvalsh.
 
     With X^-1 = W W* and M_i the whitened basis element W* B_i W, the
     gradient is c - tau tr M and the Hessian tau Re<M_i, M_j>.  At the Newton
@@ -107,11 +101,11 @@ def newton_core(objective, offsets, rows, starts):
     tau (d - tr S).  |S|_F^2 is the squared Newton decrement; an iterate with
     |S|_F <= 1/2 is centred, and its rho is positive definite.
 
-    The step at any tau is v - u / tau, so until a problem's first centred
-    iterate its tau drops to 1/sigma for the sigma that minimises
-    |(v - sigma u).m|^2 = |S|^2, when that is lower.  A singular Newton system
-    takes the minimum-norm least-squares step, and a rho from such a step
-    counts only if the step solves the system to rounding (SOLVE_TOL).
+    The step at any tau is v - u / tau, so until the first centred iterate
+    tau drops to 1/sigma for the sigma that minimises |(v - sigma u).m|^2 =
+    |S|^2, when that is lower.  A singular Newton system takes the
+    minimum-norm least-squares step, and a rho from such a step counts only
+    if the step solves the system to rounding (SOLVE_TOL).
 
     The line search takes the longest step on the grid 2^(-k/8) at which
     c.x - tau logdet X still descends, and a step that solves its system
@@ -124,154 +118,97 @@ def newton_core(objective, offsets, rows, starts):
     that identity, so the damped step is taken only where it holds to
     SOLVE_TOL.
 
-    Returns one (x, rho, gap, steps, failure) per problem: x the last iterate
-    with X(x) positive definite, rho and gap those of the last centred
-    iterate (None and inf before the first), and failure None once certified,
-    else the reason the solve stopped.  What a failure means is the caller's
-    to decide.
+    Returns (x, rho, gap, steps, failure): x the last iterate with X(x)
+    positive definite, rho and gap those of the last centred iterate (None
+    and inf before the first), and failure None once the gap is at most
+    GAP_TOL, else the reason the solve stopped.  What a failure means is the
+    caller's to decide.
     """
-    count, d = offsets.shape[0], offsets.shape[-1]
+    d = offset.shape[0]
     lead = len(objective) - len(rows)
-    m_all = np.empty((count, len(objective), d * d))  # herm-vec rows of each problem's M_i
-    rhs_all = np.empty((count, len(objective), 2))  # columns c and tr M, the latter set per step
-    rhs_all[:, :, 0] = objective
+    m = np.empty((len(objective), d * d))  # herm-vec rows of the M_i
+    rhs = np.stack([objective, objective], axis=1)  # columns c and tr M, set per step
     # a span of one block is kept as matrices; a longer one is turned into matrices
     # block by block per step, which bounds the working set
-    mats = vec_to_herm(rows, d) if len(rows) <= WHITEN_ROWS else None
-    x = good = np.array(starts, dtype=float)
-    tau = np.ones(count)
-    ids = list(range(count))  # the problems still in the stack
-    centred = [None] * count  # (tau, W, herm-vec of S) of each one's last centred iterate
-    fresh = set(ids)  # the problems without a centred iterate yet
-    out = [None] * count
+    mats = vec_to_herm(rows, d).reshape(len(rows), d * d) if len(rows) <= WHITEN_ROWS else None
+    x = good = np.array(start, dtype=float)
+    tau, centred = 1.0, None  # (tau, W, herm-vec of S) of the last centred iterate
 
-    def leave(verdicts, last, steps):
-        """Record each problem whose verdict is None (certified) or a failure; mask the rest.
-
-        A verdict of False keeps the problem in the stack.
-        """
-        keep = np.array([verdict is False for verdict in verdicts])
-        for j in np.flatnonzero(~keep):
-            if centred[ids[j]] is None:
-                out[ids[j]] = (last[j], None, np.inf, steps, verdicts[j])
-                continue
-            tau_c, w_c, s_c = centred[ids[j]]
-            rho = tau_c * w_c @ (np.eye(d) - vec_to_herm(s_c, d)) @ w_c.conj().T
-            out[ids[j]] = (last[j], rho, tau_c * (d - s_c[:d].sum()), steps, verdicts[j])
-        ids[:] = [i for i, k in zip(ids, keep) if k]
-        return keep
+    def result(x, steps, failure):
+        if centred is None:
+            return x, None, np.inf, steps, failure
+        tau_c, w_c, s_c = centred
+        rho = tau_c * w_c @ (np.eye(d) - vec_to_herm(s_c, d)) @ w_c.conj().T
+        return x, rho, tau_c * (d - s_c[:d].sum()), steps, failure
 
     for steps in range(NEWTON_STEPS):
-        if mats is None:
-            span = vec_to_herm(x[:, lead:] @ rows, d)
-        else:
-            span = (x[:, lead:] @ mats.reshape(len(rows), d * d)).reshape(-1, d, d)
-        lam, vecs = np.linalg.eigh(offsets + span)
-        lam += (x @ objective)[:, None]
-        lows = lam[:, 0].tolist()
-        if min(lows) <= 0.0:
-            verdicts = ["iterate is not positive definite" if low <= 0.0 else False for low in lows]
-            keep = leave(verdicts, good, steps)
-            if not ids:
-                return out
-            x, offsets, tau, lam, vecs = x[keep], offsets[keep], tau[keep], lam[keep], vecs[keep]
-        size = len(ids)
-        good, w = x, vecs / np.sqrt(lam)[:, None, :]
+        span = vec_to_herm(x[lead:] @ rows, d) if mats is None else (x[lead:] @ mats).reshape(d, d)
+        lam, vecs = np.linalg.eigh(offset + span)
+        lam += x @ objective
+        if lam[0] <= 0.0:
+            return result(good, steps, "iterate is not positive definite")
+        good, w = x, vecs / np.sqrt(lam)
         # whiten B_i = c_i I + G_{i-l} in blocks: M_i = c_i diag(1 / lam) + W* G W
-        m, rhs = m_all[:size], rhs_all[:size]
-        m[:, :lead] = 0.0
-        w_adj = w.conj().transpose(0, 2, 1)[:, None]
+        m[:lead] = 0.0
         for lo in range(0, len(rows), WHITEN_ROWS):
             block = vec_to_herm(rows[lo : lo + WHITEN_ROWS], d) if mats is None else mats
             k = len(block)
-            white = w_adj @ (block.reshape(k * d, d) @ w).reshape(size, k, d, d)
-            m[:, lead + lo : lead + lo + k] = herm_to_vec(white)
-        m[:, :, :d] += objective[:, None] / lam[:, None, :]
-        rhs[:, :, 1] = m[:, :, :d].sum(axis=2)
-        hess = m @ m.transpose(0, 2, 1)
-        exact = [True] * size
+            white = w.conj().T @ (block.reshape(k * d, d) @ w).reshape(k, d, d)
+            m[lead + lo : lead + lo + k] = herm_to_vec(white)
+        m[:, :d] += objective[:, None] / lam
+        rhs[:, 1] = m[:, :d].sum(axis=1)
+        hess = m @ m.T
+        exact = True
         try:
             # the step at any tau is -(tau H)^-1 (c - tau tr M) = v - u / tau
-            u, v = np.linalg.solve(hess, rhs).transpose(2, 0, 1)
+            u, v = np.linalg.solve(hess, rhs).T
         except np.linalg.LinAlgError:
             try:
                 sol = np.linalg.pinv(hess, hermitian=True) @ rhs
             except np.linalg.LinAlgError:
-                leave([f"Newton system is singular at tau={t:.1e}" for t in tau], x, steps)
-                return out
-            miss = np.abs(hess @ sol - rhs).max(axis=(1, 2))
-            bound = np.abs(hess).max(axis=(1, 2)) * np.abs(sol).max(axis=(1, 2))
-            exact = (miss <= SOLVE_TOL * (bound + np.abs(rhs).max(axis=(1, 2)))).tolist()
-            u, v = sol.transpose(2, 0, 1)
-        if fresh:
+                return result(x, steps, f"Newton system is singular at tau={tau:.1e}")
+            miss = np.abs(hess @ sol - rhs).max()
+            exact = miss <= SOLVE_TOL * (np.abs(hess).max() * np.abs(sol).max() + np.abs(rhs).max())
+            u, v = sol.T
+        if centred is None:
             # before the first centred iterate: sigma = c.v / c.u minimises |S|^2
-            for j, (cu, cv) in enumerate(zip((u @ objective).tolist(), (v @ objective).tolist())):
-                if ids[j] in fresh and cu > 0.0 and cv * tau[j] > cu:
-                    tau[j] = cu / cv
-        done = [False] * size
+            cu, cv = float(u @ objective), float(v @ objective)
+            if cu > 0.0 and cv * tau > cu:
+                tau = cu / cv
         while True:
-            step = v - u / tau[:, None]
-            s_vec = np.matmul(step[:, None], m)[:, 0]  # herm-vec of S
-            decs = (s_vec * s_vec).sum(axis=1).tolist()
-            if min(decs) > 0.25:
+            step = v - u / tau
+            s_vec = step @ m  # herm-vec of S
+            dec = float(s_vec @ s_vec)
+            if dec <= 0.25 and exact:
+                centred = (tau, w, s_vec)
+                if tau * (d - s_vec[:d].sum()) <= GAP_TOL:
+                    return result(x, steps, None)
+            if dec > NEWTON_TOL:
                 break
-            follow = False
-            traces = s_vec[:, :d].sum(axis=1).tolist()
-            for j, (dec, trace, t) in enumerate(zip(decs, traces, tau.tolist())):
-                if done[j]:
-                    continue
-                if dec <= 0.25 and exact[j]:
-                    centred[ids[j]] = (t, w[j], s_vec[j])
-                    fresh.discard(ids[j])
-                    done[j] = t * (d - trace) <= GAP_TOL
-                if dec <= NEWTON_TOL and not done[j]:
-                    tau[j] = t * TAU_STEP  # centred: follow the central path
-                    follow = True
-            if not follow:
-                break
-        if all(done):
-            leave([None] * size, x, steps)
-            return out
+            tau *= TAU_STEP  # centred: follow the central path
         # line search: the longest grid step at which the objective, convex along the
-        # step and exact in whitened form, still descends; each grid starts at the
+        # step and exact in whitened form, still descends; the grid starts at the
         # first step that keeps X = W^-* (I + t S) W^-1 positive definite
         mu = np.linalg.eigvalsh(vec_to_herm(s_vec, d))
-        rates, mu_row = (step @ objective)[:, None], mu[:, None, :]
-        first = [
-            0 if low > -1.0 else min(int(8.0 * math.log2(-low) + 1e-9) + 1, len(LINE_GRID))
-            for low in mu[:, 0].tolist()
-        ]
-        lengths = [float(gone) for gone in done]  # 0 until a descending step is found
-        for lo in range(0, len(LINE_GRID), 64):
-            grid = LINE_WINDOWS[first if lo == 0 else [min(k + lo, len(LINE_GRID)) for k in first]]
-            slope = (mu_row / (1.0 + grid[:, :, None] * mu_row)).sum(axis=2)
-            descent = rates <= tau[:, None] * slope
-            for j, k in enumerate(descent.argmax(axis=1).tolist()):
-                if descent[j, k] and not lengths[j]:
-                    lengths[j] = grid[j, k]
-                    # a step that solves its Newton system, c.s = tau (tr S - |S|_F^2),
-                    # descends up to the damped step 1/(1 + |S|_F), which the grid can miss
-                    damped = 1.0 / (1.0 + math.sqrt(decs[j]))
-                    if damped > lengths[j]:
-                        trace = float(s_vec[j, :d].sum())
-                        miss = abs(rates[j, 0] - tau[j] * (trace - decs[j]))
-                        if miss <= SOLVE_TOL * tau[j] * (abs(trace) + decs[j]):
-                            lengths[j] = damped
-            if all(lengths):
+        rate = float(step @ objective)
+        first = 0 if mu[0] > -1.0 else int(8.0 * math.log2(-mu[0]) + 1e-9) + 1
+        for lo in range(first, len(LINE_GRID), 64):
+            grid = LINE_GRID[lo : lo + 64]
+            descent = rate <= tau * (mu / (1.0 + grid[:, None] * mu)).sum(axis=1)
+            if descent.any():
                 break
-        if any(done) or not all(lengths):
-            verdicts = [
-                None if gone else False if length else f"line search failed at tau={t:.1e}"
-                for gone, length, t in zip(done, lengths, tau)
-            ]
-            keep = leave(verdicts, x, steps)
-            if not ids:
-                return out
-            good, offsets, tau, step = good[keep], offsets[keep], tau[keep], step[keep]
-            lengths = [length for length, k in zip(lengths, keep) if k]
-        x = good + np.array(lengths)[:, None] * step
-    leave([f"no convergence in {NEWTON_STEPS} Newton steps"] * len(ids), good, NEWTON_STEPS)
-    return out
+        else:
+            return result(x, steps, f"line search failed at tau={tau:.1e}")
+        length = grid[descent.argmax()]
+        # a step that solves its Newton system, c.s = tau (tr S - |S|_F^2), descends
+        # up to the damped step 1/(1 + |S|_F), which the grid can miss
+        damped = 1.0 / (1.0 + math.sqrt(dec))
+        if damped > length:
+            trace = float(s_vec[:d].sum())
+            if abs(rate - tau * (trace - dec)) <= SOLVE_TOL * tau * (abs(trace) + dec):
+                length = damped
+        x = x + length * step
+    return result(good, NEWTON_STEPS, f"no convergence in {NEWTON_STEPS} Newton steps")
 
 
 def _settle(res, witness, claim, vecs):
@@ -310,8 +247,8 @@ def max_min_eig_over_slice(constraints):
         )
     vecs = constraints.vecs
     shift = -vecs[:, :d].sum(axis=1) / d  # -tr(K_i) / d: T_i = K_i + shift_i I
-    [(y, rho, _, steps, failure)] = newton_core(
-        shift, np.eye(d, dtype=complex)[None] / d, vecs, np.zeros((1, len(vecs)))
+    y, rho, _, steps, failure = newton_core(
+        shift, np.eye(d, dtype=complex) / d, vecs, np.zeros(len(vecs))
     )
     c = 1.0 / d + float(shift @ y)
     nu = -np.inf if rho is None else (1.0 - float(np.trace(rho).real)) / d

@@ -1,7 +1,8 @@
 """Scenario-file driver.
 
-Usage: ``qmarket <command> --scenario <path> [--seed N] [--out <path>]`` with
-commands check-arbitrage, price, interval, replicate, decompose, disk, crr.
+Usage: ``qmarket <command> --scenario <path> [--seed N] [--out <path>]
+[--samples N]`` with commands check-arbitrage, price, interval, replicate,
+decompose, disk, crr; disk draws 1..MAX_DISK_SAMPLES samples.
 
 Scenarios are YAML trees (see README for the grammar); reports are JSON with
 sorted keys, byte-stable for a fixed scenario and seed.  Matrices are encoded
@@ -50,6 +51,8 @@ EXIT_INDETERMINATE = 3
 EXIT_INCONSISTENT = 4
 
 COMMANDS = ("check-arbitrage", "price", "interval", "replicate", "decompose", "disk", "crr")
+# each disk sample is one DensityState, so 1e5 take seconds and 1e8 would take hours
+MAX_DISK_SAMPLES = 100_000
 
 # libyaml's loader when PyYAML was built with it; both give the same tree
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -320,6 +323,8 @@ def run(command, scenario, samples=100):
     elif command == "disk":
         if scenario["market"]["kind"] != "qubit":
             raise ValidationError("disk command requires a qubit market scenario")
+        if not 1 <= samples <= MAX_DISK_SAMPLES:
+            raise ValidationError(f"--samples must be in 1..{MAX_DISK_SAMPLES}, got {samples}")
         disk = risk_neutral_disk(spec)
         states = sample_disk_states(disk, samples, seed)
         results = {

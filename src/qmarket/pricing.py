@@ -10,11 +10,11 @@ single-period market, leaves one variable: alpha = min_y lambda_max(A - y D),
 which ``_hedge_one_element`` minimises by eigenvalue evaluations, bounded
 from below by two top eigenvectors.  A wider span is hedged by the Newton
 core of :mod:`qmarket.arbitrage` on alpha - tau logdet(alpha I + k - A) over
-(alpha, k), the solver that also decides no-arbitrage where K does not
-factorize; ``price_bounds`` hedges A and -A in one call.  Either way the
-witness rho is a faithful martingale state, and alpha - tr(rho A) is the
-certified gap of the price; the solve stops once that gap is below GAP_TOL,
-relative to max(1, |A|_2).  An attainable price's witness is the faithful
+(alpha, k), one call per end of a price; it is the solver that also decides
+no-arbitrage where K does not factorize.  Either way the witness rho is a
+faithful martingale state, and alpha - tr(rho A) is the certified gap of the
+price; the solve stops once that gap is below GAP_TOL, relative to
+max(1, |A|_2).  An attainable price's witness is the faithful
 martingale state of the market's no-arbitrage decision (``check_no_arbitrage``).
 """
 
@@ -225,12 +225,12 @@ def _super_hedge(targets, space):
 
     Each target is hedged on its scale max(1, |target|_2).  A span of one
     element D is hedged by ``_hedge_one_element`` over alpha = f(y), k = y D;
-    any other by one stacked Newton core over x = (alpha, k), each target from
+    any other by one Newton core call per target over x = (alpha, k), from
     its strictly feasible alpha = lambda_max + 1, k = 0.  Returns one (hedge,
     witness rho, gap) per target; the hedge carries its steps, Newton steps
     or eigenvalue evaluations.  Each rho has tr rho = 1 and tr(rho K_i) = 0,
     and the gap alpha - tr(rho target) is certified to GAP_TOL times the
-    scale; a solve that stops short of it raises SolverError.
+    scale; the first solve that stops short of it raises SolverError.
     """
     norms = np.linalg.norm(targets, 2, axis=(1, 2))
     scale = np.maximum(1.0, norms)
@@ -238,11 +238,11 @@ def _super_hedge(targets, space):
     if space.rank == 1:
         solves = _hedge_one_element(a, norms / scale, vec_to_herm(space.vecs[0], space.dim))
     else:
-        objective = np.zeros(1 + space.rank)
-        objective[0] = 1.0
-        starts = np.outer(np.linalg.eigvalsh(a)[:, -1] + 1.0, objective)
+        objective = np.eye(1 + space.rank)[0]
         solves = []
-        for x, rho, gap, steps, failure in newton_core(objective, -a, space.vecs, starts):
+        for a_b in a:
+            start = (np.linalg.eigvalsh(a_b)[-1] + 1.0) * objective
+            x, rho, gap, steps, failure = newton_core(objective, -a_b, space.vecs, start)
             if failure:
                 raise SolverError(f"super-hedge: {failure}")
             solves.append((x, rho, gap, steps))

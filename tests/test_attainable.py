@@ -19,6 +19,7 @@ from qmarket.arbitrage import (
     FAITHFUL_STATE_FOUND,
     FEASIBILITY_THRESHOLD,
     NO_FAITHFUL_STATE,
+    WHITEN_ROWS,
     check_no_arbitrage,
     is_martingale_state,
     max_min_eig_over_slice,
@@ -29,6 +30,9 @@ from qmarket.binomial import (
     build_n_period,
     build_single_period,
     crr_price,
+    product_martingale_state,
+    risk_neutral_disk,
+    sample_disk_states,
 )
 from qmarket.cli import _decompose_values, parse_scenario, run
 from qmarket.errors import ArbitrageError, InternalConsistencyError
@@ -50,7 +54,7 @@ from qmarket.pricing import (
     replicate,
 )
 
-from conftest import TWO_PERIOD_CLAIM, random_market, trinomial_market
+from conftest import TWO_PERIOD_CLAIM, random_hermitian, random_market, trinomial_market
 
 PAULI = [[0.15, 0.0, 0.0], [0.0, 0.15, 0.0], [0.09, 0.0, 0.12]]
 
@@ -139,11 +143,11 @@ def test_only_non_attainable_claims_build_barrier_coordinates(monkeypatch):
     optional_decomposition(values, mkt)
     assert hedges == [] and len(solves) == 0
     # one hedge prices both ends: over the trinomial's one-element span
-    # without the Newton core, over the N = 2 market's span by one stacked solve
+    # without the Newton core, over the N = 2 market's span by one solve per end
     assert not price_bounds(call_payoff(tri, 100.0), tri).attainable
     assert len(hedges) == 1 and len(solves) == 0
     assert not price_bounds(TWO_PERIOD_CLAIM, mkt).attainable
-    assert len(hedges) == 2 and len(solves) == 1
+    assert len(hedges) == 2 and len(solves) == 2
     assert null_spaces == []
 
 
@@ -169,14 +173,14 @@ def test_only_spans_of_rank_two_or_more_reach_the_newton_super_hedge(monkeypatch
         assert not iv.attainable and min(iv.steps) > 0
         optional_decomposition([iv.upper * np.eye(mkt.dim), claim], mkt)
     assert len(minimisations) == 4 and len(solves) == 0
-    # the N = 2 market: one stacked solve for the interval's two ends, and one
+    # the N = 2 market: one solve for each of the interval's two ends, and one
     # for the decomposition's second period, whose span has rank 4
     mkt = nperiod_market(2)
     iv = price_bounds(TWO_PERIOD_CLAIM, mkt)
-    assert not iv.attainable and len(solves) == 1
+    assert not iv.attainable and len(solves) == 2
     optional_decomposition(_decompose_values(iv, TWO_PERIOD_CLAIM, mkt), mkt)
     assert [p.rank for p in attainable_space(mkt).periods] == [1, 4]
-    assert len(solves) == 2 and len(minimisations) == 4
+    assert len(solves) == 3 and len(minimisations) == 4
 
 
 def test_the_attainable_space_is_the_constraint_set(rng):
@@ -381,11 +385,9 @@ print(json.dumps({
 
 
 def test_nperiod_5_non_attainable_interval_fits_the_envelope():
-    # both ends of an N = 5 interval are one stacked Newton solve over the
-    # 342 coordinates of span(I, K): a fresh process bounds its time and peak
-    # resident set.  This claim ends on the super-hedge's known small-tau
-    # failure (the Newton system is too ill-conditioned to centre near
-    # tau = 4e-11), which must be reported as a SolverError, not swallowed
+    # each end of an N = 5 interval is one Newton solve over the 342
+    # coordinates of span(I, K): a fresh process bounds its time and peak
+    # resident set, and both ends are certified to the gap
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
@@ -395,12 +397,41 @@ def test_nperiod_5_non_attainable_interval_fits_the_envelope():
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out["wall_s"] <= 30.0
     assert out["maxrss_mb"] <= 250.0
-    if out["code"] is None:
-        assert out["result"].startswith("SolverError: super-hedge: ")
-    else:
-        res = out["result"]
-        assert out["code"] == 0 and not res["attainable"] and res["lower"] < res["upper"]
-        assert max(res["lower_gap"], res["upper_gap"]) <= 1e-10 * out["norm"]
+    res = out["result"]
+    assert out["code"] == 0, res
+    assert not res["attainable"] and res["lower"] < res["upper"]
+    assert 0.0 <= min(res["lower_gap"], res["upper_gap"])
+    assert max(res["lower_gap"], res["upper_gap"]) <= 1e-10 * out["norm"]
+
+
+def test_a_super_hedge_over_blocked_whitening_is_certified():
+    # an N = 4 span has 85 elements, more than one whitening block, so each
+    # Newton step whitens K block by block; both ends are certified, their
+    # witnesses are faithful martingale states, and every product
+    # martingale state prices the claim inside the interval
+    spec = NPeriodSpec(4, -0.1, 0.2, 0.0, 100.0)
+    mkt = discount(build_n_period(spec))
+    assert attainable_space(mkt).rank == 85 > WHITEN_ROWS
+    rng = np.random.default_rng(2)
+    claim = random_hermitian(rng, mkt.dim)
+    norm = float(np.linalg.norm(claim, 2))
+    iv = price_bounds(claim, mkt)
+    assert not iv.attainable and iv.lower < iv.upper and min(iv.steps) > 0
+    gap_lo, gap_hi = iv.gaps
+    assert 0.0 <= gap_lo <= 1e-10 * norm and 0.0 <= gap_hi <= 1e-10 * norm
+    for witness, end in zip(iv.witness_states, (iv.lower, iv.upper)):
+        assert min_eigenvalue(witness.mat) > 0.0 and is_martingale_state(witness, mkt)
+        assert abs(np.trace(witness.mat @ claim).real - end) <= max(iv.gaps) + 1e-12 * norm
+    # each period's own risk-neutral disk, sampled as for a one-period market
+    disks = [
+        risk_neutral_disk(QubitMarketSpec((spec.a + spec.b) / 2.0, *p, spec.r, spec.s0))
+        for p in spec.pauli
+    ]
+    samples = [sample_disk_states(disk, 8, seed) for seed, disk in enumerate(disks)]
+    for states in zip(*samples):
+        rho = product_martingale_state(spec, [state.bloch_vector() for state in states])
+        assert is_martingale_state(rho, mkt)
+        assert iv.lower - gap_lo <= np.trace(rho.mat @ claim).real <= iv.upper + gap_hi
 
 
 # --- attainable claims are priced without the super-hedge solve ---------------

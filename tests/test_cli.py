@@ -241,6 +241,20 @@ def test_run_disk():
         assert abs(v[0]) <= 1e-12  # on the plane
 
 
+def test_main_rejects_a_disk_sample_count_outside_its_cap(tmp_path, capsys, monkeypatch):
+    # a count past the cap would run for hours or exhaust memory: it is a
+    # validation error that names the option, before any sample is drawn
+    scen = write(tmp_path, QUBIT_YAML)
+    for count in ("1000000000000", str(cli.MAX_DISK_SAMPLES + 1), "0"):
+        assert main(["disk", "--scenario", scen, "--samples", count]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--samples" in err and count in err
+    drawn = []
+    monkeypatch.setattr(cli, "sample_disk_states", lambda disk, n, seed: drawn.append(n) or [])
+    report, code = run("disk", parse_scenario(QUBIT_YAML), samples=cli.MAX_DISK_SAMPLES)
+    assert code == EXIT_OK and drawn == [cli.MAX_DISK_SAMPLES]
+
+
 def test_run_disk_wrong_kind():
     with pytest.raises(ValidationError):
         run("disk", parse_scenario(NPERIOD_YAML))

@@ -24,7 +24,7 @@ from qmarket.market import (
     gain_process,
     value_process,
 )
-from qmarket.operators import SX, apply_function, hs_inner, min_eigenvalue, vec_to_herm
+from qmarket.operators import SX, apply_function, herm_to_vec, hs_inner, min_eigenvalue, vec_to_herm
 from qmarket.pricing import (
     CONSUMPTION_PSD_TOL,
     _super_hedge,
@@ -399,26 +399,56 @@ def test_singular_barrier_newton_system_raises(monkeypatch):
         price_bounds(TWO_PERIOD_CLAIM, mkt)
 
 
-def test_a_stacked_newton_solve_matches_its_single_solves():
-    # each problem of a stack keeps its own tau path and leaves once certified,
-    # so stacking changes no iterate, gap or step count: the two ends of the
-    # trinomial call and a third target, solved together and one by one
+# x, gap and steps of the trinomial call's two ends and a third target, from
+# the core that solved a stack of problems and took each one's own tau path
+TRINOMIAL_CORE_SOLVES = [
+    ([0.5000000000034616, 0.7071067811864441], 5.2254274714991645e-12, 20),
+    ([-0.2499999999984375, -0.7099739490557051], 4.687294626487488e-12, 9),
+    ([0.8333333333367421, -0.23570226039589837], 4.8908748452661355e-12, 19),
+]
+
+
+def test_the_newton_core_keeps_the_iterates_of_the_stacked_core():
+    # one problem per call takes the tau path, steps and gap that the same
+    # problem took inside a stack: the two ends of the trinomial call and a
+    # third target, each against its recorded solve
     mkt = discount(trinomial_market())
     space = attainable_space(mkt)
     call = tri_call(mkt)
     targets = np.stack([call, -call, np.diag([3.0, -1.0, 2.0]).astype(complex)])
     targets /= np.linalg.norm(targets, 2, axis=(1, 2))[:, None, None]
     objective = np.eye(1 + space.rank)[0]
-    starts = np.outer(np.linalg.eigvalsh(targets)[:, -1] + 1.0, objective)
-    stacked = newton_core(objective, -targets, space.vecs, starts)
-    for b, (x, rho, gap, steps, failure) in enumerate(stacked):
-        [(x1, rho1, gap1, steps1, failure1)] = newton_core(
-            objective, -targets[b : b + 1], space.vecs, starts[b : b + 1]
-        )
-        assert failure is None and failure1 is None and steps == steps1
-        np.testing.assert_allclose(x, x1, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(rho, rho1, rtol=0, atol=1e-12)
-        assert gap == pytest.approx(gap1, abs=1e-15) and gap <= 1e-10
+    for target, (want_x, want_gap, want_steps) in zip(targets, TRINOMIAL_CORE_SOLVES):
+        start = (np.linalg.eigvalsh(target)[-1] + 1.0) * objective
+        x, rho, gap, steps, failure = newton_core(objective, -target, space.vecs, start)
+        assert failure is None and steps == want_steps
+        np.testing.assert_allclose(x, want_x, rtol=0, atol=1e-12)
+        assert gap == pytest.approx(want_gap, abs=1e-15) and gap <= 1e-10
+        assert abs(np.trace(rho).real - 1.0) <= 1e-12
+        assert np.abs(space.vecs @ herm_to_vec(rho)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("held", ["no_asset", "constant_asset"])
+def test_a_span_of_rank_zero_is_hedged_by_alpha_alone(held):
+    # K = 0: the Newton core moves alpha alone, with no row of K to whiten,
+    # and the interval is [lambda_min, lambda_max] of the claim
+    filt = Filtration([OperatorAlgebra.trivial(3), OperatorAlgebra.full(3)])
+    assets = [] if held == "no_asset" else [[100.0 * np.eye(3), 100.0 * np.eye(3)]]
+    mkt = MarketModel(filt, [1.0, 1.0], assets)
+    assert attainable_space(mkt).rank == 0
+    claim = np.diag([1.0, 2.0, 5.0]).astype(complex)
+    iv = price_bounds(claim, mkt)
+    assert not iv.attainable and min(iv.steps) > 0
+    gap_lo, gap_hi = iv.gaps
+    assert 0.0 <= gap_lo <= 5.0 * GAP_TOL and 0.0 <= gap_hi <= 5.0 * GAP_TOL
+    assert abs(iv.lower - 1.0) <= gap_lo and abs(iv.upper - 5.0) <= gap_hi
+    assert all(min_eigenvalue(w.mat) > 0.0 for w in iv.witness_states)
+    # the one-period super-hedge at the upper price reconstructs the claim
+    dec = optional_decomposition([iv.upper * np.eye(3), claim], mkt)
+    recon = dec.v0 * np.eye(3) + gain_process(dec.strategy, mkt)[-1] - dec.consumption[-1]
+    assert dec.v0 == pytest.approx(iv.upper, abs=1e-12)
+    assert np.linalg.norm(recon - claim) <= 1e-10
+    assert min_eigenvalue(dec.consumption[-1]) >= -CONSUMPTION_PSD_TOL
 
 
 def one_element_span(d, kind, seed):
@@ -450,8 +480,10 @@ def test_a_one_element_hedge_matches_the_newton_core(d, kind, seed):
     targets = np.stack([target, -target])
     scale = max(1.0, float(np.linalg.norm(target, 2)))
     objective = np.eye(2)[0]
-    starts = np.outer(np.linalg.eigvalsh(targets / scale)[:, -1] + 1.0, objective)
-    reference = newton_core(objective, -targets / scale, space.vecs, starts)
+    reference = [
+        newton_core(objective, -a, space.vecs, (np.linalg.eigvalsh(a)[-1] + 1.0) * objective)
+        for a in targets / scale
+    ]
     element = vec_to_herm(space.vecs[0], d)
     for (hedge, rho, gap), (x, _, ref_gap, _, failure), a in zip(
         _super_hedge(targets, space), reference, targets
