@@ -128,9 +128,6 @@ def newton_core(objective, offset, rows, start):
     lead = len(objective) - len(rows)
     m = np.empty((len(objective), d * d))  # herm-vec rows of the M_i
     rhs = np.stack([objective, objective], axis=1)  # columns c and tr M, set per step
-    # a span of one block is kept as matrices; a longer one is turned into matrices
-    # block by block per step, which bounds the working set
-    mats = vec_to_herm(rows, d).reshape(len(rows), d * d) if len(rows) <= WHITEN_ROWS else None
     x = good = np.array(start, dtype=float)
     tau, centred = 1.0, None  # (tau, W, herm-vec of S) of the last centred iterate
 
@@ -142,16 +139,15 @@ def newton_core(objective, offset, rows, start):
         return x, rho, tau_c * (d - s_c[:d].sum()), steps, failure
 
     for steps in range(NEWTON_STEPS):
-        span = vec_to_herm(x[lead:] @ rows, d) if mats is None else (x[lead:] @ mats).reshape(d, d)
-        lam, vecs = np.linalg.eigh(offset + span)
+        lam, vecs = np.linalg.eigh(offset + vec_to_herm(x[lead:] @ rows, d))
         lam += x @ objective
         if lam[0] <= 0.0:
             return result(good, steps, "iterate is not positive definite")
         good, w = x, vecs / np.sqrt(lam)
-        # whiten B_i = c_i I + G_{i-l} in blocks: M_i = c_i diag(1 / lam) + W* G W
+        # whiten B_i = c_i I + G_{i-l} block by block: M_i = c_i diag(1 / lam) + W* G W
         m[:lead] = 0.0
         for lo in range(0, len(rows), WHITEN_ROWS):
-            block = vec_to_herm(rows[lo : lo + WHITEN_ROWS], d) if mats is None else mats
+            block = vec_to_herm(rows[lo : lo + WHITEN_ROWS], d)
             k = len(block)
             white = w.conj().T @ (block.reshape(k * d, d) @ w).reshape(k, d, d)
             m[lead + lo : lead + lo + k] = herm_to_vec(white)

@@ -49,8 +49,6 @@ class QubitMarketSpec:
             raise ValidationError("s0 and b0 must be positive")
         if self.a <= -1:
             raise ValidationError(f"a = {self.a} must exceed -1")
-        if self.b <= -1:
-            raise ValidationError(f"b = {self.b} must exceed -1")
         if self.r <= -1:
             raise ValidationError(f"r = {self.r} must exceed -1")
 

@@ -1,21 +1,21 @@
 """Replication, arbitrage-free price intervals, and optional decomposition.
 
-Both rest on one super-hedge.  The sup of tr(rho A) over martingale states
-is the super-hedging price min{alpha : alpha I + k - A >= 0, k in K}, and
-each period of the optional decomposition super-hedges one increment of V
-over K_t.  A target in span(I, K) is its own hedge: the projection that
+Both rest on one super-hedge of one target per call.  The sup of tr(rho A)
+over martingale states is the super-hedging price min{alpha : alpha I + k -
+A >= 0, k in K}: a price hedges A for its upper end, then -A for its lower.
+Each period of the optional decomposition hedges one increment of V over
+K_t.  A target in span(I, K) is its own hedge: the projection that
 ``replicate`` makes, with no solver, and its gap is 0.  Any other target is
 hedged over its span.  A span of one element D, as in every one-asset
 single-period market, leaves one variable: alpha = min_y lambda_max(A - y D),
 which ``_hedge_one_element`` minimises by eigenvalue evaluations, bounded
 from below by two top eigenvectors.  A wider span is hedged by the Newton
 core of :mod:`qmarket.arbitrage` on alpha - tau logdet(alpha I + k - A) over
-(alpha, k), one call per end of a price; it is the solver that also decides
-no-arbitrage where K does not factorize.  Either way the witness rho is a
-faithful martingale state, and alpha - tr(rho A) is the certified gap of the
-price; the solve stops once that gap is below GAP_TOL, relative to
-max(1, |A|_2).  An attainable price's witness is the faithful
-martingale state of the market's no-arbitrage decision (``check_no_arbitrage``).
+(alpha, k), the solver that also decides no-arbitrage where K does not
+factorize.  Either way the witness rho is a faithful martingale state, and
+alpha - tr(rho A) is the certified gap of the hedge; the solve stops once
+that gap is below GAP_TOL, relative to max(1, |A|_2).  An attainable price's
+witness is that of the market's no-arbitrage decision (``check_no_arbitrage``).
 """
 
 from dataclasses import dataclass, field
@@ -153,109 +153,100 @@ def _top_line(a, element, y):
     return _TopLine(y, float(lam[-1]), v_a_v, float(coupling[-1].real), lam, coupling, top)
 
 
-def _hedge_one_element(a, norms, element):
-    """Per normalised target a_b: min_y f(y) = lambda_max(a_b - y D), D the span's one element.
+def _hedge_one_element(a, norm, element):
+    """min_y f(y) = lambda_max(a - y D) for a normalised target a, D the span's one element.
 
     f is convex, and the top eigenvector v at any y gives the line
-    v*a_b v - y v*Dv below f (Lewis & Overton, "Eigenvalue optimization",
+    v*a v - y v*Dv below f (Lewis & Overton, "Eigenvalue optimization",
     Acta Numerica 5, 1996).  The minimum lies between a y where v*Dv > 0 and
-    one where v*Dv < 0, found at y = -(2|a_b|_2 + 1) / lambda_max(D) and
-    (2|a_b|_2 + 1) / -lambda_min(D).  The latest such line on each side, of
-    slopes -s_L < 0 < -s_R, cross at the value tr(rho_2 a_b) of the
-    martingale state rho_2 = p v_L v_L* + (1 - p) v_R v_R*,
+    one where v*Dv < 0, found at y = -(2 norm + 1) / lambda_max(D) and
+    (2 norm + 1) / -lambda_min(D), norm = |a|_2.  The latest such line on
+    each side, of slopes -s_L < 0 < -s_R, cross at the value tr(rho_2 a) of
+    the martingale state rho_2 = p v_L v_L* + (1 - p) v_R v_R*,
     p = -s_R / (s_L - s_R), which bounds min f from below.  The next y is a
     Newton step on f' = -v*Dv with f'' = 2 sum_k |v_k* D v|^2 /
     (lambda_max - lambda_k) from the eigh at the best y, or the crossing
     where that step leaves the bracket or the last one did not halve the
-    gap; where D commutes with a_b, f is piecewise linear and the crossing
+    gap; where D commutes with a, f is piecewise linear and the crossing
     exact.  It stops once the best f is within GAP_TOL / 2 of the crossing,
     after at most NEWTON_STEPS evaluations.  rho_2 mixed with D's faithful
     optimum (``piece_optimum``) at weight GAP_TOL / 4 is the faithful
-    witness; as |a_b|_2 <= 1, its gap is at most GAP_TOL.
+    witness; as |a|_2 <= 1, its gap is at most GAP_TOL.
 
-    Returns one ((alpha, y), rho, gap, steps) per target, steps counting the
-    eigh evaluations; raises SolverError for a D that is not indefinite, a
-    failed bracket or no convergence.
+    Returns ((alpha, y), rho, gap, steps), steps counting the eigh
+    evaluations; raises SolverError for a D that is not indefinite, a failed
+    bracket or no convergence.
     """
     g = np.linalg.eigvalsh(element)
     if not g[0] < 0.0 < g[-1]:
         raise SolverError(
             f"super-hedge: the span's element is not indefinite, spectrum [{g[0]:.3e}, {g[-1]:.3e}]"
         )
-    faithful = piece_optimum(element)[1]
-    out = []
-    for a_b, norm in zip(a, norms.tolist()):
-        reach = 2.0 * norm + 1.0
-        left, right = _top_line(a_b, element, -reach / g[-1]), _top_line(a_b, element, reach / -g[0])
-        if not left.v_d_v > 0.0 > right.v_d_v:
-            raise SolverError("super-hedge: the bracket of the one-element span failed")
-        best = min(left, right, key=lambda line: line.f)
-        steps, last = 2, np.inf
-        while True:
-            width = left.v_d_v - right.v_d_v
-            p = -right.v_d_v / width
-            gap = best.f - (p * left.v_a_v + (1.0 - p) * right.v_a_v)
-            if gap <= GAP_TOL / 2:
-                break
-            if steps >= NEWTON_STEPS:
-                raise SolverError(f"super-hedge: no convergence in {NEWTON_STEPS} evaluations")
-            y = (left.v_a_v - right.v_a_v) / width  # where the two lines cross
-            lam = best.lam
-            if gap <= last / 2 and lam[-1] > lam[-2]:
-                curve = 2.0 * float((np.abs(best.coupling[:-1]) ** 2 / (lam[-1] - lam[:-1])).sum())
-                newton = best.y + best.v_d_v / curve if curve > 0.0 else y
-                if left.y < newton < right.y:
-                    y = newton
-            line, steps, last = _top_line(a_b, element, y), steps + 1, gap
-            best = min(best, line, key=lambda line: line.f)
-            if line.v_d_v >= 0.0:
-                left = line
-            else:
-                right = line
-        rho = p * np.outer(left.top, left.top.conj())
-        rho += (1.0 - p) * np.outer(right.top, right.top.conj())
-        rho = (1.0 - GAP_TOL / 4) * rho + GAP_TOL / 4 * faithful
-        rho /= np.trace(rho).real
-        out.append((np.array([best.f, best.y]), rho, best.f - hs_inner(rho, a_b), steps))
-    return out
+    reach = 2.0 * norm + 1.0
+    left, right = _top_line(a, element, -reach / g[-1]), _top_line(a, element, reach / -g[0])
+    if not left.v_d_v > 0.0 > right.v_d_v:
+        raise SolverError("super-hedge: the bracket of the one-element span failed")
+    best = min(left, right, key=lambda line: line.f)
+    steps, last = 2, np.inf
+    while True:
+        width = left.v_d_v - right.v_d_v
+        p = -right.v_d_v / width
+        gap = best.f - (p * left.v_a_v + (1.0 - p) * right.v_a_v)
+        if gap <= GAP_TOL / 2:
+            break
+        if steps >= NEWTON_STEPS:
+            raise SolverError(f"super-hedge: no convergence in {NEWTON_STEPS} evaluations")
+        y = (left.v_a_v - right.v_a_v) / width  # where the two lines cross
+        lam = best.lam
+        if gap <= last / 2 and lam[-1] > lam[-2]:
+            curve = 2.0 * float((np.abs(best.coupling[:-1]) ** 2 / (lam[-1] - lam[:-1])).sum())
+            newton = best.y + best.v_d_v / curve if curve > 0.0 else y
+            if left.y < newton < right.y:
+                y = newton
+        line, steps, last = _top_line(a, element, y), steps + 1, gap
+        best = min(best, line, key=lambda line: line.f)
+        if line.v_d_v >= 0.0:
+            left = line
+        else:
+            right = line
+    rho = p * np.outer(left.top, left.top.conj())
+    rho += (1.0 - p) * np.outer(right.top, right.top.conj())
+    rho = (1.0 - GAP_TOL / 4) * rho + GAP_TOL / 4 * piece_optimum(element)[1]
+    rho /= np.trace(rho).real
+    return np.array([best.f, best.y]), rho, best.f - hs_inner(rho, a), steps
 
 
-def _super_hedge(targets, space):
-    """Per target, min alpha with alpha I + k - target >= 0 over k in the span.
+def _super_hedge(target, space):
+    """min alpha with alpha I + k - target >= 0 over k in the span.
 
-    Each target is hedged on its scale max(1, |target|_2).  A span of one
+    The target is hedged on its scale max(1, |target|_2).  A span of one
     element D is hedged by ``_hedge_one_element`` over alpha = f(y), k = y D;
-    any other by one Newton core call per target over x = (alpha, k), from
-    its strictly feasible alpha = lambda_max + 1, k = 0.  Returns one (hedge,
-    witness rho, gap) per target; the hedge carries its steps, Newton steps
-    or eigenvalue evaluations.  Each rho has tr rho = 1 and tr(rho K_i) = 0,
-    and the gap alpha - tr(rho target) is certified to GAP_TOL times the
-    scale; the first solve that stops short of it raises SolverError.
+    any other by one Newton core call over x = (alpha, k), from the strictly
+    feasible alpha = lambda_max + 1, k = 0.  Returns (hedge, witness rho,
+    gap); the hedge carries its steps, Newton steps or eigenvalue
+    evaluations.  rho has tr rho = 1 and tr(rho K_i) = 0, and the gap
+    alpha - tr(rho target) is certified to GAP_TOL times the scale; a solve
+    that stops short of it raises SolverError.
     """
-    norms = np.linalg.norm(targets, 2, axis=(1, 2))
-    scale = np.maximum(1.0, norms)
-    a = targets / scale[:, None, None]
+    norm = float(np.linalg.norm(target, 2))
+    scale = max(1.0, norm)
+    a = target / scale
     if space.rank == 1:
-        solves = _hedge_one_element(a, norms / scale, vec_to_herm(space.vecs[0], space.dim))
+        element = vec_to_herm(space.vecs[0], space.dim)
+        x, rho, gap, steps = _hedge_one_element(a, norm / scale, element)
     else:
         objective = np.eye(1 + space.rank)[0]
-        solves = []
-        for a_b in a:
-            start = (np.linalg.eigvalsh(a_b)[-1] + 1.0) * objective
-            x, rho, gap, steps, failure = newton_core(objective, -a_b, space.vecs, start)
-            if failure:
-                raise SolverError(f"super-hedge: {failure}")
-            solves.append((x, rho, gap, steps))
-    out = []
-    for (x, rho, gap, steps), a_b, scale_b in zip(solves, a, scale.tolist()):
-        lam = np.linalg.eigvalsh(rho)[0]
-        if lam <= 0.0:
-            raise SolverError(f"super-hedge witness is not positive definite: {lam:.3e}")
-        slack = vec_to_herm(x[1:] @ space.vecs, space.dim) + x[0] * np.eye(space.dim) - a_b
-        residual = float(np.linalg.norm(slack)) * scale_b
-        hedge = Replication(float(x[0] * scale_b), x[1:] * scale_b, space, residual, scale_b, steps)
-        out.append((hedge, rho, gap * scale_b))
-    return out
+        start = (np.linalg.eigvalsh(a)[-1] + 1.0) * objective
+        x, rho, gap, steps, failure = newton_core(objective, -a, space.vecs, start)
+        if failure:
+            raise SolverError(f"super-hedge: {failure}")
+    lam = np.linalg.eigvalsh(rho)[0]
+    if lam <= 0.0:
+        raise SolverError(f"super-hedge witness is not positive definite: {lam:.3e}")
+    slack = vec_to_herm(x[1:] @ space.vecs, space.dim) + x[0] * np.eye(space.dim) - a
+    residual = float(np.linalg.norm(slack)) * scale
+    hedge = Replication(float(x[0] * scale), x[1:] * scale, space, residual, scale, steps)
+    return hedge, rho, gap * scale
 
 
 def price_bounds(a, market):
@@ -292,7 +283,8 @@ def price_bounds(a, market):
             price, price, attainable=True, witness_states=(witness, witness),
             replication=rep, hedge=rep, unique_price=rep.alpha,
         )
-    (upper, rho_hi, gap_hi), (lower, rho_lo, gap_lo) = _super_hedge(np.stack([a, -a]), space)
+    upper, rho_hi, gap_hi = _super_hedge(a, space)
+    lower, rho_lo, gap_lo = _super_hedge(-a, space)
     return PriceInterval(
         -lower.alpha, upper.alpha, attainable=False,
         witness_states=(DensityState(rho_lo), DensityState(rho_hi)),
@@ -366,7 +358,7 @@ def optional_decomposition(values, market):
         dv = vals[t] - vals[t - 1]
         hedge = _split(dv, period)
         if not hedge.attainable:
-            [(hedge, _, _)] = _super_hedge(dv[None], period)
+            hedge, _, _ = _super_hedge(dv, period)
         dc = vec_to_herm(hedge.coeffs @ period.vecs, d) - dv  # hedge gain minus dv
         lam = float(np.linalg.eigvalsh(dc)[0])
         if lam < -CONSUMPTION_PSD_TOL:

@@ -15,7 +15,9 @@ from qmarket.arbitrage import (
     MartingaleConstraintSet,
     check_no_arbitrage,
     is_martingale_state,
+    _factor_pieces,
     max_min_eig_over_slice,
+    product_decision,
 )
 from qmarket.binomial import NPeriodSpec, QubitMarketSpec, build_n_period, build_single_period
 from qmarket.errors import ValidationError
@@ -664,3 +666,25 @@ def test_a_from_basis_filtration_keeps_the_newton_decision(where):
     assert res.iterations > 0 and (ref.iterations == 0) == (where != "above")
     assert res.status == ref.status
     assert res.lambda_star == pytest.approx(ref.lambda_star, abs=1e-9)
+
+
+# the quiet period, and the factor pieces (size, without an element) it leaves
+@pytest.mark.parametrize("quiet,pieces", [(2, [(4, False)]), (1, [(2, True), (2, False)])])
+def test_a_quiet_period_is_decided_in_closed_form(quiet, pieces):
+    # a two-period factor market on C^2 (x) C^2 whose asset does not move in
+    # one period: a quiet second period leaves K of rank one, one piece; a
+    # quiet first period is its own piece with no element, of optimum 1/2.
+    # Either way lambda* = 1/2 * 1/3 with no Newton step, inside the Newton
+    # decision's certified interval
+    eye = np.eye(2)
+    filt = Filtration([OperatorAlgebra.tensor_factor(k, 4) for k in (1, 2, 4)])
+    s1 = np.kron(eye + 0.05 * eye + 0.15 * SX, eye)
+    s2 = np.kron(eye, eye + 0.05 * eye + 0.15 * SZ)
+    path = [np.eye(4), s1, s1] if quiet == 2 else [np.eye(4), np.eye(4), s2]
+    cs = attainable_space(MarketModel(filt, [1.0, 1.0, 1.0], [path]))
+    assert [(n, d_t is None) for n, d_t in _factor_pieces(cs)] == pieces
+    res, ref = product_decision(cs), max_min_eig_over_slice(cs)
+    assert res.status == ref.status == FAITHFUL_STATE_FOUND and res.iterations == 0
+    assert res.lambda_star == pytest.approx(1.0 / 6.0, abs=1e-15)
+    nu, c = ref.lambda_interval
+    assert ref.iterations > 0 and nu <= res.lambda_star <= c

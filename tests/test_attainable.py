@@ -10,6 +10,8 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qmarket.arbitrage as arbitrage_mod
 import qmarket.market as market_mod
@@ -64,9 +66,9 @@ def nperiod_market(n, pauli=None, r=0.05):
     return discount(build_n_period(spec))
 
 
-def basis_market(n, r=0.05):
-    """nperiod_market(n) with A_1..A_n written as explicit bases: the dense route."""
-    mkt = nperiod_market(n, r=r)
+def basis_market(n, r=0.05, pauli=None):
+    """nperiod_market(n, pauli, r) with A_1..A_n written as explicit bases: the dense route."""
+    mkt = nperiod_market(n, pauli, r)
     explicit = Filtration(
         [OperatorAlgebra.trivial(mkt.dim)]
         + [OperatorAlgebra.from_basis(alg.basis) for alg in mkt.filtration.algebras[1:]]
@@ -142,12 +144,12 @@ def test_only_non_attainable_claims_build_barrier_coordinates(monkeypatch):
     values = [rep.alpha * np.eye(mkt.dim) + g for g in gain_process(rep.strategy, mkt)]
     optional_decomposition(values, mkt)
     assert hedges == [] and len(solves) == 0
-    # one hedge prices both ends: over the trinomial's one-element span
-    # without the Newton core, over the N = 2 market's span by one solve per end
+    # one hedge per end: over the trinomial's one-element span without the
+    # Newton core, over the N = 2 market's span by one solve per end
     assert not price_bounds(call_payoff(tri, 100.0), tri).attainable
-    assert len(hedges) == 1 and len(solves) == 0
+    assert len(hedges) == 2 and len(solves) == 0
     assert not price_bounds(TWO_PERIOD_CLAIM, mkt).attainable
-    assert len(hedges) == 2 and len(solves) == 2
+    assert len(hedges) == 4 and len(solves) == 2
     assert null_spaces == []
 
 
@@ -172,7 +174,7 @@ def test_only_spans_of_rank_two_or_more_reach_the_newton_super_hedge(monkeypatch
         iv = price_bounds(claim, mkt)
         assert not iv.attainable and min(iv.steps) > 0
         optional_decomposition([iv.upper * np.eye(mkt.dim), claim], mkt)
-    assert len(minimisations) == 4 and len(solves) == 0
+    assert len(minimisations) == 6 and len(solves) == 0
     # the N = 2 market: one solve for each of the interval's two ends, and one
     # for the decomposition's second period, whose span has rank 4
     mkt = nperiod_market(2)
@@ -180,7 +182,7 @@ def test_only_spans_of_rank_two_or_more_reach_the_newton_super_hedge(monkeypatch
     assert not iv.attainable and len(solves) == 2
     optional_decomposition(_decompose_values(iv, TWO_PERIOD_CLAIM, mkt), mkt)
     assert [p.rank for p in attainable_space(mkt).periods] == [1, 4]
-    assert len(solves) == 3 and len(minimisations) == 4
+    assert len(solves) == 3 and len(minimisations) == 6
 
 
 def test_the_attainable_space_is_the_constraint_set(rng):
@@ -209,14 +211,52 @@ def test_undiscounted_market_keeps_its_discounted_copy(count_builds):
     assert len(count_builds) == 1
 
 
-def test_factor_and_dense_routes_give_the_same_projector():
-    # the same binomial market with each algebra written as an explicit basis
-    for n in (2, 3):
-        mkt, dense = nperiod_market(n), basis_market(n)
-        assert not dense.filtration[1].is_factor
-        structural, generic = attainable_space(mkt), attainable_space(dense)
-        assert structural.rank == generic.rank == sum(4 ** t for t in range(n))
-        assert np.abs(projector(structural) - projector(generic)).max() <= 1e-10
+def pauli_direction(z, phi):
+    """A unit Pauli direction scaled to (b - a) / 2 = 0.15; uniform on the sphere in (z, phi)."""
+    rho = np.sqrt(1.0 - z * z)
+    return (0.15 * rho * np.cos(phi), 0.15 * rho * np.sin(phi), 0.15 * z)
+
+
+PAULI_DIRECTIONS = st.builds(pauli_direction, st.floats(-1.0, 1.0), st.floats(0.0, 2.0 * np.pi))
+# inside the band (-0.1, 0.2) or outside it, at least 0.01 from either end
+BAND_RATES = st.one_of(st.floats(-0.09, 0.19), st.floats(-0.4, -0.11), st.floats(0.21, 0.5))
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.lists(PAULI_DIRECTIONS, min_size=2, max_size=2), BAND_RATES, st.integers(0, 2**32 - 1))
+@example(PAULI[:2], 0.05, 0)
+@example(PAULI[:3], 0.05, 0)
+def test_factor_and_dense_routes_give_the_same_projector(pauli, r, seed):
+    # the same binomial market with each algebra written as an explicit basis:
+    # the same K period by period, one no-arbitrage status from the factor
+    # route (closed form inside the band) and the dense one (the Newton core)
+    # with overlapping certified intervals, and at N = 2 the same price
+    # interval for a claim outside span(I, K)
+    n = len(pauli)
+    mkt, dense = nperiod_market(n, pauli, r), basis_market(n, r, pauli)
+    assert not dense.filtration[1].is_factor
+    structural, generic = attainable_space(mkt), attainable_space(dense)
+    assert [p.rank for p in structural.periods] == [p.rank for p in generic.periods]
+    assert structural.rank == generic.rank == sum(4 ** t for t in range(n))
+    assert np.abs(projector(structural) - projector(generic)).max() <= 1e-10
+    closed, newton = check_no_arbitrage(mkt), check_no_arbitrage(dense)
+    inside = -0.1 < r < 0.2
+    assert closed.status == newton.status == (FAITHFUL_STATE_FOUND if inside else NO_FAITHFUL_STATE)
+    assert (closed.iterations == 0) == inside
+    (lo, hi), (ref_lo, ref_hi) = closed.lambda_interval, newton.lambda_interval
+    assert max(lo, ref_lo) <= min(hi, ref_hi)
+    if n != 2:
+        return
+    claim = random_hermitian(np.random.default_rng(seed), mkt.dim)
+    if not inside:
+        for m in (mkt, dense):
+            with pytest.raises(ArbitrageError):
+                price_bounds(claim, m)
+        return
+    iv, ref = price_bounds(claim, mkt), price_bounds(claim, dense)
+    assert not iv.attainable and not ref.attainable
+    assert abs(iv.lower - ref.lower) <= iv.gaps[0] + ref.gaps[0]
+    assert abs(iv.upper - ref.upper) <= iv.gaps[1] + ref.gaps[1]
 
 
 def test_space_holds_no_reference_to_its_market():
@@ -542,7 +582,7 @@ def test_barrier_agrees_with_replication(name):
     mkt = ORACLE_MARKETS[name]()
     claim = call_payoff(mkt, 100.0)
     space = attainable_space(mkt)
-    (hi, _, _), (lo, _, _) = _super_hedge(np.stack([claim, -claim]), space)
+    (hi, _, _), (lo, _, _) = _super_hedge(claim, space), _super_hedge(-claim, space)
     upper, lower = hi.alpha, -lo.alpha
     interval = price_bounds(claim, mkt)
     scale = max(1.0, abs(upper))

@@ -399,6 +399,32 @@ def test_singular_barrier_newton_system_raises(monkeypatch):
         price_bounds(TWO_PERIOD_CLAIM, mkt)
 
 
+def test_an_undecided_market_is_not_priced(monkeypatch):
+    # the N = 2 market with A_1, A_2 written as explicit bases: its K does not
+    # factorize, so the decision runs the Newton core, and with every Newton
+    # system singular it is INDETERMINATE; pricing refuses with its note
+    mkt = discount(build_n_period(NPeriodSpec(2, -0.1, 0.2, 0.05, 100.0)))
+    algebras = [OperatorAlgebra.from_basis(alg.basis) for alg in mkt.filtration.algebras[1:]]
+    dense = MarketModel(Filtration([OperatorAlgebra.trivial(4)] + algebras), mkt.bank, mkt.assets)
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(np.linalg, "pinv", singular)
+    with pytest.raises(SolverError) as raised:
+        price_bounds(TWO_PERIOD_CLAIM, dense)
+    assert str(raised.value).startswith(
+        "no-arbitrage decision is indeterminate: Newton system is singular at tau=1.0e+00; "
+    )
+
+
+def test_optional_decomposition_refuses_an_arbitrage_market():
+    mkt = discount(build_single_period(QubitMarketSpec(0.05, 0.15, 0.0, 0.0, r=0.3, s0=100.0)))
+    with pytest.raises(ArbitrageError, match="requires an arbitrage-free market"):
+        optional_decomposition([np.eye(2), np.eye(2)], mkt)
+
+
 # x, gap and steps of the trinomial call's two ends and a third target, from
 # the core that solved a stack of problems and took each one's own tau path
 TRINOMIAL_CORE_SOLVES = [
@@ -486,7 +512,7 @@ def test_a_one_element_hedge_matches_the_newton_core(d, kind, seed):
     ]
     element = vec_to_herm(space.vecs[0], d)
     for (hedge, rho, gap), (x, _, ref_gap, _, failure), a in zip(
-        _super_hedge(targets, space), reference, targets
+        [_super_hedge(a, space) for a in targets], reference, targets
     ):
         assert failure is None and hedge.scale == scale
         # the two gaps, plus rounding
@@ -508,7 +534,7 @@ def test_a_semidefinite_one_element_span_raises(element):
     # no martingale state is faithful: the hedge reports it, with no NaN and no loop
     space = MartingaleConstraintSet(3, [element / np.linalg.norm(element)])
     with pytest.raises(SolverError, match="not indefinite"):
-        _super_hedge(np.diag([1.0, 2.0, 3.0]).astype(complex)[None], space)
+        _super_hedge(np.diag([1.0, 2.0, 3.0]).astype(complex), space)
 
 
 def diagonal_market(rng):
