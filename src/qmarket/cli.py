@@ -21,6 +21,7 @@ K has one element.
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -54,8 +55,14 @@ COMMANDS = ("check-arbitrage", "price", "interval", "replicate", "decompose", "d
 # each disk sample is one DensityState, so 1e5 take seconds and 1e8 would take hours
 MAX_DISK_SAMPLES = 100_000
 
-# libyaml's loader when PyYAML was built with it; both give the same tree
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# libyaml's loader when PyYAML was built with it (both give the same tree), reading
+# YAML 1.2 floats such as 5e-2 and 1e-6 too, which YAML 1.1 reads as strings
+_YAML_LOADER = type("ScenarioLoader", (getattr(yaml, "CSafeLoader", yaml.SafeLoader),), {})
+_YAML_LOADER.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+.0123456789"),
+)
 
 
 def _decode_matrix(rows, where):

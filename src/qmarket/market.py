@@ -50,14 +50,14 @@ class OperatorAlgebra:
     * ``tensor_factor(m, dim)`` -- the structured algebra B(C^m) (x) I_{dim/m},
       with membership tested structurally and matrix units enumerated lazily.
       ``m = 1`` gives the trivial algebra CI, ``m = dim`` the full algebra.
-    * ``from_basis(mats)`` -- an explicit complex-spanning basis, validated
-      for identity membership, adjoint/product closure, and independence.
+    * ``from_basis(mats)`` -- an explicit complex-spanning basis, validated and
+      kept as an orthonormal frame (``basis``), so its scale does not matter.
     """
 
-    def __init__(self, dim, *, factor_dim=None, basis=None):
+    def __init__(self, dim, *, factor_dim=None, frame=None):
         self.dim = int(dim)
         self._factor_dim = factor_dim
-        self._explicit_basis = basis
+        self._frame = frame
 
     # -- constructors --------------------------------------------------------
 
@@ -83,8 +83,13 @@ class OperatorAlgebra:
         dim = mats[0].shape[0]
         if any(m.shape[0] != dim for m in mats):
             raise ValidationError("algebra basis has mixed dimensions")
-        alg = cls(dim, basis=mats)
-        alg._check_explicit()
+        mats = [m / (np.abs(m).max() or 1.0) for m in mats]  # so no norm over- or underflows
+        mats = np.array([m / (np.linalg.norm(m) or 1.0) for m in mats])
+        u, s, _ = np.linalg.svd(mats.reshape(len(mats), -1).T, full_matrices=False)
+        if len(s) < len(mats) or s[-1] <= RANK_TOL * s[0]:
+            raise ValidationError("algebra basis is linearly dependent")
+        alg = cls(dim, frame=u.T.reshape(-1, dim, dim))
+        alg._check_explicit(mats)
         return alg
 
     # -- representation ------------------------------------------------------
@@ -99,9 +104,9 @@ class OperatorAlgebra:
 
     @cached_property
     def basis(self):
-        """Complex-spanning basis (matrix units E_ab (x) I for factor algebras)."""
-        if self._explicit_basis is not None:
-            return list(self._explicit_basis)
+        """Complex-spanning basis: matrix units E_ab (x) I, or the orthonormal frame."""
+        if self._frame is not None:
+            return list(self._frame)
         m, k = self._factor_dim, self.dim // self._factor_dim
         eye_k = np.eye(k, dtype=complex)
         out = []
@@ -112,14 +117,9 @@ class OperatorAlgebra:
                 out.append(np.kron(unit, eye_k))
         return out
 
-    @cached_property
-    def _basis_matrix(self):
-        # columns are flattened basis elements; used for least-squares membership
-        return np.column_stack([b.reshape(-1) for b in self.basis])
-
     def herm_dim(self):
         """Real dimension of the Hermitian part O(A): A = O(A) + i O(A), so dim_C A."""
-        return self._factor_dim ** 2 if self.is_factor else len(self._explicit_basis)
+        return self._factor_dim ** 2 if self.is_factor else len(self._frame)
 
     # -- membership ----------------------------------------------------------
 
@@ -138,25 +138,24 @@ class OperatorAlgebra:
             y = np.trace(t, axis1=1, axis2=3) / k
             recon = np.einsum("ab,ij->aibj", y, np.eye(k)).reshape(self.dim, self.dim)
             return float(np.linalg.norm(x - recon))
-        coeffs, *_ = np.linalg.lstsq(self._basis_matrix, x.reshape(-1), rcond=None)
-        return float(np.linalg.norm(self._basis_matrix @ coeffs - x.reshape(-1)))
+        return float(self._residuals(x[None])[0])
 
-    def _check_explicit(self):
-        mats = self._explicit_basis
-        stacked = np.column_stack([m.reshape(-1) for m in mats])
-        if np.linalg.matrix_rank(stacked, tol=1e-9) < len(mats):
-            raise ValidationError("algebra basis is linearly dependent")
-        eye = np.eye(self.dim, dtype=complex)
-        if not self.contains(eye):
+    def _residuals(self, xs):
+        """|x - QQ*x| for each operator x in xs, with Q the orthonormal frame."""
+        flat, frame = xs.reshape(len(xs), -1), self._frame.reshape(len(self._frame), -1)
+        return np.linalg.norm(flat - (flat @ frame.conj().T) @ frame, axis=1)
+
+    def _check_explicit(self, mats):
+        """I, and the adjoints and products (norms <= 1) of the unit-norm ``mats``, lie in A."""
+        if not self.contains(np.eye(self.dim)):
             raise ValidationError("algebra does not contain the identity")
+        bad = np.flatnonzero(self._residuals(mats.conj().transpose(0, 2, 1)) > SPAN_TOL)
+        if len(bad):
+            raise ValidationError(f"algebra not closed under adjoint (element {bad[0]})")
         for i, a in enumerate(mats):
-            if not self.contains(a.conj().T):
-                raise ValidationError(f"algebra not closed under adjoint (element {i})")
-            for j, b in enumerate(mats):
-                if not self.contains(a @ b):
-                    raise ValidationError(
-                        f"algebra not closed under products (elements {i}, {j})"
-                    )
+            bad = np.flatnonzero(self._residuals(a @ mats) > SPAN_TOL)
+            if len(bad):
+                raise ValidationError(f"algebra not closed under products (elements {i}, {bad[0]})")
 
     def is_trivial(self):
         # an algebra holds I, so it is CI exactly when it is one-dimensional
@@ -267,10 +266,7 @@ def discount(market):
     if market.is_discounted():
         return market
     if market._discounted is None:
-        assets = [
-            [proc[t] / market.bank[t] for t in range(market.horizon + 1)]
-            for proc in market.assets
-        ]
+        assets = [[s / b for s, b in zip(proc, market.bank)] for proc in market.assets]
         market._discounted = MarketModel(
             market.filtration, [1.0] * (market.horizon + 1), assets, check=False
         )
@@ -310,11 +306,8 @@ class TradingStrategy:
         d = market.dim
         out = np.zeros((d, d), dtype=complex)
         for j in range(market.n_assets):
-            pairs = self.terms.get((t, j), [])
-            if not pairs:
-                continue
             ds = market.increment(j, t)
-            for a, mat in pairs:
+            for a, mat in self.terms.get((t, j), []):
                 out += a * (mat.conj().T @ ds @ mat)
         return 0.5 * (out + out.conj().T)
 

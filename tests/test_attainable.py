@@ -729,7 +729,7 @@ def test_pricing_runs_no_lstsq_or_rank_solve(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("span(I, K) is split once; no solve re-derives it")
 
-    markets = [nperiod_market(2), discount(trinomial_market())]
+    markets = [nperiod_market(2), discount(trinomial_market()), basis_market(2)]
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
     monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
     for mkt in markets:

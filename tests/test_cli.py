@@ -614,6 +614,31 @@ def test_main_rejects_a_negative_seed_from_the_scenario_or_the_option(tmp_path, 
     assert "--seed" in capsys.readouterr().err
 
 
+YAML_BASES = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
+
+
+@pytest.mark.parametrize("base", YAML_BASES, ids=lambda base: base.__name__)
+def test_exponent_floats_without_a_dot_read_as_numbers(monkeypatch, base):
+    # YAML 1.1 reads 5e-2 and 1e-6 as strings; the scenario loader's resolvers
+    # read them as YAML 1.2 does, on either loader, and leave the base alone
+    resolvers = {"yaml_implicit_resolvers": cli._YAML_LOADER.yaml_implicit_resolvers}
+    monkeypatch.setattr(cli, "_YAML_LOADER", type("Loader", (base,), resolvers))
+    qubit = parse_scenario(QUBIT_YAML)
+    assert parse_scenario(QUBIT_YAML.replace("r: 0.05", "r: 5e-2")) == qubit
+    assert parse_scenario(QUBIT_YAML.replace("r: 0.05", "r: 5.0e-02")) == qubit
+    flip = "[[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]"
+    tiny = [[[0.0, 0.0], [1e-6, 0.0]], [[1e-6, 0.0], [0.0, 0.0]]]
+    for spelling in ("1e-6", yaml.safe_dump(1e-6).split("\n")[0]):
+        text = TWO_PERIOD_EXPLICIT_YAML.replace(flip, flip.replace("1.0", spelling))
+        assert parse_scenario(text)["claims"][0]["entries"] == tiny
+    assert yaml.load("5e-2", Loader=base) == "5e-2"
+    # so a name that reads as a number must be quoted
+    with pytest.raises(ValidationError, match=r"claims\[0\].name must be a string, got 100000.0"):
+        parse_scenario(QUBIT_YAML.replace("name: atm_call", "name: 1e5"))
+    quoted = parse_scenario(QUBIT_YAML.replace("name: atm_call", 'name: "1e5"'))
+    assert quoted["claims"][0]["name"] == "1e5"
+
+
 # a number field takes a number as written: no bool and no quoted string is converted
 NOT_A_NUMBER = [
     pytest.param("market.x0", QUBIT_YAML.replace("x0: 0.05", "x0: false"), id="x0_bool"),

@@ -1,10 +1,20 @@
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qmarket.arbitrage import check_no_arbitrage
+from qmarket.arbitrage import FAITHFUL_STATE_FOUND, NO_FAITHFUL_STATE, check_no_arbitrage
 from qmarket.binomial import QubitMarketSpec, build_single_period
+from qmarket.cli import build_market, parse_scenario, run
 from qmarket.errors import ValidationError
 from qmarket.market import (
+    SPAN_TOL,
     Filtration,
     MarketModel,
     OperatorAlgebra,
@@ -18,6 +28,7 @@ from qmarket.market import (
     value_process,
 )
 from qmarket.operators import I2, SX, SZ, herm_to_vec, hs_inner, pauli_operator, vec_to_herm
+from qmarket.pricing import supermartingale_check
 from qmarket.quantum import expectation
 
 from conftest import random_hermitian, random_market, random_strategy
@@ -47,6 +58,163 @@ def test_algebra_explicit_validation():
         OperatorAlgebra.from_basis([SX])  # no identity
     with pytest.raises(ValidationError):
         OperatorAlgebra.from_basis([I2, SX, SZ])  # not closed: sx sz outside span
+
+
+# an explicit algebra is read into an orthonormal frame: no result depends on
+# the scale of the matrices its basis is written with
+SCALES = [1.0, 1e-6, 1e-12, 1e6, 1e-200, 1e200]
+E01 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_a_basis_of_any_scale_spans_its_algebra(scale):
+    scalars = OperatorAlgebra.from_basis([scale * I2])
+    assert scalars.is_trivial() and scalars.contains(I2) and not scalars.contains(SX)
+    np.testing.assert_allclose(np.linalg.norm(scalars.basis[0]), 1.0, atol=1e-12)
+    diagonal = OperatorAlgebra.from_basis([scale * I2, scale * SZ])
+    assert diagonal.contains(np.diag([3.0, -1.0])) and not diagonal.contains(E01)
+    assert Filtration([scalars, diagonal, OperatorAlgebra.full(2)]).horizon == 2
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize(
+    "mats,message",
+    [
+        pytest.param([I2, 2.0 * I2], "algebra basis is linearly dependent", id="parallel"),
+        pytest.param([I2, 0.0 * I2], "algebra basis is linearly dependent", id="zero"),
+        pytest.param([0.0 * I2], "algebra basis is linearly dependent", id="only_zero"),
+        pytest.param([I2, SX, SZ, E01, E01.T], "algebra basis is linearly dependent", id="five"),
+        pytest.param([SX], "algebra does not contain the identity", id="no_identity"),
+        pytest.param([I2, E01], r"not closed under adjoint \(element 1\)", id="adjoint"),
+        pytest.param([I2, SX, SZ], r"not closed under products \(elements 1, 2\)", id="products"),
+    ],
+)
+def test_from_basis_refusals_name_the_callers_elements(scale, mats, message):
+    with pytest.raises(ValidationError, match=message):
+        OperatorAlgebra.from_basis([scale * m for m in mats])
+
+
+SCALED_SCALARS_YAML = """
+market:
+  kind: explicit
+  dim: 2
+  bank: [1.0, 1.5]
+  filtration: [{{basis: [[[[{s}, 0.0], [0.0, 0.0]], [[0.0, 0.0], [{s}, 0.0]]]]}}, full]
+  assets:
+    - - [[[100.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [100.0, 0.0]]]
+      - [[[105.0, 0.0], [15.0, 0.0]], [[15.0, 0.0], [105.0, 0.0]]]
+"""
+
+
+def scaled_scalars_yaml(scale):
+    """A qubit market at r = 0.5, above its band [-0.1, 0.2], with A_0 written as {scale I}."""
+    return SCALED_SCALARS_YAML.format(s=f"{scale:.1e}")
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_the_scale_of_a_basis_does_not_move_the_arbitrage_decision(scale):
+    # S_1 = 100 (1.05 I + 0.15 sx) has spectrum {90, 120}: discounted by 1.5 it
+    # lies below S_0 = 100 I, so -dS is a positive attainable claim
+    report, code = run("check-arbitrage", parse_scenario(scaled_scalars_yaml(scale)))
+    assert code == 0
+    assert report["results"]["status"] == NO_FAITHFUL_STATE
+    assert report["results"]["lambda_star"] == pytest.approx(-1.0, abs=1e-9)
+    market = build_market(parse_scenario(scaled_scalars_yaml(scale)))[0]
+    assert attainable_space(discount(market)).rank == 1
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_the_scale_of_a_basis_does_not_move_the_supermartingale_check(scale):
+    market = build_market(parse_scenario(scaled_scalars_yaml(scale)))[0]
+    assert not supermartingale_check([I2, 2.0 * I2], I2 / 2, market)
+    assert supermartingale_check([2.0 * I2, I2], I2 / 2, market)
+
+
+def lstsq_residual(mats, x):
+    """x minus its least-squares projection onto the span of ``mats``.
+
+    The reference for ``contains`` on a ``from_basis`` algebra: least squares
+    over the matrices passed in, independent of the algebra's frame.
+    """
+    cols = np.column_stack([m.reshape(-1) for m in mats])
+    coeffs, *_ = np.linalg.lstsq(cols, x.reshape(-1), rcond=None)
+    return x - (cols @ coeffs).reshape(x.shape)
+
+
+def lstsq_contains(mats, x):
+    return np.linalg.norm(lstsq_residual(mats, x)) <= SPAN_TOL * max(1.0, np.linalg.norm(x))
+
+
+def block_algebra_units(blocks, unitary):
+    """Matrix units of U (+)_i (M_{m_i} (x) I_{k_i}) U* for blocks [(m_i, k_i)]."""
+    d, lo, units = len(unitary), 0, []
+    for m, k in blocks:
+        for a in range(m):
+            for b in range(m):
+                x = np.zeros((d, d), dtype=complex)
+                x[lo + a * k : lo + (a + 1) * k, lo + b * k : lo + (b + 1) * k] = np.eye(k)
+                units.append(unitary @ x @ unitary.conj().T)
+        lo += m * k
+    return units
+
+
+BLOCKS = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 2)), min_size=1, max_size=3).filter(
+    lambda blocks: sum(m * k for m, k in blocks) <= 6
+)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(BLOCKS, st.integers(0, 2**32 - 1))
+def test_frame_membership_agrees_with_least_squares(blocks, seed):
+    # each algebra is given by a random, non-orthogonal spanning set whose
+    # elements are scaled over six decades
+    rng = np.random.default_rng(seed)
+    d = sum(m * k for m, k in blocks)
+    unitary, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    units = np.array(block_algebra_units(blocks, unitary))
+    n = len(units)
+    mix = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    mats = list(np.tensordot(mix, units, axes=1) * 10.0 ** rng.uniform(-3, 3, n)[:, None, None])
+    alg = OperatorAlgebra.from_basis(mats)
+    frame = np.array(alg.basis).reshape(n, -1)
+    np.testing.assert_allclose(frame.conj() @ frame.T, np.eye(n), atol=1e-12)
+    assert all(np.linalg.norm(lstsq_residual(mats, q)) <= 1e-9 for q in alg.basis)
+    for _ in range(3):
+        coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        member = np.tensordot(coeffs, units, axes=1)
+        assert alg.contains(member) and lstsq_contains(mats, member)
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        off = lstsq_residual(mats, x)
+        assert alg.contains(off) == lstsq_contains(mats, off) == (n == d * d)
+
+
+DIAGONAL_SCRIPT = """
+import json, resource, time
+import numpy as np
+from qmarket.market import Filtration, OperatorAlgebra
+t0 = time.perf_counter()
+diagonal = OperatorAlgebra.from_basis([np.diag(e).astype(complex) for e in np.eye(64)])
+filtration = Filtration([OperatorAlgebra.trivial(64), diagonal, OperatorAlgebra.full(64)])
+print(json.dumps({
+    "wall_s": time.perf_counter() - t0,
+    "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    "herm_dims": [a.herm_dim() for a in filtration.algebras],
+}))
+"""
+
+
+def test_the_64_element_diagonal_algebra_validates_within_the_envelope():
+    # a fresh process, so the peak resident set is this validation's alone
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", DIAGONAL_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["herm_dims"] == [1, 64, 64 * 64]
+    assert out["wall_s"] <= 10.0
+    assert out["maxrss_mb"] <= 200.0
 
 
 def test_filtration_validation():
