@@ -31,9 +31,9 @@ certificate too.
 :func:`check_no_arbitrage` decides once per market, and pricing reads that
 decision.  It runs no solver where K factorizes, as on a K of rank one and
 on the paper's N-period binomial market, a tensor product of one-period
-qubit markets: :func:`product_decision` brackets lambda* by tensor products
-of per-period optima, each from one eigh, and decides wherever that bracket
-is as tight as the solver's gap.
+qubit markets: :func:`product_decision` brackets lambda* by products of
+per-period optima and end bounds, one eigh each, and decides wherever that
+bracket is as tight as the solver's gap: on every binomial market.
 """
 
 import math
@@ -107,12 +107,13 @@ def newton_core(objective, offset, rows, start):
     minimum-norm least-squares step, and a rho from such a step counts only
     if the step solves the system to rounding (SOLVE_TOL).
 
-    The line search takes the longest step on the grid 2^(-k/8) at which
-    c.x - tau logdet X still descends, and a step that solves its system
-    goes at least the damped length t = 1/(1 + |S|_F): with mu the
-    eigenvalues of S, every 1 + t mu_i >= t > 0, and as c.s =
-    tau (tr S - |S|_F^2) the slope tau sum_i mu_i^2 (t - 1 - t mu_i) /
-    (1 + t mu_i) is not positive up to that t.  Without it the grid falls
+    With mu the eigenvalues of S, the line search tests in one pass every
+    step t of the grid 2^(-k/8) with every 1 + t mu_i > 0, and takes the
+    longest at which c.x - tau logdet X still descends.  A step that solves
+    its system goes at least the damped length t = 1/(1 + |S|_F): there
+    every 1 + t mu_i >= t > 0, and as c.s = tau (tr S - |S|_F^2) the slope
+    tau sum_i mu_i^2 (t - 1 - t mu_i) / (1 + t mu_i) is not positive up to
+    that t.  Without it the grid falls
     just short of the next centre after each tau cut, and each stage pays
     two corrector steps.  An ill-conditioned solve at small tau can miss
     that identity, so the damped step is taken only where it holds to
@@ -182,18 +183,13 @@ def newton_core(objective, offset, rows, start):
             if dec > NEWTON_TOL:
                 break
             tau *= TAU_STEP  # centred: follow the central path
-        # line search: the longest grid step at which the objective, convex along the
-        # step and exact in whitened form, still descends; the grid starts at the
-        # first step that keeps X = W^-* (I + t S) W^-1 positive definite
+        # line search: of the grid steps that keep X = W^-* (I + t S) W^-1 positive
+        # definite, the longest at which the objective, convex along the step, descends
         mu = np.linalg.eigvalsh(vec_to_herm(s_vec, d))
         rate = float(step @ objective)
-        first = 0 if mu[0] > -1.0 else int(8.0 * math.log2(-mu[0]) + 1e-9) + 1
-        for lo in range(first, len(LINE_GRID), 64):
-            grid = LINE_GRID[lo : lo + 64]
-            descent = rate <= tau * (mu / (1.0 + grid[:, None] * mu)).sum(axis=1)
-            if descent.any():
-                break
-        else:
+        grid = LINE_GRID[1.0 + LINE_GRID * mu[0] > 0.0]
+        descent = rate <= tau * (mu / (1.0 + grid[:, None] * mu)).sum(axis=1)
+        if not descent.any():
             return result(x, steps, f"line search failed at tau={tau:.1e}")
         length = grid[descent.argmax()]
         # a step that solves its Newton system, c.s = tau (tr S - |S|_F^2), descends
@@ -289,52 +285,55 @@ def _factor_pieces(constraints):
 
 
 def piece_optimum(d_t):
-    """(lambda, rho, Z) of one piece C^n whose Hermitian D is no multiple of I, from one eigh.
+    """((lambda, Z), rho, (lambda', Z')) of a piece C^n whose Hermitian D is no multiple of I.
 
-    With D's eigenvalues g_1 <= ... <= g_n and s = tr D, max lambda_min over
-    {rho : tr rho = 1, tr rho D = 0} is
-    lambda = min(-g_1 / (s - n g_1), g_n / (n g_n - s)), positive iff D is
-    indefinite.  It is reached at rho = lambda I + (1 - n lambda) v v*, v the
-    eigenvector of the binding end, and bounded by Z = lambda I + y D, which
-    is positive semidefinite of unit trace.
+    With D's eigenvalues g_1 <= ... <= g_n and s = tr D, the end bounds
+    Z = (D - g_1 I) / (s - n g_1) and (g_n I - D) / (n g_n - s) are positive
+    semidefinite of unit trace, and Z - lambda I is a multiple of D for
+    lambda = -g_1 / (s - n g_1) and g_n / (n g_n - s): each lambda caps
+    max lambda_min(rho) over {rho : tr rho = 1, tr rho D = 0}.  The lesser,
+    binding end comes first: it is that maximum, positive iff D is
+    indefinite, at rho = lambda I + (1 - n lambda) v v*, v its eigenvector.
     """
     n = len(d_t)
     g, v = np.linalg.eigh(d_t)
     # s - n g_1 and n g_n - s, both positive as D is no multiple of I
     low, high = float((g - g[0]).sum()), float((g[-1] - g).sum())
-    if -g[0] * high <= g[-1] * low:
-        lam, vec, z = -g[0] / low, v[:, 0], (d_t - g[0] * np.eye(n)) / low
-    else:
-        lam, vec, z = g[-1] / high, v[:, -1], (g[-1] * np.eye(n) - d_t) / high
-    return lam, lam * np.eye(n) + (1.0 - n * lam) * np.outer(vec, vec.conj()), z
+    lo = (-g[0] / low, (d_t - g[0] * np.eye(n)) / low, v[:, 0])
+    hi = (g[-1] / high, (g[-1] * np.eye(n) - d_t) / high, v[:, -1])
+    (lam, z, vec), (other, z_other, _) = (lo, hi) if -g[0] * high <= g[-1] * low else (hi, lo)
+    rho = lam * np.eye(n) + (1.0 - n * lam) * np.outer(vec, vec.conj())
+    return (lam, z), rho, (max(other, lam), z_other)  # a tie may round the other way
 
 
 def product_decision(constraints):
     """The decision in closed form where K factorizes (``_factor_pieces``), else None.
 
-    Each piece C^n has its optimum lambda_t, state rho_t and bound Z_t from
+    Each piece C^n has its state rho_t and two end bounds (lambda, Z) from
     ``piece_optimum`` (1/n and I/n without D; no D_t is a multiple of I, as
-    I is not in K).  The product state (x)_t rho_t annihilates every Herm(M)
-    (x) D_t (x) I, and (x)_t Z_t - (prod_t lambda_t) I lies in K (split off
-    the last factor and recurse), so lambda* lies in [nu, c] with c = prod_t
-    lambda_t and nu = lambda_min((x)_t rho_t), kept at most c.  When every
-    lambda_t is non-negative, or K is one piece, nu = c up to rounding.  The
-    closed form is taken only where c - nu is within GAP_TOL, the gap at
-    which the Newton core stops; it takes no Newton step.
+    I is not in K).  (x)_t rho_t annihilates every Herm(M) (x) D_t (x) I,
+    and with one end per piece (x)_t Z_t - (prod_t lambda_t) I lies in K
+    (split off the last factor and recurse), so lambda* lies in [nu, c]: c
+    the least such product, carried with the greatest as a negative lambda
+    swaps them, nu = lambda_min((x)_t rho_t) kept at most c.  On a piece C^2
+    the ends are D_t's eigenprojectors: on every binomial market nu = c up
+    to rounding.  The closed form is taken only where c - nu is within
+    GAP_TOL, the Newton core's gap; it takes no Newton step.
     """
-    if constraints.perp is None:
-        return None
-    pieces = _factor_pieces(constraints)
+    pieces = None if constraints.perp is None else _factor_pieces(constraints)
     if pieces is None:
         return None
     witness = bound = np.ones((1, 1))
-    c = 1.0
+    least = most = (1.0, [])  # (product, the end bound taken on each piece)
     for n, d_t in pieces:
-        if d_t is None:
-            lam, rho, z = 1.0 / n, np.eye(n) / n, np.eye(n) / n
-        else:
-            lam, rho, z = piece_optimum(d_t)
-        witness, bound, c = np.kron(witness, rho), np.kron(bound, z), c * float(lam)
+        flat = (1.0 / n, np.eye(n) / n)
+        end, rho, other = (flat, flat[1], flat) if d_t is None else piece_optimum(d_t)
+        products = [(p * float(v), zs + [z]) for p, zs in (least, most) for v, z in (end, other)]
+        least, most = min(products, key=lambda e: e[0]), max(products, key=lambda e: e[0])
+        witness = np.kron(witness, rho)
+    c, ends = least
+    for z in ends:
+        bound = np.kron(bound, z)
     witness /= np.trace(witness).real
     nu = min(float(np.linalg.eigvalsh(witness)[0]), c)
     if c - nu > GAP_TOL:

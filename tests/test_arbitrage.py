@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -459,6 +460,17 @@ def test_a_step_that_misses_its_newton_identity_keeps_the_grid_step(monkeypatch)
         assert res.lambda_star == pytest.approx(ref.lambda_star, abs=1e-10)
 
 
+def test_an_empty_line_search_grid_leaves_the_decision_indeterminate(monkeypatch):
+    # with no trial step the first line search fails: the decision says where,
+    # keeps the bracket it has and certifies nothing
+    monkeypatch.setattr("qmarket.arbitrage.LINE_GRID", np.empty(0))
+    res = max_min_eig_over_slice(attainable_space(discount(trinomial_market(r=0.0))))
+    assert res.status == INDETERMINATE and res.iterations == 0
+    assert res.note.startswith("line search failed at tau=")
+    assert res.witness_state is None and res.arbitrage_claim is None
+    assert res.lambda_interval[1] == pytest.approx(1.0 / 3.0, abs=1e-15)
+
+
 def diagonal_market(d, r):
     """Single-period commutative market diag(100 (1 + rates)) on C^d, rates in [-0.1, 0.2]."""
     rates = np.linspace(-0.1, 0.2, d)
@@ -643,17 +655,18 @@ def test_closed_form_decision_of_a_one_asset_period_matches_newton(d, where, see
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.sampled_from(RATE_PLACES), st.integers(0, 2**32 - 1))
 def test_closed_form_decision_of_a_binomial_tensor_market_matches_newton(n, where, seed):
-    # inside the band and on its ends every period's lambda_t >= 0 and the
-    # product of the period optima is optimal; outside it a period's lambda_t
-    # is negative and, past one period, the Newton decision stays
+    # every period is a qubit piece whose two end bounds are its D_t's
+    # eigenprojectors: the least product of end values is lambda_min of the
+    # product state, so the closed form decides at any rate, outside the band too
     res = assert_closed_form_agrees_with_newton(random_nperiod(n, where, seed))
-    assert (res.iterations == 0) == (n == 1 or where not in ("below", "above"))
+    assert res.iterations == 0
 
 
 @pytest.mark.parametrize("where", ["inside", "at_b", "above"])
 def test_a_from_basis_filtration_keeps_the_newton_decision(where):
     # the same two-period market with A_1, A_2 written as explicit bases:
-    # no factor structure to read, so the solver decides, and agrees
+    # no factor structure to read, so the solver decides, and agrees with the
+    # closed form of the factor market at every rate
     mkt = random_nperiod(2, where, seed=7)
     dense = MarketModel(
         Filtration(
@@ -663,9 +676,55 @@ def test_a_from_basis_filtration_keeps_the_newton_decision(where):
         mkt.bank, mkt.assets,
     )
     res, ref = check_no_arbitrage(dense), check_no_arbitrage(mkt)
-    assert res.iterations > 0 and (ref.iterations == 0) == (where != "above")
+    assert res.iterations > 0 and ref.iterations == 0
     assert res.status == ref.status
     assert res.lambda_star == pytest.approx(ref.lambda_star, abs=1e-9)
+
+
+def binomial_spec(n, r, direction):
+    """An N-period spec on the band [-0.1, 0.2]: the default x axis or seeded random Pauli directions."""
+    pauli = None
+    if direction == "random":
+        dirs = np.random.default_rng(n).standard_normal((n, 3))
+        pauli = [tuple(p) for p in 0.15 * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)]
+    return NPeriodSpec(n, -0.1, 0.2, r, 100.0, 1.0, pauli)
+
+
+def least_path_product(spec):
+    """min over the 2^N paths of prod_t q_t, q_t = (g_2, -g_1) / (g_2 - g_1) the weights of period t.
+
+    g_1 < g_2 are the eigenvalues of the period's discounted increment
+    D_t = (I + A_t) / (1 + r) - I, up to a positive factor.
+    """
+    weights = []
+    for t in range(spec.n_periods):
+        g = np.linalg.eigvalsh((np.eye(2) + spec.rate_operator(t)) / (1.0 + spec.r) - np.eye(2))
+        weights.append((g[1] / (g[1] - g[0]), -g[0] / (g[1] - g[0])))
+    paths = itertools.product((0, 1), repeat=spec.n_periods)
+    return min(np.prod([w[k] for w, k in zip(weights, path)]) for path in paths)
+
+
+@pytest.mark.parametrize("direction", ["axis", "random"])
+@pytest.mark.parametrize("r", [-0.5, -0.2, 0.25, 0.3, 0.5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_a_binomial_market_outside_its_band_is_decided_in_closed_form(n, r, direction):
+    # outside the band one end value of every period is negative; the least
+    # product over ends is the least path product of the per-period weights,
+    # lambda_min of the product state too, so the bracket closes with no
+    # Newton step, inside the Newton decision's certified interval
+    spec = binomial_spec(n, r, direction)
+    mkt = build_n_period(spec)
+    cs = attainable_space(discount(mkt))
+    res = check_no_arbitrage(mkt)
+    assert res.status == NO_FAITHFUL_STATE and res.iterations == 0
+    assert res.lambda_star == pytest.approx(least_path_product(spec), abs=1e-12)
+    nu, c = max_min_eig_over_slice(cs).lambda_interval
+    assert nu - 1e-9 <= res.lambda_star <= c + 1e-9
+    cert = res.arbitrage_claim
+    assert np.trace(cert).real == pytest.approx(1.0, abs=1e-12)
+    assert min_eigenvalue(cert) > 0.0
+    vec = herm_to_vec(cert)
+    assert np.linalg.norm(vec - (cs.vecs @ vec) @ cs.vecs) <= 1e-10
 
 
 # the quiet period, and the factor pieces (size, without an element) it leaves
@@ -688,3 +747,23 @@ def test_a_quiet_period_is_decided_in_closed_form(quiet, pieces):
     assert res.lambda_star == pytest.approx(1.0 / 6.0, abs=1e-15)
     nu, c = ref.lambda_interval
     assert ref.iterations > 0 and nu <= res.lambda_star <= c
+
+
+def test_a_qutrit_piece_beside_a_period_outside_its_band_keeps_the_newton_decision():
+    # C^6 = C^2 (x) C^3 at r = 0.25: period 1 has rates 0.05 I + 0.15 sx,
+    # outside its band (weights -1/6 and 7/6), period 2 diag(0.1, 0.3, 0.5),
+    # inside it (end values 1/4 and 5/12).  The least product over ends,
+    # -1/6 * 5/12 = -5/72, bounds lambda* from above, but the qutrit's ends
+    # are no eigenprojectors of its D: the product state's lambda_min is
+    # -1/6 * 1/2, the bracket stays open and the Newton core decides
+    filt = Filtration([OperatorAlgebra.tensor_factor(k, 6) for k in (1, 2, 6)])
+    s1 = np.kron(np.eye(2) + 0.05 * np.eye(2) + 0.15 * SX, np.eye(3))
+    s2 = s1 @ np.kron(np.eye(2), np.eye(3) + np.diag([0.1, 0.3, 0.5]))
+    mkt = MarketModel(filt, [1.0, 1.25, 1.25**2], [[np.eye(6), s1, s2]])
+    cs = attainable_space(discount(mkt))
+    assert [n for n, _ in _factor_pieces(cs)] == [2, 3]
+    assert product_decision(cs) is None
+    res = check_no_arbitrage(mkt)
+    assert res.status == NO_FAITHFUL_STATE and res.iterations > 0 and res.note == ""
+    nu, c = res.lambda_interval
+    assert nu - 1e-9 <= -5.0 / 72.0 <= c + 1e-9
