@@ -1,9 +1,9 @@
 """No-arbitrage decision via faithful martingale-state feasibility.
 
-A state rho is a martingale state iff tr(rho G_m) = 0 for every element
-G_m of an orthonormal basis of the attainable-claim space, which the
-market builds once and which is itself the constraint set (see
-:class:`qmarket.market.AttainableSpace`).
+A state rho is a martingale state iff tr(rho G_m) = 0 for every unit-norm
+row G_m of the period bases of the attainable-claim space (``rows``), which
+the market builds once and which is itself the constraint set (see
+:class:`qmarket.market.AttainableSpace`); the Newton core reads its basis.
 
 The decision and the super-hedge of :mod:`qmarket.pricing` over a K of rank
 two or more are one semidefinite program over span(I, K): the least multiple
@@ -31,9 +31,9 @@ certificate too.
 :func:`check_no_arbitrage` decides once per market, and pricing reads that
 decision.  It runs no solver where K factorizes, as on a K of rank one and
 on the paper's N-period binomial market, a tensor product of one-period
-qubit markets: :func:`product_decision` brackets lambda* by products of
-per-period optima and end bounds, one eigh each, and decides wherever that
-bracket is as tight as the solver's gap: on every binomial market.
+qubit markets: :func:`product_decision` brackets lambda* from the period
+rows alone, by products of per-period optima and end bounds, one eigh each,
+and decides wherever that bracket is as tight as the solver's gap.
 """
 
 import math
@@ -72,15 +72,15 @@ class FeasibilityResult:
     iterations: int = 0
     note: str = ""
     lambda_interval: Optional[tuple] = None  # the certified [nu, c] around lambda*
-    witness_residual: Optional[float] = None  # max_m |tr(witness G_m)|
+    witness_residual: Optional[float] = None  # max_m |tr(witness G_m)| over the period rows
 
 
 def is_martingale_state(rho, market, tol=1e-8):
-    """True iff rho annihilates every (unit-norm) martingale constraint."""
+    """True iff |tr(rho G)| <= tol for every unit-norm period row G of K (``rows``)."""
     mat = rho.mat if isinstance(rho, DensityState) else rho
     require_dim(mat, market.dim, "state")
     cs = attainable_space(discount(market))
-    return bool(np.all(np.abs(cs.vecs @ herm_to_vec(as_hermitian(mat))) <= tol))
+    return bool(np.all(np.abs(cs.rows @ herm_to_vec(as_hermitian(mat))) <= tol))
 
 
 # --- the Newton core ---------------------------------------------------------
@@ -203,19 +203,18 @@ def newton_core(objective, offset, rows, start):
     return result(good, NEWTON_STEPS, f"no convergence in {NEWTON_STEPS} Newton steps")
 
 
-def _settle(res, witness, claim, vecs):
+def _settle(res, witness, claim, rows):
     """Set res's status from its [nu, c] and return it.
 
-    nu above FEASIBILITY_THRESHOLD certifies the ``witness`` state, whose
-    residual max_m |tr(witness G_m)| is read off the state as reported; c at
-    or below it makes the positive attainable ``claim``, scaled to unit
-    trace, the certificate; any other interval is INDETERMINATE, with its
-    bounds in the note.
+    nu above FEASIBILITY_THRESHOLD certifies the ``witness`` state, with the
+    residual max_m |tr(witness G_m)| of the state as reported over the unit-norm
+    ``rows``; c at or below it makes the positive attainable ``claim``, scaled to
+    unit trace, the certificate; any other interval is INDETERMINATE, its bounds noted.
     """
     nu, c = res.lambda_interval
     if nu > FEASIBILITY_THRESHOLD:
         res.status, res.witness_state = FAITHFUL_STATE_FOUND, witness
-        res.witness_residual = float(np.abs(vecs @ herm_to_vec(witness.mat)).max(initial=0.0))
+        res.witness_residual = float(np.abs(rows @ herm_to_vec(witness.mat)).max(initial=0.0))
     elif c <= FEASIBILITY_THRESHOLD:
         res.status, res.arbitrage_claim = NO_FAITHFUL_STATE, claim / np.trace(claim).real
     else:
@@ -251,22 +250,22 @@ def max_min_eig_over_slice(constraints):
         witness = rho + nu * np.eye(d)
         witness = DensityState(witness / np.trace(witness).real)
     # Z - c I = sum_i y_i K_i: in K by construction, and >= -c I
-    return _settle(res, witness, vec_to_herm(y @ vecs, d), vecs)
+    return _settle(res, witness, vec_to_herm(y @ vecs, d), constraints.rows)
 
 
 def _factor_pieces(constraints):
     """[(n, D)] with K = sum_t Herm(M_{n_1...n_{t-1}}) (x) D_t (x) I, or None.
 
     The pieces split C^d as C^{n_1} (x) ... (x) C^{n_T}, and D is Hermitian
-    on its piece, or None for a period that attains nothing.  A K of rank at
-    most one is one piece, its element on C^d.  A factor filtration whose
+    on its piece, or None for a period that attains nothing.  A K spanned by
+    at most one row is one piece, its element on C^d.  A factor filtration whose
     every W_t (see :class:`qmarket.market.PeriodSpan`) holds at most one
     element D_t (x) I has one piece per period: C^{n_t} is the factor that
     A_t adds to A_{t-1}, and the last period takes the rest of C^d.
     """
-    d = constraints.dim
-    if constraints.rank <= 1:
-        return [(d, vec_to_herm(constraints.vecs[0], d) if constraints.rank else None)]
+    d, rows = constraints.dim, constraints.rows
+    if len(rows) <= 1:
+        return [(d, vec_to_herm(rows[0], d) if len(rows) else None)]
     periods = constraints.periods
     if any(p.w is None or len(p.w) > 1 for p in periods):
         return None
@@ -285,7 +284,7 @@ def _factor_pieces(constraints):
 
 
 def piece_optimum(d_t):
-    """((lambda, Z), rho, (lambda', Z')) of a piece C^n whose Hermitian D is no multiple of I.
+    """((lambda, Z), rho, (lambda', Z')) of a piece C^n with Hermitian D; None if D is c I.
 
     With D's eigenvalues g_1 <= ... <= g_n and s = tr D, the end bounds
     Z = (D - g_1 I) / (s - n g_1) and (g_n I - D) / (n g_n - s) are positive
@@ -297,7 +296,8 @@ def piece_optimum(d_t):
     """
     n = len(d_t)
     g, v = np.linalg.eigh(d_t)
-    # s - n g_1 and n g_n - s, both positive as D is no multiple of I
+    if g[-1] - g[0] <= SPAN_TOL * np.abs(g).max():
+        return None  # D = c I; otherwise s - n g_1 and n g_n - s are both positive
     low, high = float((g - g[0]).sum()), float((g[-1] - g).sum())
     lo = (-g[0] / low, (d_t - g[0] * np.eye(n)) / low, v[:, 0])
     hi = (g[-1] / high, (g[-1] * np.eye(n) - d_t) / high, v[:, -1])
@@ -310,8 +310,8 @@ def product_decision(constraints):
     """The decision in closed form where K factorizes (``_factor_pieces``), else None.
 
     Each piece C^n has its state rho_t and two end bounds (lambda, Z) from
-    ``piece_optimum`` (1/n and I/n without D; no D_t is a multiple of I, as
-    I is not in K).  (x)_t rho_t annihilates every Herm(M) (x) D_t (x) I,
+    ``piece_optimum`` (1/n and I/n without D; a D_t = c I puts I in K, left
+    to the Newton path).  (x)_t rho_t annihilates every Herm(M) (x) D_t (x) I,
     and with one end per piece (x)_t Z_t - (prod_t lambda_t) I lies in K
     (split off the last factor and recurse), so lambda* lies in [nu, c]: c
     the least such product, carried with the greatest as a negative lambda
@@ -320,14 +320,17 @@ def product_decision(constraints):
     to rounding.  The closed form is taken only where c - nu is within
     GAP_TOL, the Newton core's gap; it takes no Newton step.
     """
-    pieces = None if constraints.perp is None else _factor_pieces(constraints)
+    pieces = _factor_pieces(constraints)
     if pieces is None:
         return None
     witness = bound = np.ones((1, 1))
     least = most = (1.0, [])  # (product, the end bound taken on each piece)
     for n, d_t in pieces:
         flat = (1.0 / n, np.eye(n) / n)
-        end, rho, other = (flat, flat[1], flat) if d_t is None else piece_optimum(d_t)
+        optimum = (flat, flat[1], flat) if d_t is None else piece_optimum(d_t)
+        if optimum is None:
+            return None
+        end, rho, other = optimum
         products = [(p * float(v), zs + [z]) for p, zs in (least, most) for v, z in (end, other)]
         least, most = min(products, key=lambda e: e[0]), max(products, key=lambda e: e[0])
         witness = np.kron(witness, rho)
@@ -343,7 +346,7 @@ def product_decision(constraints):
         witness = DensityState(witness)
         nu = min(float(np.linalg.eigvalsh(witness.mat)[0]), c)
     res = FeasibilityResult(INDETERMINATE, c, lambda_interval=(nu, c))
-    return _settle(res, witness, bound - c * np.eye(constraints.dim), constraints.vecs)
+    return _settle(res, witness, bound - c * np.eye(constraints.dim), constraints.rows)
 
 
 def check_no_arbitrage(market):

@@ -4,15 +4,15 @@ Usage: ``qmarket <command> --scenario <path> [--seed N] [--out <path>]
 [--samples N]`` with commands check-arbitrage, price, interval, replicate,
 decompose, disk, crr; disk draws 1..MAX_DISK_SAMPLES samples.
 
-Scenarios are YAML trees (see README for the grammar); reports are JSON with
-sorted keys, byte-stable for a fixed scenario and seed.  Matrices are encoded
-row-major as [re, im] pairs in both directions.  Each mapping is read through
-``FIELDS``, which rejects an unknown key, a missing field, a wrong type or a
-non-finite number by its ``<where>.<key>``.  check-arbitrage exits 0 with a
-witness or an arbitrage certificate (band-edge markets get a certificate)
-and 3 when neither is found; it reports the certified interval [nu, c]
-around lambda* (lambda_star is c), the witness's largest constraint
-residual, and the Newton steps taken.  price and interval report each
+Scenarios are YAML trees (see README for the grammar); reports are JSON with sorted
+keys, byte-stable for a fixed scenario, seed and BLAS thread count (a Newton-decided
+result depends on the thread count).  Matrices are row-major [re, im] pairs in both
+directions.  Each mapping is read through ``FIELDS``, which rejects an unknown key, a
+missing field, a wrong type or a non-finite number by its ``<where>.<key>``.
+check-arbitrage exits 0 with a witness or an arbitrage certificate (band-edge markets
+get a certificate) and 3 when neither is found; it reports the certified interval
+[nu, c] around lambda* (lambda_star is c), the witness's largest residual over the
+unit-norm period rows of K, and the Newton steps taken.  price and interval report each
 end's certified gap, 0 for an attainable claim, and its super-hedge steps in
 ``diagnostics.newton_steps``: Newton steps, or eigenvalue evaluations where
 K has one element.

@@ -11,9 +11,9 @@ element of K_t is sum_pq h_pq A_p* dS_t A_q for a Hermitian coefficient
 matrix h, so K_t is the image of one linear map on Herm(n), rank-revealed
 by an SVD.  For factor algebras B(C^m) (x) I_k the map is taken on the
 k x k blocks of dS_t, which gives K_t = Herm(M_m) (x) W_t without forming
-the pairs.  :class:`AttainableSpace` holds the orthonormal basis of K with
-the h-matrix preimage of every element and is built once per discounted
-market.
+the pairs.  :class:`AttainableSpace` holds the period bases of K with the
+h-matrix preimage of every element and is built once per discounted
+market, its orthonormal basis where a projection first reads it.
 
 A state is a martingale state iff it annihilates K, so the attainable space
 is also the market's :class:`MartingaleConstraintSet`: it keeps the split of
@@ -108,14 +108,8 @@ class OperatorAlgebra:
         if self._frame is not None:
             return list(self._frame)
         m, k = self._factor_dim, self.dim // self._factor_dim
-        eye_k = np.eye(k, dtype=complex)
-        out = []
-        for a in range(m):
-            for b in range(m):
-                unit = np.zeros((m, m), dtype=complex)
-                unit[a, b] = 1.0
-                out.append(np.kron(unit, eye_k))
-        return out
+        units = np.eye(m * m, dtype=complex).reshape(-1, m, m)
+        return list(np.einsum("pab,ij->paibj", units, np.eye(k)).reshape(-1, self.dim, self.dim))
 
     def herm_dim(self):
         """Real dimension of the Hermitian part O(A): A = O(A) + i O(A), so dim_C A."""
@@ -356,9 +350,9 @@ def value_process(beta, strategy, market):
 class MartingaleConstraintSet:
     """Orthonormal Hermitian G_m with tr(rho G_m) = 0 required of a martingale state.
 
-    ``vecs`` holds the herm-vec rows of the G_m; subclasses set ``dim`` and ``vecs``.
-    ``perp`` is read-only; ``slice_step`` gives the directions of the slice of
-    martingale states; ``decision`` keeps the market's no-arbitrage result.
+    ``vecs`` holds the herm-vec rows of the G_m; ``rows`` (here ``vecs``), unit-norm rows
+    spanning K, is all the decision reads.  Subclasses set ``dim``, ``rows`` and ``vecs``.
+    ``perp`` is read-only; ``slice_step`` gives the slice's directions; ``decision`` the result.
     """
 
     decision = None  # set by check_no_arbitrage, once
@@ -366,7 +360,7 @@ class MartingaleConstraintSet:
     def __init__(self, dim, operators):
         self.dim = int(dim)
         mats = np.asarray(operators, dtype=complex).reshape(-1, self.dim, self.dim)
-        self.vecs = herm_to_vec(mats)
+        self.vecs = self.rows = herm_to_vec(mats)
 
     def __len__(self):
         return len(self.vecs)
@@ -464,13 +458,13 @@ class PeriodSpan(MartingaleConstraintSet):
         hmap, rows = _orthonormal_rows(np.concatenate([_pair_images(b) for b in blocks]))
         self._hmaps = np.split(hmap, len(blocks))
         if self._basis is not None:
-            self.vecs, self.w = rows, None
+            self.vecs, self.rows, self.w = rows, rows, None
         else:
             m, k = self._units
             self.w = w = vec_to_herm(rows, k)
             units = vec_to_herm(np.eye(m * m), m)
             prod = np.einsum("aij,bkl->abikjl", units, w).reshape(-1, d, d)
-            self.vecs = herm_to_vec(prod)
+            self.vecs = self.rows = herm_to_vec(prod)
 
     def terms(self, coeffs):
         """Strategy terms {(t, j): [(a, A)]} whose gain is sum_i coeffs_i K_{t,i}."""
@@ -506,17 +500,16 @@ class PeriodSpan(MartingaleConstraintSet):
 class AttainableSpace(MartingaleConstraintSet):
     """K = sum_t K_t of a discounted market, with a strategy for each element.
 
-    ``vecs`` is an orthonormal herm-vec basis of K, rank-revealed by one SVD
-    of the stacked period bases; ``periods`` holds the K_t.  A coefficient
+    ``periods`` holds the K_t and ``rows`` their stacked bases; ``vecs``, an
+    orthonormal herm-vec basis of K, is rank-revealed by one SVD of ``rows``
+    when a projection or the Newton core first reads it.  A coefficient
     vector over ``vecs`` maps to coefficients over the period bases by one
-    matvec, and from there to one h-matrix per period and asset.  It is
-    also the market's martingale constraint set.  Nothing here refers back
-    to the market, which keeps this object.
+    matvec, and from there to one h-matrix per period and asset.  It is the
+    market's martingale constraint set too, and refers not back to the market.
     """
 
     def __init__(self, market):
-        d = market.dim
-        self.dim = d
+        self.dim = d = market.dim
         self.periods = [
             PeriodSpan(
                 t,
@@ -527,17 +520,21 @@ class AttainableSpace(MartingaleConstraintSet):
             )
             for t in range(1, market.horizon + 1)
         ]
-        stack = np.concatenate([np.zeros((0, d * d))] + [p.vecs for p in self.periods])
-        if len(self.periods) <= 1 or len(stack) == 0:
-            self.vecs = stack
-            self._coords = np.eye(len(stack))
-        else:
-            self._coords, self.vecs = _orthonormal_rows(stack)
+        self.rows = np.concatenate([np.zeros((0, d * d))] + [p.vecs for p in self.periods])
         self._offsets = np.cumsum([0] + [p.rank for p in self.periods])
+
+    @cached_property
+    def _orthonormal(self):
+        """(coords, vecs): ``vecs`` = coords.T @ ``rows``, orthonormal (``_orthonormal_rows``)."""
+        if len(self.periods) <= 1 or len(self.rows) == 0:
+            return np.eye(len(self.rows)), self.rows
+        return _orthonormal_rows(self.rows)
+
+    vecs = property(lambda self: self._orthonormal[1])
 
     def strategy(self, coeffs):
         """A TradingStrategy whose terminal gain is sum_i coeffs_i K_i."""
-        local = self._coords @ np.asarray(coeffs, dtype=float)
+        local = self._orthonormal[0] @ np.asarray(coeffs, dtype=float)
         terms = {}
         for p, lo, hi in zip(self.periods, self._offsets, self._offsets[1:]):
             terms.update(p.terms(local[lo:hi]))

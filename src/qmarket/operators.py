@@ -143,13 +143,15 @@ def hs_inner(a, b):
 
 def min_eigenvalue(x):
     """Smallest eigenvalue; X is positive iff this is >= -tol."""
-    x = as_hermitian(x)
+    return least_eigenvalue(as_hermitian(x))
+
+
+def least_eigenvalue(x):
+    """Smallest eigenvalue of an already symmetrised X (``as_hermitian``)."""
     try:
         return float(np.linalg.eigvalsh(x)[0])
     except np.linalg.LinAlgError as exc:
-        raise SolverError(
-            f"eigensolver failed on matrix with norm {np.linalg.norm(x):.6e}"
-        ) from exc
+        raise SolverError(f"eigensolver failed on matrix with norm {np.linalg.norm(x):.6e}") from exc
 
 
 # --- real vectorization of the Hermitian space ------------------------------

@@ -39,8 +39,6 @@ from .operators import as_hermitian, herm_to_vec, hs_inner, vec_to_herm
 from .quantum import DensityState
 
 ATTAINABLE_RESIDUAL_TOL = 1e-8
-# widest interval the super-hedge oracle in the tests may report for an attainable claim
-INTERVAL_WIDTH_TOL = 1e-7
 CONSUMPTION_PSD_TOL = 1e-8
 
 

@@ -11,7 +11,7 @@ from .operators import (
     as_hermitian,
     check_matrix,
     hs_inner,
-    min_eigenvalue,
+    least_eigenvalue,
 )
 
 STATE_TOL = 1e-10
@@ -31,7 +31,7 @@ class DensityState:
     def __init__(self, mat):
         m = as_hermitian(mat)
         tr = float(np.trace(m).real)
-        lam_min = min_eigenvalue(m)
+        lam_min = least_eigenvalue(m)
         repaired = False
         if lam_min < -STATE_TOL or abs(tr - 1.0) > STATE_TOL:
             raise ValidationError(
@@ -57,7 +57,7 @@ class DensityState:
         return self.mat.shape[0]
 
     def min_eigenvalue(self):
-        return min_eigenvalue(self.mat)
+        return least_eigenvalue(self.mat)
 
     def bloch_vector(self):
         """(x, y, z) coordinates of a qubit state rho = (I + x sx + y sy + z sz)/2."""

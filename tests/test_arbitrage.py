@@ -1,5 +1,6 @@
 import functools
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qmarket.market as market_mod
 from qmarket.arbitrage import (
     CLAIM_PSD_TOL,
     FAITHFUL_STATE_FOUND,
@@ -21,7 +23,7 @@ from qmarket.arbitrage import (
     product_decision,
 )
 from qmarket.binomial import NPeriodSpec, QubitMarketSpec, build_n_period, build_single_period
-from qmarket.errors import ValidationError
+from qmarket.errors import ArbitrageError, ValidationError
 from qmarket.market import Filtration, MarketModel, OperatorAlgebra, attainable_space, discount
 from qmarket.operators import (
     SX,
@@ -32,6 +34,7 @@ from qmarket.operators import (
     min_eigenvalue,
     vec_to_herm,
 )
+from qmarket.pricing import price_bounds
 from qmarket.quantum import DensityState, is_faithful
 
 from conftest import random_hermitian, random_market, random_positive, trinomial_market
@@ -767,3 +770,64 @@ def test_a_qutrit_piece_beside_a_period_outside_its_band_keeps_the_newton_decisi
     assert res.status == NO_FAITHFUL_STATE and res.iterations > 0 and res.note == ""
     nu, c = res.lambda_interval
     assert nu - 1e-9 <= -5.0 / 72.0 <= c + 1e-9
+
+
+@pytest.mark.parametrize("direction", ["axis", "random"])
+@pytest.mark.parametrize("r", [0.05, 0.3])
+@pytest.mark.parametrize("n", [3, 4])
+def test_the_decision_builds_no_stacked_basis(monkeypatch, n, r, direction):
+    # the closed-form decision and the martingale-state test read the period
+    # rows alone; the SVD of the stacked rows is taken once, when a
+    # projection onto K (the replication in price_bounds) first reads vecs
+    shapes = []
+    svd = market_mod._orthonormal_rows
+    monkeypatch.setattr(
+        market_mod, "_orthonormal_rows", lambda mat: shapes.append(mat.shape) or svd(mat)
+    )
+    mkt = build_n_period(binomial_spec(n, r, direction))
+    res = check_no_arbitrage(mkt)
+    free = res.status == FAITHFUL_STATE_FOUND
+    assert res.iterations == 0 and free == (r == 0.05)
+    state = res.witness_state if free else DensityState(np.eye(mkt.dim) / mkt.dim)
+    assert is_martingale_state(state, mkt) == free
+    dmkt = discount(mkt)
+    stacked = attainable_space(dmkt).rows.shape
+    assert stacked == (sum(4 ** t for t in range(n)), mkt.dim ** 2) and stacked not in shapes
+    # S_T is S_0 plus a gain: its price is S_0, or there is none under arbitrage
+    if free:
+        assert price_bounds(dmkt.assets[0][-1], dmkt).unique_price == pytest.approx(100.0)
+    else:
+        with pytest.raises(ArbitrageError):
+            price_bounds(dmkt.assets[0][-1], dmkt)
+    assert shapes.count(stacked) == 1
+
+
+def factor_market_with_a_sure_period():
+    """C^4 = C^2 (x) C^2 whose asset grows by a sure 1.1 in period 2: D_2 is a multiple of I."""
+    eye = np.eye(2)
+    filt = Filtration([OperatorAlgebra.tensor_factor(k, 4) for k in (1, 2, 4)])
+    s1 = 100.0 * np.kron(1.05 * eye + 0.15 * SX, eye)
+    return MarketModel(filt, [1.0, 1.05, 1.05**2], [[100.0 * np.eye(4), s1, 1.1 * s1]])
+
+
+def sure_growth_market():
+    """One period on C^3 whose single asset grows by a sure 1.1: K is spanned by I."""
+    filt = Filtration([OperatorAlgebra.trivial(3), OperatorAlgebra.full(3)])
+    return MarketModel(filt, [1.0, 1.05], [[100.0 * np.eye(3), 110.0 * np.eye(3)]])
+
+
+@pytest.mark.parametrize("build", [factor_market_with_a_sure_period, sure_growth_market])
+def test_identity_in_a_factorized_k_is_left_to_the_empty_slice_check(build):
+    # K factorizes, but one piece's D is a multiple of I, so I lies in K: the
+    # closed form declines without dividing by zero, and the empty slice
+    # gives the certificate I / d with no Newton step
+    mkt = build()
+    cs = attainable_space(discount(mkt))
+    assert _factor_pieces(cs) is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert product_decision(cs) is None
+        res = check_no_arbitrage(mkt)
+    assert res.status == NO_FAITHFUL_STATE and res.iterations == 0
+    assert res.note == "affine set empty"
+    np.testing.assert_array_equal(res.arbitrage_claim, np.eye(mkt.dim) / mkt.dim)

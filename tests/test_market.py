@@ -50,6 +50,21 @@ def test_algebra_factor_membership():
             OperatorAlgebra.tensor_factor(active, dim)
 
 
+@pytest.mark.parametrize("active,dim", [(1, 1), (1, 4), (2, 4), (3, 6), (4, 4), (2, 8), (8, 64)])
+def test_factor_basis_is_the_matrix_units_tensor_identity(active, dim):
+    # the reference: E_ab (x) I_k for a, b in row-major order, one kron each
+    eye_k = np.eye(dim // active, dtype=complex)
+    expected = []
+    for a in range(active):
+        for b in range(active):
+            unit = np.zeros((active, active), dtype=complex)
+            unit[a, b] = 1.0
+            expected.append(np.kron(unit, eye_k))
+    basis = OperatorAlgebra.tensor_factor(active, dim).basis
+    assert len(basis) == len(expected)
+    assert all(x.dtype == complex and np.array_equal(x, y) for x, y in zip(basis, expected))
+
+
 def test_algebra_explicit_validation():
     a = pauli_operator(0.05, 0.15, 0.0, 0.0)
     alg = OperatorAlgebra.from_basis([I2, a])

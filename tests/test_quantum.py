@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
 
-from qmarket.errors import ValidationError
-from qmarket.operators import I2, SX, SY, SZ, apply_function, pauli_operator, spectral_decompose
+import qmarket.operators as operators_mod
+import qmarket.quantum as quantum_mod
+from qmarket.errors import SolverError, ValidationError
+from qmarket.operators import (
+    I2,
+    SX,
+    SY,
+    SZ,
+    apply_function,
+    as_hermitian,
+    pauli_operator,
+    spectral_decompose,
+)
 from qmarket.quantum import (
     DensityState,
     dephase,
@@ -27,6 +38,33 @@ def test_state_repair_flag():
     assert rho.repaired
     assert rho.min_eigenvalue() >= 0.0
     assert np.trace(rho.mat).real == pytest.approx(1.0, abs=1e-14)
+
+
+def test_a_state_is_validated_once(monkeypatch):
+    # one as_hermitian per state; its matrix and lambda_min are those of the
+    # symmetrised input
+    mats = [np.array([[0.25, 0.1 + 1e-14], [0.1, 0.75]]), np.eye(4) / 4]
+    expected = [as_hermitian(m) for m in mats]
+    calls = []
+    real = operators_mod.as_hermitian
+    counting = lambda m: calls.append(1) or real(m)  # noqa: E731
+    monkeypatch.setattr(operators_mod, "as_hermitian", counting)
+    monkeypatch.setattr(quantum_mod, "as_hermitian", counting)
+    states = [DensityState(m) for m in mats]
+    assert len(calls) == len(mats)
+    for rho, sym in zip(states, expected):
+        assert not rho.repaired
+        np.testing.assert_array_equal(rho.mat, sym)
+        assert rho.min_eigenvalue() == float(np.linalg.eigvalsh(sym)[0])
+
+
+def test_a_failed_eigensolver_is_a_solver_error(monkeypatch):
+    def fail(x):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(SolverError, match="eigensolver failed"):
+        DensityState(np.eye(2) / 2)
 
 
 def test_expectation_examples():
