@@ -31,6 +31,7 @@ from .binomial import (
     euro_call_replication,
     product_martingale_state,
     risk_neutral_disk,
+    sample_disk_points,
     sample_disk_states,
 )
 from .errors import (

@@ -52,7 +52,6 @@ NO_FAITHFUL_STATE = "NO_FAITHFUL_STATE"
 INDETERMINATE = "INDETERMINATE"
 
 FEASIBILITY_THRESHOLD = 1e-9
-CLAIM_PSD_TOL = 1e-8  # a certificate's lambda_min over its trace is at least minus this
 
 GAP_TOL = 1e-10  # the Newton core stops once its certified gap is below this
 TAU_STEP = 0.005  # tau schedule 1, TAU_STEP, TAU_STEP^2, ...

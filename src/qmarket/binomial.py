@@ -112,30 +112,23 @@ def risk_neutral_disk(spec):
     return RiskNeutralDisk(n, offset, radius)
 
 
-def _plane_frame(normal):
-    # deterministic orthonormal pair spanning the plane orthogonal to `normal`
-    pick = np.zeros(3)
-    pick[int(np.argmin(np.abs(normal)))] = 1.0
-    e1 = np.cross(normal, pick)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(normal, e1)
-    return e1, e2
-
-
-def sample_disk_states(disk, n, seed):
-    """n faithful states with Bloch vectors uniform on the (shrunken) open disk."""
+def sample_disk_points(disk, n, seed):
+    """n Bloch vectors, one per row, uniform on the (shrunken) open disk."""
     if n < 1:
         raise ValidationError("sample count must be >= 1")
     rng = np.random.default_rng(seed)
-    e1, e2 = _plane_frame(disk.normal)
-    rad = disk.radius * (1.0 - DISK_EDGE_SHRINK)
-    rr = rad * np.sqrt(rng.random(n))
-    th = 2.0 * np.pi * rng.random(n)
-    states = []
-    for radius, theta in zip(rr, th):
-        v = disk.center + radius * (np.cos(theta) * e1 + np.sin(theta) * e2)
-        states.append(DensityState.from_bloch(v))
-    return states
+    # deterministic orthonormal pair (e1, e2) spanning the disk's plane
+    e1 = np.cross(disk.normal, np.eye(3)[int(np.argmin(np.abs(disk.normal)))])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(disk.normal, e1)
+    rr = disk.radius * (1.0 - DISK_EDGE_SHRINK) * np.sqrt(rng.random(n))[:, None]
+    th = 2.0 * np.pi * rng.random(n)[:, None]
+    return disk.center + rr * (np.cos(th) * e1 + np.sin(th) * e2)
+
+
+def sample_disk_states(disk, n, seed):
+    """The faithful states of :func:`sample_disk_points`' Bloch vectors."""
+    return [DensityState.from_bloch(v) for v in sample_disk_points(disk, n, seed)]
 
 
 def euro_call_replication(spec, strike):
@@ -250,19 +243,8 @@ def complementary_binomial(m, n, p):
         raise ValidationError(f"m = {m} outside [0, {n + 1}]")
     if not (0.0 <= p <= 1.0):
         raise ValidationError(f"p = {p} outside [0, 1]")
-    if m > n:
-        return 0.0
-    # multiplicative recurrence on C(n, j); exact integers, no overflow for n <= 64
-    comb = 1
-    for j in range(m):
-        comb = comb * (n - j) // (j + 1)
-    total = 0.0
-    c = float(comb)
-    for j in range(m, n + 1):
-        total += c * p ** j * (1.0 - p) ** (n - j)
-        if j < n:
-            c = c * (n - j) / (j + 1)
-    return min(total, 1.0)
+    terms = (math.comb(n, j) * p ** j * (1.0 - p) ** (n - j) for j in range(m, n + 1))
+    return min(sum(terms, 0.0), 1.0)
 
 
 def crr_price(n_periods, s0, strike, r, a, b):

@@ -37,7 +37,7 @@ from .binomial import (
     classical_tree_price,
     crr_price,
     risk_neutral_disk,
-    sample_disk_states,
+    sample_disk_points,
 )
 from .errors import InternalConsistencyError, QMarketError, SolverError, ValidationError
 from .market import Filtration, MarketModel, OperatorAlgebra, discount, gain_process
@@ -52,7 +52,7 @@ EXIT_INDETERMINATE = 3
 EXIT_INCONSISTENT = 4
 
 COMMANDS = ("check-arbitrage", "price", "interval", "replicate", "decompose", "disk", "crr")
-# each disk sample is one DensityState, so 1e5 take seconds and 1e8 would take hours
+# the cap bounds the report: 1e5 samples are about 10 MB of JSON
 MAX_DISK_SAMPLES = 100_000
 
 # libyaml's loader when PyYAML was built with it (both give the same tree), reading
@@ -333,12 +333,11 @@ def run(command, scenario, samples=100):
         if not 1 <= samples <= MAX_DISK_SAMPLES:
             raise ValidationError(f"--samples must be in 1..{MAX_DISK_SAMPLES}, got {samples}")
         disk = risk_neutral_disk(spec)
-        states = sample_disk_states(disk, samples, seed)
         results = {
             "normal": [float(v) for v in disk.normal],
             "offset": disk.offset,
             "radius": disk.radius,
-            "samples": [[float(v) for v in s.bloch_vector()] for s in states],
+            "samples": sample_disk_points(disk, samples, seed).tolist(),
         }
     elif command == "crr":
         if scenario["market"]["kind"] != "nperiod":

@@ -36,7 +36,7 @@ def check_matrix(m):
     d = a.shape[0]
     if d < 1 or d > DIM_CAP:
         raise ValidationError(f"dimension {d} outside [1, {DIM_CAP}]")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise ValidationError("matrix has non-finite entries")
     return a
 
@@ -85,21 +85,13 @@ def spectral_decompose(x):
         raise SolverError(
             f"eigensolver failed on matrix with norm {np.linalg.norm(x):.6e}"
         ) from exc
-    cluster_tol = 1e-8 * max(1.0, np.linalg.norm(x, 2))
-
-    eigenvalues = []
-    projections = []
-    i = 0
-    n = len(vals)
-    while i < n:
-        j = i + 1
-        while j < n and vals[j] - vals[j - 1] <= cluster_tol:
-            j += 1
-        block = vecs[:, i:j]
-        proj = block @ block.conj().T
+    cluster_tol = 1e-8 * max(1.0, -vals[0], vals[-1])  # |X|_2 from the sorted spectrum
+    cuts = [0, *np.flatnonzero(np.diff(vals) > cluster_tol) + 1, len(vals)]
+    eigenvalues, projections = [], []
+    for i, j in zip(cuts, cuts[1:]):
+        proj = vecs[:, i:j] @ vecs[:, i:j].conj().T
         eigenvalues.append(float(np.mean(vals[i:j])))
         projections.append(0.5 * (proj + proj.conj().T))
-        i = j
     return SpectralResolution(tuple(eigenvalues), tuple(projections))
 
 

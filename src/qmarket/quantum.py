@@ -76,9 +76,9 @@ class DensityState:
 
 
 def expectation(rho, x):
-    """E_rho(X) = tr(rho X)."""
+    """E_rho(X) = tr(rho X) of a Hermitian X."""
     mat = rho.mat if isinstance(rho, DensityState) else as_hermitian(rho)
-    x = np.asarray(x, dtype=complex)
+    x = as_hermitian(x)
     if mat.shape != x.shape:
         raise ValidationError(f"dimension mismatch: {mat.shape} vs {x.shape}")
     return hs_inner(mat, x)

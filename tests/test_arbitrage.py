@@ -9,9 +9,9 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qmarket.arbitrage as arbitrage_mod
 import qmarket.market as market_mod
 from qmarket.arbitrage import (
-    CLAIM_PSD_TOL,
     FAITHFUL_STATE_FOUND,
     INDETERMINATE,
     NO_FAITHFUL_STATE,
@@ -32,12 +32,16 @@ from qmarket.operators import (
     herm_to_vec,
     hs_inner,
     min_eigenvalue,
+    pauli_operator,
     vec_to_herm,
 )
 from qmarket.pricing import price_bounds
 from qmarket.quantum import DensityState, is_faithful
 
 from conftest import random_hermitian, random_market, random_positive, trinomial_market
+
+# a certificate's lambda_min over its trace is at least minus this
+CLAIM_PSD_TOL = 1e-8
 
 
 def qubit_market(r=0.05):
@@ -683,6 +687,42 @@ def test_a_from_basis_filtration_keeps_the_newton_decision(where):
     assert res.status == ref.status
     assert res.lambda_star == pytest.approx(ref.lambda_star, abs=1e-9)
 
+
+def near_factor_market(off):
+    """N = 2 binomial market at r = 0 on factors (1, 2, 4), S_1 off A_1 = M_2 (x) I by off sx (x) sz.
+
+    Period 2 adds the increment 100 U (x) (U - I) of the exact market, so its
+    W_2 holds one element of the form D_2 (x) I either way.
+    """
+    up = np.eye(2) + pauli_operator(0.05, 0.15, 0.0, 0.0)
+    algebras = [OperatorAlgebra.trivial(4), OperatorAlgebra.tensor_factor(2, 4), OperatorAlgebra.full(4)]
+    s1 = 100.0 * np.kron(up, np.eye(2)) + off * np.kron(SX, SZ)
+    s2 = s1 + 100.0 * np.kron(up, up - np.eye(2))
+    return MarketModel(Filtration(algebras), [1.0] * 3, [[100.0 * np.eye(4), s1, s2]])
+
+
+def test_a_period_element_that_is_not_d_tensor_i_goes_to_the_newton_core():
+    # 5e-8 sx (x) sz is within the adaptedness tolerance, so the market is
+    # accepted, but period 1's element is no D_1 (x) I to SPAN_TOL: the closed
+    # form declines it and the Newton core decides, as the exact market's closed form
+    mkt, exact = near_factor_market(5e-8), near_factor_market(0.0)
+    cs = attainable_space(discount(mkt))
+    assert [len(period.w) for period in cs.periods] == [1, 1]
+    assert _factor_pieces(cs) is None and product_decision(cs) is None
+    res, ref = check_no_arbitrage(mkt), check_no_arbitrage(exact)
+    assert res.iterations > 0 and ref.iterations == 0
+    assert res.status == ref.status == FAITHFUL_STATE_FOUND
+    assert ref.lambda_star == pytest.approx(1.0 / 9.0, abs=1e-12)
+    assert res.lambda_star == pytest.approx(ref.lambda_star, abs=1e-6)
+
+
+def test_the_newton_core_stops_at_its_step_cap(monkeypatch):
+    # the Newton decision of the market above certifies in 18 steps; capped at
+    # 2 it has no centred iterate, so the interval straddles the threshold
+    monkeypatch.setattr(arbitrage_mod, "NEWTON_STEPS", 2)
+    res = check_no_arbitrage(near_factor_market(5e-8))
+    assert res.status == INDETERMINATE and res.iterations == 2
+    assert res.note.startswith("no convergence in 2 Newton steps; lambda* in [")
 
 def binomial_spec(n, r, direction):
     """An N-period spec on the band [-0.1, 0.2]: the default x axis or seeded random Pauli directions."""

@@ -17,7 +17,6 @@ import qmarket.arbitrage as arbitrage_mod
 import qmarket.market as market_mod
 import qmarket.pricing as pricing_mod
 from qmarket.arbitrage import (
-    CLAIM_PSD_TOL,
     FAITHFUL_STATE_FOUND,
     FEASIBILITY_THRESHOLD,
     NO_FAITHFUL_STATE,
@@ -60,6 +59,8 @@ from conftest import TWO_PERIOD_CLAIM, random_hermitian, random_market, trinomia
 PAULI = [[0.15, 0.0, 0.0], [0.0, 0.15, 0.0], [0.09, 0.0, 0.12]]
 # widest interval the super-hedge oracle may report for an attainable claim
 INTERVAL_WIDTH_TOL = 1e-7
+# a certificate's lambda_min over its trace is at least minus this
+CLAIM_PSD_TOL = 1e-8
 
 
 def nperiod_market(n, pauli=None, r=0.05):

@@ -14,6 +14,7 @@ from qmarket.binomial import (
     euro_call_replication,
     product_martingale_state,
     risk_neutral_disk,
+    sample_disk_points,
     sample_disk_states,
 )
 from qmarket.errors import ValidationError
@@ -94,6 +95,24 @@ def test_sampling_deterministic():
     for x, y in zip(a, b):
         np.testing.assert_allclose(x.mat, y.mat)
 
+
+def test_sampled_states_carry_the_sampled_points():
+    # the disk command reports the points; the states are built from the same
+    # points, and read back through tr(rho sigma) they agree to one rounding
+    disk = risk_neutral_disk(QubitMarketSpec(0.02, 0.1, -0.2, 0.15, r=0.05, s0=100.0))
+    points = sample_disk_points(disk, 200, seed=5)
+    states = sample_disk_states(disk, 200, seed=5)
+    assert points.shape == (200, 3) and len(states) == 200
+    for v, rho in zip(points, states):
+        assert disk.contains(v)
+        assert np.abs(rho.bloch_vector() - v).max() <= 2.2e-16
+
+
+def test_sampling_refuses_a_count_below_one():
+    disk = risk_neutral_disk(SPEC)
+    for sample in (sample_disk_points, sample_disk_states):
+        with pytest.raises(ValidationError, match="sample count must be >= 1"):
+            sample(disk, 0, 3)
 
 def test_off_plane_states_are_not_martingale():
     mkt = build_single_period(SPEC)
@@ -219,6 +238,30 @@ def test_complementary_binomial_values():
     below = sum(comb(n, j) * p ** j * (1 - p) ** (n - j) for j in range(m))
     assert complementary_binomial(m, n, p) == pytest.approx(1.0 - below, abs=1e-12)
 
+
+def complementary_binomial_oracle(m, n, p):
+    """The multiplicative recurrence on C(n, j) that the math.comb sum replaced."""
+    if m > n:
+        return 0.0
+    comb = 1
+    for j in range(m):
+        comb = comb * (n - j) // (j + 1)
+    total = 0.0
+    c = float(comb)
+    for j in range(m, n + 1):
+        total += c * p ** j * (1.0 - p) ** (n - j)
+        if j < n:
+            c = c * (n - j) / (j + 1)
+    return min(total, 1.0)
+
+
+def test_complementary_binomial_matches_the_recurrence():
+    for n in range(65):
+        for m in range(n + 2):
+            for p in (0.0, 1e-3, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.7, 0.9, 0.999, 1.0):
+                got, want = complementary_binomial(m, n, p), complementary_binomial_oracle(m, n, p)
+                assert type(got) is float
+                assert abs(got - want) <= 2e-15 * abs(want)
 
 def test_crr_benchmark_two_periods():
     c = crr_price(2, 100.0, 100.0, 0.05, -0.1, 0.2)

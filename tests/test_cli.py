@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 
 import numpy as np
 import pytest
@@ -241,8 +242,18 @@ def test_run_disk():
         assert abs(v[0]) <= 1e-12  # on the plane
 
 
+def test_run_refuses_an_unknown_command():
+    with pytest.raises(ValidationError, match="unknown command 'verify'"):
+        run("verify", parse_scenario(QUBIT_YAML))
+
+
+def test_run_crr_refuses_a_qubit_scenario():
+    with pytest.raises(ValidationError, match="crr command requires an nperiod market scenario"):
+        run("crr", parse_scenario(QUBIT_YAML))
+
+
 def test_main_rejects_a_disk_sample_count_outside_its_cap(tmp_path, capsys, monkeypatch):
-    # a count past the cap would run for hours or exhaust memory: it is a
+    # a count past the cap would write gigabytes of report or exhaust memory: it is a
     # validation error that names the option, before any sample is drawn
     scen = write(tmp_path, QUBIT_YAML)
     for count in ("1000000000000", str(cli.MAX_DISK_SAMPLES + 1), "0"):
@@ -250,10 +261,24 @@ def test_main_rejects_a_disk_sample_count_outside_its_cap(tmp_path, capsys, monk
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--samples" in err and count in err
     drawn = []
-    monkeypatch.setattr(cli, "sample_disk_states", lambda disk, n, seed: drawn.append(n) or [])
+    monkeypatch.setattr(
+        cli, "sample_disk_points", lambda disk, n, seed: drawn.append(n) or np.zeros((n, 3))
+    )
     report, code = run("disk", parse_scenario(QUBIT_YAML), samples=cli.MAX_DISK_SAMPLES)
     assert code == EXIT_OK and drawn == [cli.MAX_DISK_SAMPLES]
 
+
+def test_run_disk_draws_its_sample_cap_within_a_second():
+    # the points are drawn as one array and reported as drawn; building and
+    # reading back one DensityState per sample took about 9 s at the cap
+    sc = parse_scenario(QUBIT_YAML)
+    start = time.perf_counter()
+    report, code = run("disk", sc, samples=cli.MAX_DISK_SAMPLES)
+    elapsed = time.perf_counter() - start
+    points = np.array(report["results"]["samples"])
+    assert code == EXIT_OK and points.shape == (cli.MAX_DISK_SAMPLES, 3)
+    assert np.abs(points[:, 0]).max() <= 1e-12 and np.linalg.norm(points, axis=1).max() < 1.0
+    assert elapsed <= 1.0
 
 def test_run_disk_wrong_kind():
     with pytest.raises(ValidationError):
@@ -529,6 +554,8 @@ MALFORMED = [
         id="asset_matrix_inf",
     ),
     pytest.param("market.bank[1]", TRINOMIAL_YAML.replace("1.05]", ".inf]"), id="bank_inf"),
+    # text that is not YAML: an unclosed flow sequence
+    pytest.param("scenario syntax error", QUBIT_YAML.replace("x0: 0.05", "x0: [0.05"), id="yaml_syntax"),
     # a matrix entry is exactly one [re, im] pair
     pytest.param(
         "claims[0].entries",

@@ -9,6 +9,7 @@ from qmarket.operators import (
     SZ,
     apply_function,
     as_hermitian,
+    check_matrix,
     herm_to_vec,
     hs_inner,
     min_eigenvalue,
@@ -69,6 +70,49 @@ def test_spectral_reconstruction_random(rng):
         total = sum(res.projections)
         np.testing.assert_allclose(total, np.eye(dim), atol=1e-10)
 
+
+def spectral_decompose_oracle(x):
+    """The clustering loop that the np.diff cuts replaced, with |X|_2 from an SVD."""
+    x = as_hermitian(x)
+    vals, vecs = np.linalg.eigh(x)
+    cluster_tol = 1e-8 * max(1.0, np.linalg.norm(x, 2))
+    eigenvalues, projections = [], []
+    i, n = 0, len(vals)
+    while i < n:
+        j = i + 1
+        while j < n and vals[j] - vals[j - 1] <= cluster_tol:
+            j += 1
+        proj = vecs[:, i:j] @ vecs[:, i:j].conj().T
+        eigenvalues.append(float(np.mean(vals[i:j])))
+        projections.append(0.5 * (proj + proj.conj().T))
+        i = j
+    return eigenvalues, projections
+
+
+def test_spectral_clusters_are_those_of_the_loop(rng):
+    # planted clusters: eigenvalues drawn from a few centres, each split by
+    # far less than the cluster tolerance, under a random unitary
+    for dim in (1, 2, 3, 5, 8, 16, 64):
+        for scale in (1e-3, 1.0, 250.0):
+            centres = scale * rng.standard_normal(rng.integers(1, dim + 1))
+            spread = 1e-11 * max(1.0, scale) * rng.standard_normal(dim)
+            u, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+            x = (u * (rng.choice(centres, dim) + spread)) @ u.conj().T
+            got, (vals, projs) = spectral_decompose(x), spectral_decompose_oracle(x)
+            assert list(got.eigenvalues) == vals and len(got.projections) == len(projs)
+            for e, f in zip(got.projections, projs):
+                assert e.tobytes() == f.tobytes()
+
+
+BAD_ENTRIES = [np.inf, -np.inf, np.nan, complex(0.0, np.inf), complex(1.0, -np.inf), complex(1.0, np.nan)]
+
+
+@pytest.mark.parametrize("bad", BAD_ENTRIES)
+def test_check_matrix_rejects_every_non_finite_entry(bad):
+    m = np.eye(3, dtype=complex)
+    m[1, 2] = bad
+    with pytest.raises(ValidationError, match="matrix has non-finite entries"):
+        check_matrix(m)
 
 def test_apply_function_identity(rng):
     x = random_hermitian(rng, 4)

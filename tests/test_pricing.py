@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from scipy.optimize import linprog
 from hypothesis import strategies as st
 
+import qmarket.pricing as pricing_mod
 from qmarket.arbitrage import (
     FAITHFUL_STATE_FOUND,
     GAP_TOL,
@@ -424,6 +425,22 @@ def test_optional_decomposition_refuses_an_arbitrage_market():
     with pytest.raises(ArbitrageError, match="requires an arbitrage-free market"):
         optional_decomposition([np.eye(2), np.eye(2)], mkt)
 
+
+def test_optional_decomposition_refuses_a_value_process_that_is_not_adapted():
+    # V_0 = diag(1, 2) is not in A_0 = C I; read as a value process it would
+    # pass the supermartingale test and decompose, so only this check refuses it
+    with pytest.raises(ValidationError, match="value process not adapted at t=0"):
+        optional_decomposition([np.diag([1.0, 2.0])] * 2, qubit_market())
+
+
+def test_a_one_element_hedge_stops_at_its_evaluation_cap(monkeypatch):
+    # the trinomial call's one-element super-hedge certifies in 3 evaluations;
+    # capped at the 2 of its bracket it raises in place of returning an end
+    mkt = discount(trinomial_market())
+    assert price_bounds(tri_call(mkt), mkt).steps == (3, 3)
+    monkeypatch.setattr(pricing_mod, "NEWTON_STEPS", 2)
+    with pytest.raises(SolverError, match="super-hedge: no convergence in 2 evaluations"):
+        price_bounds(tri_call(mkt), mkt)
 
 # x, gap and steps of the trinomial call's two ends and a third target, from
 # the core that solved a stack of problems and took each one's own tau path

@@ -152,6 +152,15 @@ def test_dephase_preserves_diagonal_expectations(rng):
     assert expectation(dephase(rho, canonical), x) == pytest.approx(expectation(rho, x))
 
 
+@pytest.mark.parametrize("x", [[[0, 1j], [0, 0]], [[0, 5], [0, 0]], [[1j, 0], [0, 0]]])
+def test_expectation_refuses_an_operator_that_is_not_hermitian(x):
+    # tr(rho X) at rho = I/2 would read 0 for the first two and an imaginary
+    # residue for the third; none is an observable
+    rho = DensityState.maximally_mixed(2)
+    for read in (expectation, event_probability):
+        with pytest.raises(ValidationError, match="matrix is not Hermitian"):
+            read(rho, np.array(x, dtype=complex))
+
 def test_spectral_law(rng):
     rho = DensityState(random_state(rng, 4))
     x = random_hermitian(rng, 4)
