@@ -55,14 +55,50 @@ COMMANDS = ("check-arbitrage", "price", "interval", "replicate", "decompose", "d
 # the cap bounds the report: 1e5 samples are about 10 MB of JSON
 MAX_DISK_SAMPLES = 100_000
 
-# libyaml's loader when PyYAML was built with it (both give the same tree), reading
-# YAML 1.2 floats such as 5e-2 and 1e-6 too, which YAML 1.1 reads as strings
-_YAML_LOADER = type("ScenarioLoader", (getattr(yaml, "CSafeLoader", yaml.SafeLoader),), {})
-_YAML_LOADER.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
+_FLOAT_TAG = "tag:yaml.org,2002:float"
+
+
+def _float_of(node):
+    """The float of a float-tagged scalar node that ``float()`` reads, else None."""
+    if node.tag == _FLOAT_TAG and isinstance(node, yaml.ScalarNode):
+        try:
+            return float(node.value)
+        except ValueError:
+            pass
+    return None
+
+
+class ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """libyaml's loader when PyYAML was built with it (both give the same tree).
+
+    It builds str and float scalars, and sequences of floats (a matrix entry's
+    [re, im] pair), without SafeConstructor's per-node machinery; a float
+    ``float()`` cannot read (.inf, 1:30.5, 1__0.5) and every other node go
+    through SafeConstructor.  A float sequence is recorded, so aliases share it.
+    """
+
+    def construct_object(self, node, deep=False):
+        if node.tag == "tag:yaml.org,2002:str" and isinstance(node, yaml.ScalarNode):
+            return node.value
+        value = _float_of(node)
+        if value is not None:
+            return value
+        if (node.tag == "tag:yaml.org,2002:seq" and isinstance(node, yaml.SequenceNode)
+                and node not in self.constructed_objects):
+            row = [_float_of(item) for item in node.value]
+            if None not in row:
+                self.constructed_objects[node] = row
+                return row
+        return super().construct_object(node, deep)
+
+
+# YAML 1.2 floats such as 5e-2 and 1e-6 read as floats too, which YAML 1.1 reads as strings
+ScenarioLoader.add_implicit_resolver(
+    _FLOAT_TAG,
     re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
     list("-+.0123456789"),
 )
+_YAML_LOADER = ScenarioLoader
 
 
 def _decode_matrix(rows, where):
@@ -80,7 +116,8 @@ def _decode_matrix(rows, where):
 
 
 def _encode_matrix(mat):
-    return [[[float(c.real), float(c.imag)] for c in row] for row in np.asarray(mat, dtype=complex)]
+    mat = np.asarray(mat, dtype=complex)
+    return np.stack([mat.real, mat.imag], -1).tolist()
 
 
 def _algebra(entry, where):
@@ -229,10 +266,13 @@ def build_market(scenario):
     return build(spec), spec
 
 
-def claim_payoff(entry, market):
+def claim_payoff(entry, market, where="claim"):
     """Terminal payoff operator of a claim, in undiscounted currency."""
     if entry["type"] == "matrix":
-        return _decode_matrix(entry["entries"], "claim")
+        return _decode_matrix(entry["entries"], where)
+    if not market.assets:
+        raise ValidationError(f"{where}: a {entry['type']} claim is written on asset 0, "
+                              "and the market has no assets")
     s_term, k = market.assets[0][market.horizon], entry["strike"]
     if entry.get("fn") == "put":
         return apply_function(s_term, lambda s: max(k - s, 0.0))
@@ -286,8 +326,8 @@ def run(command, scenario, samples=100):
             exit_code = EXIT_INDETERMINATE
     elif command in ("price", "interval", "replicate", "decompose"):
         dmkt = discount(market)
-        for entry in scenario["claims"]:
-            payoff = claim_payoff(entry, market) / market.bank[market.horizon]
+        for i, entry in enumerate(scenario["claims"]):
+            payoff = claim_payoff(entry, market, f"claims[{i}]") / market.bank[market.horizon]
             if command == "replicate":
                 rep = replicate(payoff, dmkt)
                 results[entry["name"]] = {
@@ -368,21 +408,78 @@ def run(command, scenario, samples=100):
     return report, exit_code
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(prog="qmarket", description=__doc__)
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--scenario", required=True, help="path to a YAML scenario file")
-    parser.add_argument("--seed", type=int, default=None, help="override scenario seed")
-    parser.add_argument("--out", default=None, help="write the JSON report here")
-    parser.add_argument("--samples", type=int, default=100, help="disk sample count")
-    args = parser.parse_args(argv)
+def _floats(values, sep=""):
+    """Floats joined by ``sep`` as json writes them: each repr, with NaN, Infinity and
+    -Infinity (no finite float's repr holds "inf" or "nan").  Only floats are taken:
+    float.__repr__ raises TypeError on anything else, a bool or an int included.
+    """
+    return sep.join(map(float.__repr__, values)).replace("inf", "Infinity").replace("nan", "NaN")
 
+
+_ascii = json.encoder.encode_basestring_ascii
+
+
+def render(obj, indent="\n"):
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, for a report tree.
+
+    A report holds str-keyed dicts, lists, tuples, str, int, float, bool and None;
+    a list of floats (a matrix entry, a Bloch vector) is joined in one pass.
+    """
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        sep = "," + inner
+        try:
+            body = _floats(obj, sep)
+        except TypeError:
+            body = sep.join([render(v, inner) for v in obj])
+        return f"[{inner}{body}{indent}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = [f"{_ascii(k)}: {render(v, inner)}" for k, v in sorted(obj.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
+    if isinstance(obj, str):
+        return _ascii(obj)
+    if isinstance(obj, float):
+        return _floats((obj,))
+    if obj is None or isinstance(obj, bool):
+        return {None: "null", True: "true", False: "false"}[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+_PARSER = argparse.ArgumentParser(prog="qmarket", description=__doc__)
+_PARSER.add_argument("command", choices=COMMANDS)
+_PARSER.add_argument("--scenario", required=True, help="path to a YAML scenario file")
+_PARSER.add_argument("--seed", type=int, default=None, help="override scenario seed")
+_PARSER.add_argument("--out", default=None, help="write the JSON report here")
+_PARSER.add_argument("--samples", type=int, default=100, help="disk sample count")
+
+
+def _scenario_text(path):
+    """The text of a scenario file; one that is not UTF-8 is a ValidationError naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"scenario file {path} is not UTF-8: {exc}") from exc
+
+
+def main(argv=None):
+    args = _PARSER.parse_args(argv)
     try:
-        with open(args.scenario, "r", encoding="utf-8") as fh:
-            scenario = parse_scenario(fh.read())
+        scenario = parse_scenario(_scenario_text(args.scenario))
         if args.seed is not None:
             scenario["solver"]["seed"] = args.seed
         report, code = run(args.command, scenario, samples=args.samples)
+        text = render(report) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -393,11 +490,7 @@ def main(argv=None):
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
 
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return code
 

@@ -1,10 +1,16 @@
 import json
+import math
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmarket import cli
 from qmarket.arbitrage import INDETERMINATE, FeasibilityResult
@@ -789,3 +795,261 @@ def test_main_internal_inconsistency_exits_4(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "internal consistency error: forged disagreement" in captured.err
+
+
+def _d8_yaml(r):
+    """A d = 8 single-period explicit market, S_1 = 100 U diag(0.8..1.3) U*, with a
+    matrix claim and a call: r = 0.05 reports a witness, r = 0.5 a certificate."""
+    rng = np.random.default_rng(8)
+    q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    s1 = 100.0 * (q * np.linspace(0.8, 1.3, 8)) @ q.conj().T
+    h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    market = {
+        "kind": "explicit", "dim": 8, "bank": [1.0, 1.0 + r], "filtration": ["trivial", "full"],
+        "assets": [[cli._encode_matrix(100.0 * np.eye(8)),
+                    cli._encode_matrix(0.5 * (s1 + s1.conj().T))]],
+    }
+    claims = [
+        {"name": "matrix", "type": "matrix", "entries": cli._encode_matrix(h + h.conj().T)},
+        {"name": "call", "type": "call", "strike": 100.0},
+    ]
+    return yaml.safe_dump({"market": market, "claims": claims})
+
+
+D8_WITNESS_YAML, D8_CERTIFICATE_YAML = _d8_yaml(0.05), _d8_yaml(0.5)
+
+
+def test_encode_matrix_gives_the_floats_of_each_entry():
+    mat = np.array([[1.5 - 0.0j, complex(-0.0, 2.0)], [np.nan + 1j, complex(3, -np.inf)]])
+    want = [[[float(c.real), float(c.imag)] for c in row] for row in mat]
+    got = cli._encode_matrix(mat)
+    assert repr(got) == repr(want)
+    assert all(type(x) is float for row in got for pair in row for x in pair)
+
+
+CORE = ("check-arbitrage", "price", "interval", "replicate", "decompose")
+REPORTING = [
+    pytest.param(QUBIT_YAML, CORE + ("disk",), None, id="qubit"),
+    pytest.param(NPERIOD_YAML, CORE + ("crr",), None, id="nperiod"),
+    pytest.param(D8_WITNESS_YAML, CORE, "witness", id="d8_witness"),
+    # price bounds are undefined on an arbitrage market
+    pytest.param(D8_CERTIFICATE_YAML, ("check-arbitrage", "replicate"), "certificate",
+                 id="d8_certificate"),
+]
+
+
+@pytest.mark.parametrize("text,reporting,carries", REPORTING)
+def test_main_writes_the_bytes_json_dumps_writes(tmp_path, capsys, text, reporting, carries):
+    scen, out = write(tmp_path, text), tmp_path / "report.json"
+    for command in cli.COMMANDS:
+        out.unlink(missing_ok=True)
+        code = main([command, "--scenario", scen, "--out", str(out)])
+        if command not in reporting:
+            assert code in (EXIT_VALIDATION, EXIT_INDETERMINATE) and not out.exists()
+            continue
+        report, want_code = run(command, parse_scenario(text))
+        assert code == want_code
+        assert out.read_bytes() == (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
+        if command == "check-arbitrage" and carries:
+            assert report["results"][carries] is not None
+
+
+def test_installed_entry_point_writes_the_in_process_report(tmp_path):
+    scen, here, there = write(tmp_path, D8_WITNESS_YAML), tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["price", "--scenario", scen, "--out", str(here)]) == EXIT_OK
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-m", "qmarket.cli", "price", "--scenario", scen, "--out", str(there)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout == "" and done.stderr == ""
+    assert there.read_bytes() == here.read_bytes()
+
+
+@pytest.mark.parametrize("where", ["directory", "missing_parent"])
+def test_main_reports_a_report_it_cannot_write(tmp_path, capsys, where):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "report.json"
+    code = main(["price", "--scenario", write(tmp_path, QUBIT_YAML), "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+
+
+def test_main_refuses_a_scenario_file_that_is_not_utf8(tmp_path, capsys):
+    scen = tmp_path / "scenario.yaml"
+    scen.write_bytes(b"\xff\xfe" + QUBIT_YAML.encode("utf-16-le"))
+    assert main(["price", "--scenario", str(scen)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(scen) in err and "not UTF-8" in err
+
+
+NO_ASSETS_YAML = """
+market:
+  kind: explicit
+  dim: 2
+  bank: [1.0, 1.0]
+  filtration: [trivial, full]
+  assets: []
+claims:
+  - name: flip
+    type: matrix
+    entries: [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+"""
+
+
+@pytest.mark.parametrize("claim", ["type: call\n    strike: 1.0",
+                                   "type: spectral\n    fn: put\n    strike: 1.0"])
+@pytest.mark.parametrize("command", ["price", "interval", "replicate", "decompose"])
+def test_main_refuses_a_strike_claim_on_a_market_without_assets(tmp_path, capsys, command, claim):
+    scen = write(tmp_path, NO_ASSETS_YAML + f"  - name: strike\n    {claim}\n")
+    assert main([command, "--scenario", scen]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: claims[1]: ") and "no assets" in err
+    # the matrix claim alone is priced: with no asset every state is a martingale
+    # state, so the bounds of sigma_x are its eigenvalues
+    assert main([command, "--scenario", write(tmp_path, NO_ASSETS_YAML)]) == EXIT_OK
+    results = json.loads(capsys.readouterr().out)["results"]["flip"]
+    if command in ("price", "interval"):
+        assert results["lower"] == pytest.approx(-1.0, abs=1e-9)
+        assert results["upper"] == pytest.approx(1.0, abs=1e-9)
+
+
+# scalars the loader builds itself and scalars it leaves to SafeConstructor: floats
+# float() reads or not, ints, bools, nulls, timestamps, tags and quoted numbers
+SCALARS = st.one_of(
+    st.sampled_from([
+        ".inf", "-.inf", "+.inf", ".nan", ".NaN", "-0.0", "0.0", "1_000.5", "1__0.5", "1:30.5",
+        "-1:30.5", "0x1F", "0o17", "017", "1_000", "~", "null", "yes", "No", "true", "off",
+        "'1.5'", '"2e3"', "'yes'", "!!float 3", "!!float '1.5'", "!!float .inf", "!!float 1:30.5",
+        "!!float '-0.0'", "!!str 1.5", "!!str yes", "!!int 7", "5e-2", "1e+16", ".5", "+1.",
+        "-3", "abc", "2001-12-14", "é", "'1_000.5'",
+    ]),
+    st.floats().map(repr),
+    st.integers(-10 ** 20, 10 ** 20).map(str),
+)
+NUMBERS = st.one_of(st.floats(allow_nan=False).map(repr), SCALARS)
+
+
+@st.composite
+def yaml_documents(draw):
+    """A YAML text, in block or flow style, whose top mapping holds scalars, numeric rows
+    and matrices (some anchored), aliases to earlier rows, and mappings merging earlier ones."""
+    rows, maps, items = [], [], []
+    for i in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["scalar", "row", "matrix", "alias", "map", "merge"]))
+        if kind == "alias" and rows:
+            value = ("alias", draw(st.sampled_from(rows)))
+        elif kind == "matrix":
+            value = ("seq", None, [("seq", None, draw(st.lists(NUMBERS, min_size=2, max_size=2)))
+                                   for _ in range(draw(st.integers(0, 3)))])
+        elif kind in ("row", "alias"):
+            anchor = f"r{i}" if draw(st.booleans()) else None
+            rows += [anchor] if anchor else []
+            value = ("seq", anchor, draw(st.lists(NUMBERS, max_size=4)))
+        elif kind == "merge" and maps:
+            merged = draw(st.lists(st.sampled_from(maps), min_size=1, max_size=2, unique=True))
+            merge = ("alias", merged[0]) if len(merged) == 1 else (
+                "seq", None, [("alias", m) for m in merged])
+            value = ("map", None, [("<<", merge), ("k", draw(SCALARS))])
+        elif kind in ("map", "merge"):
+            maps.append(f"m{i}")
+            keys = range(draw(st.integers(1, 3)))
+            value = ("map", f"m{i}", [(f"k{j}", draw(NUMBERS)) for j in keys])
+        else:
+            value = draw(SCALARS)
+        items.append((f"k{i}", value))
+    if draw(st.booleans()):
+        return _flow(("map", None, items))
+    return _block(("map", None, items), "")
+
+
+def _flow(node):
+    if isinstance(node, str):
+        return node
+    if node[0] == "alias":
+        return f"*{node[1]}"
+    kind, anchor, children = node
+    head = f"&{anchor} " if anchor else ""
+    if kind == "seq":
+        return head + "[" + ", ".join(_flow(c) for c in children) + "]"
+    return head + "{" + ", ".join(f"{k}: {_flow(v)}" for k, v in children) + "}"
+
+
+def _block(node, pad):
+    """The lines of a sequence or mapping ``node`` at indent ``pad``."""
+    kind, _, children = node
+    lines = []
+    for key, child in children if kind == "map" else ((None, c) for c in children):
+        lead = f"{pad}- " if key is None else f"{pad}{key}: "
+        if isinstance(child, str) or child[0] == "alias" or not child[2]:
+            lines.append(lead + _flow(child) + "\n")
+        else:
+            lines.append(lead.rstrip() + (f" &{child[1]}" if child[1] else "") + "\n")
+            lines.append(_block(child, pad + "  "))
+    return "".join(lines)
+
+
+def _load(text, loader):
+    try:
+        return yaml.load(text, Loader=loader)
+    except Exception as exc:  # the loaders must fail alike where SafeConstructor fails
+        return ("raised", type(exc), str(exc))
+
+
+def _same_tree(a, b, shared):
+    """a and b hold equal values of equal types (repr-equal floats, so NaN and -0.0 count),
+    and a list is shared in a exactly where its counterpart is shared in b."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, list):
+        if shared.setdefault(("a", id(a)), id(b)) != id(b):
+            return False
+        if shared.setdefault(("b", id(b)), id(a)) != id(a):
+            return False
+        return len(a) == len(b) and all(_same_tree(x, y, shared) for x, y in zip(a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_tree(a[k], b[k], shared) for k in a)
+    return repr(a) == repr(b)
+
+
+_STOCK_LOADER = type("StockScenarioLoader", (getattr(yaml, "CSafeLoader", yaml.SafeLoader),),
+                     {"yaml_implicit_resolvers": cli._YAML_LOADER.yaml_implicit_resolvers})
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(yaml_documents())
+def test_scenario_loader_gives_the_tree_of_the_stock_loader(text):
+    assert _same_tree(_load(text, cli._YAML_LOADER), _load(text, _STOCK_LOADER), {}), text
+
+
+@pytest.mark.parametrize("row,want", [("[1.5, -0.0]", [1.5, -0.0]), ("[1.5, .inf]", [1.5, math.inf])],
+                         ids=["built_here", "built_by_safeconstructor"])
+def test_scenario_loader_shares_an_aliased_row(row, want):
+    tree = yaml.load(f"a: &r {row}\nb: *r\nc: [*r, *r]", Loader=cli._YAML_LOADER)
+    assert tree["a"] is tree["b"] is tree["c"][0] is tree["c"][1]
+    assert tree["a"] == want
+
+
+REPORT_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(),
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+)
+REPORT_TREES = st.recursive(
+    REPORT_LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+        st.lists(st.floats(), max_size=4), st.dictionaries(st.text(), kids, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(REPORT_TREES)
+def test_render_writes_the_bytes_of_json_dumps(obj):
+    assert cli.render(obj) == json.dumps(obj, sort_keys=True, indent=2)
