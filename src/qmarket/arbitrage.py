@@ -44,7 +44,7 @@ import numpy as np
 
 # MartingaleConstraintSet is re-exported here
 from .market import SPAN_TOL, MartingaleConstraintSet, attainable_space, discount, require_dim
-from .operators import as_hermitian, herm_to_vec, vec_to_herm
+from .operators import as_hermitian, herm_to_vec, kron, vec_to_herm
 from .quantum import DensityState
 
 FAITHFUL_STATE_FOUND = "FAITHFUL_STATE_FOUND"
@@ -276,7 +276,7 @@ def _factor_pieces(constraints):
             pieces.append((n, None))
             continue
         d_t = np.trace(p.w[0].reshape(n, rest, n, rest), axis1=1, axis2=3) / rest
-        if np.linalg.norm(p.w[0] - np.kron(d_t, np.eye(rest))) > SPAN_TOL:
+        if np.linalg.norm(p.w[0] - kron(d_t, np.eye(rest))) > SPAN_TOL:
             return None
         pieces.append((n, d_t))
     return pieces
@@ -332,10 +332,10 @@ def product_decision(constraints):
         end, rho, other = optimum
         products = [(p * float(v), zs + [z]) for p, zs in (least, most) for v, z in (end, other)]
         least, most = min(products, key=lambda e: e[0]), max(products, key=lambda e: e[0])
-        witness = np.kron(witness, rho)
+        witness = kron(witness, rho)
     c, ends = least
     for z in ends:
-        bound = np.kron(bound, z)
+        bound = kron(bound, z)
     witness /= np.trace(witness).real
     nu = min(float(np.linalg.eigvalsh(witness)[0]), c)
     if c - nu > GAP_TOL:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .market import Filtration, MarketModel, OperatorAlgebra, tensor_qubit_filtration
-from .operators import I2, SX, SY, SZ, pauli_operator
+from .operators import I2, SX, SY, SZ, kron, pauli_operator
 from .quantum import DensityState
 
 TAU_TIE_TOL = 1e-12
@@ -131,14 +131,17 @@ def sample_disk_states(disk, n, seed):
     return [DensityState.from_bloch(v) for v in sample_disk_points(disk, n, seed)]
 
 
+def _call_ends(spec, strike, use):
+    """(s_a, s_b, h_a, h_b): S_1 and the call (S_1 - K)^+ at the rates a and b; needs a < r < b."""
+    if not (spec.a < spec.r < spec.b):
+        raise ValidationError(f"{use} requires a < r < b")
+    s_a, s_b = spec.s0 * (1 + spec.a), spec.s0 * (1 + spec.b)
+    return s_a, s_b, max(s_a - strike, 0.0), max(s_b - strike, 0.0)
+
+
 def euro_call_replication(spec, strike):
     """Hedge (beta, gamma) with beta B_1 + gamma S_1 = (S_1 - K)^+."""
-    if not (spec.a < spec.r < spec.b):
-        raise ValidationError("replication requires a < r < b")
-    s_a = spec.s0 * (1 + spec.a)
-    s_b = spec.s0 * (1 + spec.b)
-    h_a = max(s_a - strike, 0.0)
-    h_b = max(s_b - strike, 0.0)
+    s_a, s_b, h_a, h_b = _call_ends(spec, strike, "replication")
     gamma = (h_b - h_a) / (s_b - s_a)
     beta = (h_a * s_b - h_b * s_a) / ((s_b - s_a) * spec.b0 * (1 + spec.r))
     return beta, gamma
@@ -146,12 +149,7 @@ def euro_call_replication(spec, strike):
 
 def euro_call_price(spec, strike):
     """C = ((b-r) h_a + (r-a) h_b) / ((1+r)(b-a)); state-independent."""
-    if not (spec.a < spec.r < spec.b):
-        raise ValidationError("pricing requires a < r < b")
-    s_a = spec.s0 * (1 + spec.a)
-    s_b = spec.s0 * (1 + spec.b)
-    h_a = max(s_a - strike, 0.0)
-    h_b = max(s_b - strike, 0.0)
+    _, _, h_a, h_b = _call_ends(spec, strike, "pricing")
     a, b, r = spec.a, spec.b, spec.r
     return ((b - r) * h_a + (r - a) * h_b) / ((1 + r) * (b - a))
 
@@ -213,8 +211,8 @@ def build_n_period(spec):
     ops = [spec.s0 * np.eye(dim, dtype=complex)]
     core = np.array([[spec.s0]], dtype=complex)
     for j in range(n):
-        core = np.kron(core, I2 + spec.rate_operator(j))
-        ops.append(np.kron(core, np.eye(2 ** (n - j - 1), dtype=complex)))
+        core = kron(core, I2 + spec.rate_operator(j))
+        ops.append(kron(core, np.eye(2 ** (n - j - 1), dtype=complex)))
     bank = [spec.b0 * (1 + spec.r) ** t for t in range(n + 1)]
     return MarketModel(filtration, bank, [ops])
 
@@ -233,7 +231,7 @@ def product_martingale_state(spec, bloch):
         if np.linalg.norm(v) >= 1.0:
             raise ValidationError(f"period {j + 1}: Bloch vector outside the open ball")
         rho_j = 0.5 * (I2 + v[0] * SX + v[1] * SY + v[2] * SZ)
-        mat = np.kron(mat, rho_j)
+        mat = kron(mat, rho_j)
     return DensityState(mat)
 
 
@@ -258,16 +256,12 @@ def crr_price(n_periods, s0, strike, r, a, b):
     q = (r - a) / (b - a)
     qp = q * (1 + b) / (1 + r)
     tie = TAU_TIE_TOL * max(1.0, abs(strike))
-    tau = None
-    for n in range(n_periods + 1):
-        if s0 * (1 + b) ** n * (1 + a) ** (n_periods - n) > strike + tie:
-            tau = n
-            break
+    ends = (s0 * (1 + b) ** n * (1 + a) ** (n_periods - n) for n in range(n_periods + 1))
+    tau = next((n for n, s in enumerate(ends) if s > strike + tie), None)
     if tau is None:
         return 0.0
-    return s0 * complementary_binomial(tau, n_periods, qp) - strike * (
-        1 + r
-    ) ** (-n_periods) * complementary_binomial(tau, n_periods, q)
+    psi = complementary_binomial
+    return s0 * psi(tau, n_periods, qp) - strike * (1 + r) ** (-n_periods) * psi(tau, n_periods, q)
 
 
 def classical_tree_price(n_periods, s0, strike, r, a, b):
@@ -275,13 +269,8 @@ def classical_tree_price(n_periods, s0, strike, r, a, b):
     if not (-1 < a < r < b):
         raise ValidationError("need -1 < a < r < b")
     q = (r - a) / (b - a)
-    values = [
-        max(s0 * (1 + b) ** n * (1 + a) ** (n_periods - n) - strike, 0.0)
-        for n in range(n_periods + 1)
-    ]
+    values = [max(s0 * (1 + b) ** n * (1 + a) ** (n_periods - n) - strike, 0.0)
+              for n in range(n_periods + 1)]
     for _ in range(n_periods):
-        values = [
-            (q * values[n + 1] + (1 - q) * values[n]) / (1 + r)
-            for n in range(len(values) - 1)
-        ]
+        values = [(q * up + (1 - q) * down) / (1 + r) for down, up in zip(values, values[1:])]
     return values[0]

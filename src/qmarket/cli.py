@@ -89,7 +89,11 @@ class ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
             if None not in row:
                 self.constructed_objects[node] = row
                 return row
-        return super().construct_object(node, deep)
+        try:
+            return super().construct_object(node, deep)
+        except (LookupError, ValueError, AttributeError) as exc:  # a scalar such as !!int ''
+            raise yaml.MarkedYAMLError(problem=f"cannot read {node.value!r} as {node.tag}",
+                                       problem_mark=node.start_mark) from exc
 
 
 # YAML 1.2 floats such as 5e-2 and 1e-6 read as floats too, which YAML 1.1 reads as strings
@@ -106,6 +110,10 @@ def _decode_matrix(rows, where):
         mat = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{where}: matrix entries must be [re, im] pairs") from exc
+    except OverflowError as exc:  # every pair before the first overflow read as two numbers
+        i, j = next((i, j) for i, row in enumerate(rows) for j, pair in enumerate(row)
+                    if max(map(abs, pair)) > sys.float_info.max)
+        raise ValidationError(f"{where}: matrix entry ({i}, {j}) is too large for a float") from exc
     if any(isinstance(x, bool) for row in rows for pair in row for x in pair):
         raise ValidationError(f"{where}: matrix entries must be numbers, not booleans")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:

@@ -21,6 +21,7 @@ I against K, which gives replication and tells whether the slice of
 martingale states is empty.
 """
 
+import copy
 import math
 from functools import cached_property
 
@@ -32,7 +33,8 @@ from .operators import (
     as_hermitian,
     check_matrix,
     herm_to_vec,
-    min_eigenvalue,
+    kron,
+    least_eigenvalue,
     upper_indices,
     vec_to_herm,
 )
@@ -109,7 +111,7 @@ class OperatorAlgebra:
             return list(self._frame)
         m, k = self._factor_dim, self.dim // self._factor_dim
         units = np.eye(m * m, dtype=complex).reshape(-1, m, m)
-        return list(np.einsum("pab,ij->paibj", units, np.eye(k)).reshape(-1, self.dim, self.dim))
+        return list(kron(units, np.eye(k)))
 
     def herm_dim(self):
         """Real dimension of the Hermitian part O(A): A = O(A) + i O(A), so dim_C A."""
@@ -130,8 +132,7 @@ class OperatorAlgebra:
             # X in B(C^m) (x) I_k  iff  X[a,i,b,j] = delta_ij * Y[a,b]
             t = x.reshape(m, k, m, k)
             y = np.trace(t, axis1=1, axis2=3) / k
-            recon = np.einsum("ab,ij->aibj", y, np.eye(k)).reshape(self.dim, self.dim)
-            return float(np.linalg.norm(x - recon))
+            return float(np.linalg.norm(x - kron(y, np.eye(k))))
         return float(self._residuals(x[None])[0])
 
     def _residuals(self, xs):
@@ -207,27 +208,26 @@ def require_dim(mat, dim, what):
 class MarketModel:
     """Bank account B_0..B_T plus d adapted positive asset processes."""
 
-    def __init__(self, filtration, bank, assets, check=True):
+    def __init__(self, filtration, bank, assets):
         self.filtration = filtration
         self.bank = [float(b) for b in bank]
         self.assets = [[as_hermitian(s) for s in proc] for proc in assets]
         T = filtration.horizon
         if len(self.bank) != T + 1:
             raise ValidationError("bank account length does not match filtration")
-        if check:
-            if not all(math.isfinite(b) for b in self.bank):
-                raise ValidationError(f"bank account must be finite, got {self.bank}")
-            if any(b <= 0 for b in self.bank):
-                raise ValidationError("bank account must be strictly positive")
-            for j, proc in enumerate(self.assets):
-                if len(proc) != T + 1:
-                    raise ValidationError(f"asset {j} has wrong process length")
-                for t, s in enumerate(proc):
-                    require_dim(s, filtration.dim, f"asset {j} at t={t}")
-                    if min_eigenvalue(s) < -POSITIVITY_TOL:
-                        raise ValidationError(f"asset {j} not positive at t={t}")
-                    if not filtration[t].contains(s):
-                        raise ValidationError(f"asset {j} not adapted at t={t}")
+        if not all(math.isfinite(b) for b in self.bank):
+            raise ValidationError(f"bank account must be finite, got {self.bank}")
+        if any(b <= 0 for b in self.bank):
+            raise ValidationError("bank account must be strictly positive")
+        for j, proc in enumerate(self.assets):
+            if len(proc) != T + 1:
+                raise ValidationError(f"asset {j} has wrong process length")
+            for t, s in enumerate(proc):
+                require_dim(s, filtration.dim, f"asset {j} at t={t}")
+                if least_eigenvalue(s) < -POSITIVITY_TOL:
+                    raise ValidationError(f"asset {j} not positive at t={t}")
+                if not filtration[t].contains(s):
+                    raise ValidationError(f"asset {j} not adapted at t={t}")
         self._discounted = None
         self._attainable = None
 
@@ -255,15 +255,18 @@ def discount(market):
 
     A discounted market is returned as it is.  Otherwise the discounted
     market is built once and kept on ``market``, so repeated calls share
-    one attainable space.
+    one attainable space.  S_t is exactly Hermitian, positive and adapted,
+    so S_t / B_t is too: it is taken as it is, and refused only if it overflows.
     """
     if market.is_discounted():
         return market
     if market._discounted is None:
-        assets = [[s / b for s, b in zip(proc, market.bank)] for proc in market.assets]
-        market._discounted = MarketModel(
-            market.filtration, [1.0] * (market.horizon + 1), assets, check=False
-        )
+        with np.errstate(over="ignore"):  # refused just below
+            assets = [[s / b for s, b in zip(proc, market.bank)] for proc in market.assets]
+        if not np.isfinite(assets).all():
+            raise ValidationError("discounted asset prices S_t / B_t are not finite")
+        disc = market._discounted = copy.copy(market)
+        disc.bank, disc.assets = [1.0] * len(market.bank), assets
     return market._discounted
 
 
@@ -456,15 +459,14 @@ class PeriodSpan(MartingaleConstraintSet):
             left = self._basis.conj().transpose(0, 2, 1)
             blocks = [(left @ x)[:, None] @ self._basis[None, :] for x in increments]
         hmap, rows = _orthonormal_rows(np.concatenate([_pair_images(b) for b in blocks]))
-        self._hmaps = np.split(hmap, len(blocks))
+        self._hmaps = hmap.reshape(len(blocks), len(hmap) // len(blocks), len(rows))
         if self._basis is not None:
             self.vecs, self.rows, self.w = rows, rows, None
         else:
             m, k = self._units
             self.w = w = vec_to_herm(rows, k)
             units = vec_to_herm(np.eye(m * m), m)
-            prod = np.einsum("aij,bkl->abikjl", units, w).reshape(-1, d, d)
-            self.vecs = self.rows = herm_to_vec(prod)
+            self.vecs = self.rows = herm_to_vec(kron(units[:, None], w).reshape(-1, d, d))
 
     def terms(self, coeffs):
         """Strategy terms {(t, j): [(a, A)]} whose gain is sum_i coeffs_i K_{t,i}."""
@@ -490,9 +492,7 @@ class PeriodSpan(MartingaleConstraintSet):
                 mats = np.tensordot(weights, self._basis, axes=1)
             else:
                 m, k = self._units
-                mats = np.einsum(
-                    "kab,ij->kaibj", weights.reshape(-1, m, m), np.eye(k)
-                ).reshape(-1, self.dim, self.dim)
+                mats = kron(weights.reshape(-1, m, m), np.eye(k))
             out[(self.period, j)] = list(zip(lam[keep], mats))
         return out
 

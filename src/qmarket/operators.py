@@ -107,6 +107,13 @@ def apply_function(x, g):
     return 0.5 * (out + out.conj().T)
 
 
+def kron(a, b):
+    """np.kron's products over the last two axes, leading axes broadcast (Van Loan 2000)."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    *lead, m, p, n, q = out.shape
+    return out.reshape(*lead, m * p, n * q)
+
+
 def tensor_product(a, b):
     """Kronecker product with the global dimension cap enforced."""
     a = check_matrix(a)
@@ -115,7 +122,7 @@ def tensor_product(a, b):
         raise ValidationError(
             f"tensor product dimension {a.shape[0] * b.shape[0]} exceeds cap {DIM_CAP}"
         )
-    return np.kron(a, b)
+    return kron(a, b)
 
 
 def hs_inner(a, b):

@@ -562,6 +562,26 @@ MALFORMED = [
     pytest.param("market.bank[1]", TRINOMIAL_YAML.replace("1.05]", ".inf]"), id="bank_inf"),
     # text that is not YAML: an unclosed flow sequence
     pytest.param("scenario syntax error", QUBIT_YAML.replace("x0: 0.05", "x0: [0.05"), id="yaml_syntax"),
+    # an explicit tag on a value that SafeConstructor cannot read as that type
+    pytest.param(
+        "scenario syntax error: cannot read 'abc'", QUBIT_YAML.replace("x0: 0.05", "x0: !!float abc"),
+        id="float_tag_on_letters",
+    ),
+    pytest.param(
+        "scenario syntax error: cannot read ''", QUBIT_YAML.replace("x0: 0.05", "x0: !!float ''"),
+        id="float_tag_on_empty",
+    ),
+    # an integer matrix entry too large for a float
+    pytest.param(
+        "claims[0].entries: matrix entry (1, 0) is too large for a float",
+        TWO_PERIOD_EXPLICIT_YAML.replace("[[1.0, 0.0], [0.0, 0.0]]]", f"[[{10 ** 400}, 0], [0.0, 0.0]]]"),
+        id="claim_matrix_overflow",
+    ),
+    pytest.param(
+        "market.assets[0][2]: matrix entry (1, 1) is too large for a float",
+        TWO_PERIOD_EXPLICIT_YAML.replace("[120.0, 0.0]]]\nclaims", f"[0, {10 ** 400}]]]\nclaims"),
+        id="asset_matrix_overflow",
+    ),
     # a matrix entry is exactly one [re, im] pair
     pytest.param(
         "claims[0].entries",
@@ -577,6 +597,14 @@ def test_main_rejects_malformed_field(tmp_path, capsys, field, text):
     assert main(["check-arbitrage", "--scenario", scen]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_main_refuses_a_market_whose_discounted_prices_overflow(tmp_path, capsys):
+    # S_t / B_t = 1e10 / 1e-300 is not a float
+    scen = write(tmp_path, QUBIT_YAML.replace("s0: 100.0", "s0: 1.0e10\n  b0: 1.0e-300"))
+    assert main(["check-arbitrage", "--scenario", scen]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # one key that no field reads, in each kind of mapping

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmarket.arbitrage import FAITHFUL_STATE_FOUND, NO_FAITHFUL_STATE, check_no_arbitrage
-from qmarket.binomial import QubitMarketSpec, build_single_period
+from qmarket.binomial import NPeriodSpec, QubitMarketSpec, build_n_period, build_single_period
 from qmarket.cli import build_market, parse_scenario, run
 from qmarket.errors import ValidationError
 from qmarket.market import (
@@ -27,11 +27,20 @@ from qmarket.market import (
     tensor_qubit_filtration,
     value_process,
 )
-from qmarket.operators import I2, SX, SZ, herm_to_vec, hs_inner, pauli_operator, vec_to_herm
+from qmarket.operators import (
+    I2,
+    SX,
+    SZ,
+    as_hermitian,
+    herm_to_vec,
+    hs_inner,
+    pauli_operator,
+    vec_to_herm,
+)
 from qmarket.pricing import supermartingale_check
 from qmarket.quantum import expectation
 
-from conftest import random_hermitian, random_market, random_strategy
+from conftest import random_hermitian, random_market, random_positive, random_strategy
 
 SPEC = QubitMarketSpec(0.05, 0.15, 0.0, 0.0, r=0.05, s0=100.0)
 
@@ -301,6 +310,39 @@ def test_discount():
     np.testing.assert_allclose(d.assets[0][1], mkt.assets[0][1] / 1.05)
     dd = discount(d)
     np.testing.assert_allclose(dd.assets[0][1], d.assets[0][1])
+
+
+def _explicit_market(d, rng):
+    filt = Filtration([OperatorAlgebra.trivial(d), OperatorAlgebra.full(d)])
+    s1 = random_positive(rng, d, 100.0) + np.eye(d)
+    return MarketModel(filt, [1.0, 1.05], [[100.0 * np.eye(d, dtype=complex), s1]])
+
+
+DISCOUNTED = (
+    [pytest.param(lambda: build_single_period(SPEC), id="qubit")]
+    + [pytest.param(lambda n=n: build_n_period(NPeriodSpec(n, -0.1, 0.2, 0.05, 100.0)), id=f"N{n}")
+       for n in range(1, 5)]
+    + [pytest.param(lambda d=d: _explicit_market(d, np.random.default_rng(d)), id=f"explicit{d}")
+       for d in range(3, 9)]
+)
+
+
+@pytest.mark.parametrize("build", DISCOUNTED)
+def test_discount_divides_the_validated_operators_to_the_bit(build):
+    # S_t is exactly Hermitian, so symmetrising S_t / B_t again changes no bit
+    mkt = build()
+    disc = discount(mkt)
+    assert disc.is_discounted() and disc.filtration is mkt.filtration
+    for proc, disc_proc in zip(mkt.assets, disc.assets):
+        for s, b, q in zip(proc, mkt.bank, disc_proc):
+            assert np.array_equal(q, as_hermitian(s / b))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_discount_refuses_a_quotient_that_overflows():
+    mkt = build_single_period(QubitMarketSpec(0.05, 0.15, 0.0, 0.0, r=0.05, s0=1e10, b0=1e-300))
+    with pytest.raises(ValidationError):
+        discount(mkt)
 
 
 def test_discount_preserves_martingale_states():

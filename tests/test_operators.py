@@ -1,5 +1,10 @@
+import pathlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qmarket.errors import InternalConsistencyError, ValidationError
 from qmarket.operators import (
@@ -12,6 +17,7 @@ from qmarket.operators import (
     check_matrix,
     herm_to_vec,
     hs_inner,
+    kron,
     min_eigenvalue,
     pauli_operator,
     spectral_decompose,
@@ -169,8 +175,43 @@ def test_tensor_associative(rng):
 
 
 def test_tensor_cap():
-    with pytest.raises(ValidationError):
-        tensor_product(np.eye(16), np.eye(8))
+    for a, b in ((16, 8), (8, 9), (9, 8)):
+        with pytest.raises(ValidationError, match="exceeds cap"):
+            tensor_product(np.eye(a), np.eye(b))
+
+
+@st.composite
+def stacks(draw, lead):
+    """A float or complex array of shape lead + (m, n), sides 1..8, with signed zeros."""
+    shape = lead + tuple(draw(st.integers(1, 8)) for _ in range(2))
+    parts = hnp.arrays(float, shape, elements=st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0]))
+    if draw(st.booleans()):
+        return draw(parts)
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = draw(parts), draw(parts)
+    return out
+
+
+def same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(stacks((n,)), stacks((n,)), stacks(()))))
+def test_kron_takes_the_products_of_np_kron_to_the_bit(arrays):
+    a, b, c = arrays
+    assert same_bits(kron(a[0], b[0]), np.kron(a[0], b[0]))
+    assert same_bits(kron(c, a[0]), np.kron(c, a[0]))
+    # a leading axis: one np.kron per element, a lone factor broadcast over it
+    assert same_bits(kron(a, b), np.array([np.kron(x, y) for x, y in zip(a, b)]))
+    assert same_bits(kron(a, c), np.array([np.kron(x, c) for x in a]))
+    assert same_bits(kron(c, b), np.array([np.kron(c, y) for y in b]))
+
+
+def test_the_kron_kernel_is_the_only_tensor_product_in_the_package():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "qmarket"
+    calls = [f.name for f in sorted(src.glob("*.py")) if "np.kron(" in f.read_text(encoding="utf-8")]
+    assert calls == []
 
 
 def test_hs_inner_values():
