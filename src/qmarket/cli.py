@@ -306,6 +306,12 @@ def _decompose_values(interval, payoff, market):
     return [hedge.alpha * eye + g for g in gain_process(hedge.strategy, market)[:-1]] + [payoff]
 
 
+def _strategy_terms(strategy):
+    """Eigenvalues above 1e-14 of the largest, per h: the terms a_k A_k* (.) A_k it expands to."""
+    lams = [np.abs(np.linalg.eigvalsh(h)) for h in strategy.coefficients.values()]
+    return sum(int(np.count_nonzero(lam > 1e-14 * lam.max(initial=0.0))) for lam in lams)
+
+
 def run(command, scenario, samples=100):
     """Dispatch a command against a parsed scenario; returns (report, exit_code)."""
     seed = scenario["solver"]["seed"]
@@ -342,7 +348,7 @@ def run(command, scenario, samples=100):
                     "alpha": rep.alpha,
                     "residual": rep.residual,
                     "attainable": rep.attainable,
-                    "strategy_terms": sum(len(v) for v in rep.strategy.terms.values()),
+                    "strategy_terms": _strategy_terms(rep.strategy),
                 }
             elif command == "decompose":
                 values = _decompose_values(price_bounds(payoff, dmkt), payoff, dmkt)
@@ -358,7 +364,7 @@ def run(command, scenario, samples=100):
                         float(np.linalg.norm(c)) for c in dec.consumption
                     ],
                     "reconstruction_residual": float(np.linalg.norm(recon - values[-1])),
-                    "strategy_terms": sum(len(v) for v in dec.strategy.terms.values()),
+                    "strategy_terms": _strategy_terms(dec.strategy),
                 }
             else:
                 iv = price_bounds(payoff, dmkt)

@@ -1,9 +1,10 @@
 """Filtered operator algebras, markets, trading strategies, and gains.
 
 A market is a bank account plus adapted positive asset operators over a
-filtration of unital *-subalgebras.  Trading strategies are per-period
-biprocesses sum_k a_k A_k* (.) A_k with coefficients from the previous
-algebra; their cumulative action on asset increments is the gain process.
+filtration of unital *-subalgebras.  A trading strategy is, per period and
+asset, a biprocess sum_k a_k A_k* (.) A_k over the previous algebra, held
+as one Hermitian coefficient matrix h over that algebra's basis; its
+cumulative action on asset increments is the gain process.
 
 The claims attainable at price zero form the real span K = sum_t K_t with
 K_t = span{A* dS_t A : A in A_{t-1}}.  Over a basis A_p of A_{t-1} every
@@ -24,12 +25,14 @@ martingale states is empty.
 import copy
 import math
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import ValidationError
 from .operators import (
     _SQRT2,
+    ENTRY_CAP,
     as_hermitian,
     check_matrix,
     herm_to_vec,
@@ -117,38 +120,67 @@ class OperatorAlgebra:
         """Real dimension of the Hermitian part O(A): A = O(A) + i O(A), so dim_C A."""
         return self._factor_dim ** 2 if self.is_factor else len(self._frame)
 
-    # -- membership ----------------------------------------------------------
+    # -- coordinates and the pair action -------------------------------------
+
+    def coordinates(self, xs):
+        """(coords, residuals) of a stack: x = sum_p coords_p A_p + R over ``basis``, and |R|.
+
+        On B(C^m) (x) I_k the coordinates are Y_ac = tr X_ac / k over the k x k
+        blocks X_ac of X; over a frame they are the inner products <A_p, X>.
+        """
+        xs = np.asarray(xs, dtype=complex)
+        if self.is_factor:
+            m, k = self._factor_dim, self.dim // self._factor_dim
+            y = np.trace(xs.reshape(-1, m, k, m, k), axis1=2, axis2=4) / k
+            return y.reshape(-1, m * m), np.linalg.norm(xs - kron(y, np.eye(k)), axis=(1, 2))
+        flat, frame = xs.reshape(len(xs), -1), self._frame.reshape(len(self._frame), -1)
+        coords = flat @ frame.conj().T
+        return coords, np.linalg.norm(flat - coords @ frame, axis=1)
+
+    def pair_action(self, hs, xs):
+        """sum_j sum_pq h_j[p, q] A_p* X_j A_q over ``basis`` for stacks hs (J, n, n), xs (J, d, d).
+
+        On B(C^m) (x) I_k, A_p = E_ab (x) I and A_q = E_cd (x) I give A_p* X A_q =
+        E_bd (x) X_ac, so block (b, d) of the sum is sum_jac h_j[ab, cd] X_j,ac: one product.
+        """
+        d = self.dim
+        if self.is_factor:
+            m, k = self._factor_dim, d // self._factor_dim
+            h = hs.reshape(-1, m, m, m, m).transpose(2, 4, 0, 1, 3).reshape(m * m, -1)
+            x = xs.reshape(-1, m, k, m, k).transpose(0, 1, 3, 2, 4).reshape(-1, k * k)
+            return (h @ x).reshape(m, m, k, k).transpose(0, 2, 1, 3).reshape(d, d)
+        frame, n = self._frame, len(self._frame)
+        left = frame.conj().transpose(0, 2, 1) @ xs.reshape(-1, 1, d, d)  # A_p* X_j
+        right = np.tensordot(hs.reshape(-1, n, n), frame, axes=1)  # sum_q h_j[p, q] A_q
+        return left.transpose(2, 0, 1, 3).reshape(d, -1) @ right.reshape(-1, d)
+
+    def gram(self, x, rho):
+        """G[p, q] = tr(rho A_p* X A_q), the pair action's adjoint: tr(rho (h # X)) = sum h G."""
+        d = self.dim
+        if self.is_factor:
+            m, k = self._factor_dim, d // self._factor_dim
+            # tr(rho (E_bd (x) X_ac)) = sum_il rho[(d, l), (b, i)] X[(a, i), (c, l)]
+            x = x.reshape(m, k, m, k).transpose(0, 2, 1, 3).reshape(m * m, k * k)
+            r = rho.reshape(m, k, m, k).transpose(3, 1, 2, 0).reshape(k * k, m * m)
+            return (x @ r).reshape(m, m, m, m).transpose(0, 2, 1, 3).reshape(m * m, m * m)
+        frame = self._frame.reshape(len(self._frame), -1)
+        return frame.conj() @ (x @ self._frame @ rho).reshape(len(frame), -1).T
 
     def contains(self, x):
         x = np.asarray(x, dtype=complex)
         if x.shape != (self.dim, self.dim):
             return False
-        scale = max(1.0, np.linalg.norm(x))
-        return self._membership_residual(x) <= SPAN_TOL * scale
-
-    def _membership_residual(self, x):
-        if self.is_factor:
-            m, k = self._factor_dim, self.dim // self._factor_dim
-            # X in B(C^m) (x) I_k  iff  X[a,i,b,j] = delta_ij * Y[a,b]
-            t = x.reshape(m, k, m, k)
-            y = np.trace(t, axis1=1, axis2=3) / k
-            return float(np.linalg.norm(x - kron(y, np.eye(k))))
-        return float(self._residuals(x[None])[0])
-
-    def _residuals(self, xs):
-        """|x - QQ*x| for each operator x in xs, with Q the orthonormal frame."""
-        flat, frame = xs.reshape(len(xs), -1), self._frame.reshape(len(self._frame), -1)
-        return np.linalg.norm(flat - (flat @ frame.conj().T) @ frame, axis=1)
+        return self.coordinates(x[None])[1][0] <= SPAN_TOL * max(1.0, np.linalg.norm(x))
 
     def _check_explicit(self, mats):
         """I, and the adjoints and products (norms <= 1) of the unit-norm ``mats``, lie in A."""
         if not self.contains(np.eye(self.dim)):
             raise ValidationError("algebra does not contain the identity")
-        bad = np.flatnonzero(self._residuals(mats.conj().transpose(0, 2, 1)) > SPAN_TOL)
+        bad = np.flatnonzero(self.coordinates(mats.conj().transpose(0, 2, 1))[1] > SPAN_TOL)
         if len(bad):
             raise ValidationError(f"algebra not closed under adjoint (element {bad[0]})")
         for i, a in enumerate(mats):
-            bad = np.flatnonzero(self._residuals(a @ mats) > SPAN_TOL)
+            bad = np.flatnonzero(self.coordinates(a @ mats)[1] > SPAN_TOL)
             if len(bad):
                 raise ValidationError(f"algebra not closed under products (elements {i}, {bad[0]})")
 
@@ -256,57 +288,62 @@ def discount(market):
     A discounted market is returned as it is.  Otherwise the discounted
     market is built once and kept on ``market``, so repeated calls share
     one attainable space.  S_t is exactly Hermitian, positive and adapted,
-    so S_t / B_t is too: it is taken as it is, and refused only if it overflows.
+    so S_t / B_t is too: it is taken as it is, and refused only if an entry
+    exceeds ``ENTRY_CAP``, as any Hermitian operator would be.
     """
     if market.is_discounted():
         return market
     if market._discounted is None:
         with np.errstate(over="ignore"):  # refused just below
             assets = [[s / b for s, b in zip(proc, market.bank)] for proc in market.assets]
-        if not np.isfinite(assets).all():
-            raise ValidationError("discounted asset prices S_t / B_t are not finite")
+        big = np.abs(np.asarray(assets)).max(initial=0.0)
+        if big > ENTRY_CAP:
+            raise ValidationError(
+                f"discounted asset prices S_t / B_t reach magnitude {big:.3e}, "
+                f"above the bound {ENTRY_CAP:.0e}"
+            )
         disc = market._discounted = copy.copy(market)
         disc.bank, disc.assets = [1.0] * len(market.bank), assets
     return market._discounted
 
 
 class TradingStrategy:
-    """Per-period biprocess sum_k a_k A_k* (.) A_k, stored in factored form.
+    """Per-period biprocess: one Hermitian coefficient matrix h per (period t, asset j).
 
-    ``terms`` maps (period t, asset j) to a list of (a_k, A_k) pairs with
-    A_k in A_{t-1}.  The initial scalar h0 enters only the value process at
-    time zero, mirroring its role in the market definition.
+    ``coefficients`` maps (t, j) to h over ``OperatorAlgebra.basis`` A_p of A_{t-1};
+    h acts as h # X = sum_pq h_pq A_p* X A_q.  The paper's pairs, ``terms`` mapping
+    (t, j) to [(a_k, A_k)] with A_k in A_{t-1}, are input only: a_k A_k* (.) A_k is
+    h = a_k conj(c) c^T for the coordinates c of A_k, folded in when a market first
+    reads the strategy (``fold``).  The scalar h0 enters only the value at time zero.
     """
 
     def __init__(self, terms=None, h0=0.0):
-        self.terms = {}
-        for key, pairs in (terms or {}).items():
-            t, j = key
-            self.terms[(int(t), int(j))] = [
-                (float(a), check_matrix(mat)) for a, mat in pairs
-            ]
+        self.coefficients = {}
+        self._pairs = {
+            (int(t), int(j)): [(float(a), check_matrix(mat)) for a, mat in pairs]
+            for (t, j), pairs in (terms or {}).items()
+        }
         self.h0 = float(h0)
 
-    def validate(self, filtration):
-        for (t, _j), pairs in self.terms.items():
-            if t < 1 or t > filtration.horizon:
-                raise ValidationError(f"strategy period {t} outside 1..{filtration.horizon}")
+    def fold(self, market):
+        """``coefficients`` over the bases of ``market``'s filtration, with the pairs folded in."""
+        for t, j in [*self._pairs, *self.coefficients]:
+            if not 1 <= t <= market.horizon:
+                raise ValidationError(f"strategy period {t} outside 1..{market.horizon}")
+            if not 0 <= j < market.n_assets:
+                raise ValidationError(f"strategy asset {j} outside 0..{market.n_assets - 1}")
+        hs = dict(self.coefficients)
+        for (t, j), pairs in self._pairs.items():
             for _a, mat in pairs:
-                require_dim(mat, filtration.dim, f"strategy coefficient at period {t}")
-                if not filtration[t - 1].contains(mat):
-                    raise ValidationError(
-                        f"strategy coefficient at period {t} is not in A_{t - 1}"
-                    )
-
-    def apply_increment(self, market, t):
-        """sum_j sum_k a_k A_k* (S^j_t - S^j_{t-1}) A_k for one period."""
-        d = market.dim
-        out = np.zeros((d, d), dtype=complex)
-        for j in range(market.n_assets):
-            ds = market.increment(j, t)
-            for a, mat in self.terms.get((t, j), []):
-                out += a * (mat.conj().T @ ds @ mat)
-        return 0.5 * (out + out.conj().T)
+                require_dim(mat, market.dim, f"strategy coefficient at period {t}")
+            mats = np.array([mat for _, mat in pairs]).reshape(-1, market.dim, market.dim)
+            coords, residuals = market.filtration[t - 1].coordinates(mats)
+            if (residuals > SPAN_TOL * np.maximum(1.0, np.linalg.norm(mats, axis=(1, 2)))).any():
+                raise ValidationError(f"strategy coefficient at period {t} is not in A_{t - 1}")
+            weights = np.array([a for a, _ in pairs])
+            hs[(t, j)] = hs.get((t, j), 0.0) + (coords.conj().T * weights) @ coords
+        self.coefficients, self._pairs = hs, {}
+        return hs
 
 
 def bimodule_apply(h_term, u):
@@ -318,36 +355,38 @@ def bimodule_apply(h_term, u):
     return a @ u @ b
 
 
+def _period_action(hs, market, t, xs):
+    """sum_j h_j # X_j over the assets j holding a period-t h, symmetrised."""
+    held = [j for j in range(market.n_assets) if (t, j) in hs]
+    out = market.filtration[t - 1].pair_action(
+        np.array([hs[(t, j)] for j in held]), np.array([xs[j] for j in held])
+    )
+    return 0.5 * (out + out.conj().T)
+
+
 def gain_process(strategy, market):
     """Cumulative gains (H # S)_t on a discounted market; (H # S)_0 = 0."""
     if not market.is_discounted():
         raise ValidationError("gain process requires a discounted market (B = 1)")
-    strategy.validate(market.filtration)
-    d = market.dim
-    gains = [np.zeros((d, d), dtype=complex)]
-    for t in range(1, market.horizon + 1):
-        gains.append(gains[-1] + strategy.apply_increment(market, t))
-    return gains
+    hs = strategy.fold(market)
+    steps = [
+        _period_action(hs, market, t, [market.increment(j, t) for j in range(market.n_assets)])
+        for t in range(1, market.horizon + 1)
+    ]
+    return list(accumulate(steps, initial=np.zeros((market.dim, market.dim), dtype=complex)))
 
 
 def value_process(beta, strategy, market):
-    """Portfolio values beta_t B_t I + sum_j H^j_t # S^j_t."""
+    """Portfolio values beta_t B_t I + sum_j H^j_t # S^j_t, with H^j_0 # S^j_0 = h0 S^j_0."""
     if len(beta) != market.horizon + 1:
         raise ValidationError("beta length does not match the horizon")
-    strategy.validate(market.filtration)
-    d = market.dim
-    eye = np.eye(d, dtype=complex)
-    values = []
-    for t in range(market.horizon + 1):
-        v = beta[t] * market.bank[t] * eye
-        for j in range(market.n_assets):
-            if t == 0:
-                v = v + strategy.h0 * market.assets[j][0]
-            else:
-                for a, mat in strategy.terms.get((t, j), []):
-                    v = v + a * (mat.conj().T @ market.assets[j][t] @ mat)
-        values.append(0.5 * (v + v.conj().T))
-    return values
+    hs = strategy.fold(market)
+    held = [strategy.h0 * sum(p[0] for p in market.assets)] + [
+        _period_action(hs, market, t, [p[t] for p in market.assets])
+        for t in range(1, market.horizon + 1)
+    ]
+    eye = np.eye(market.dim, dtype=complex)
+    return [b * bank * eye + v for b, bank, v in zip(beta, market.bank, held)]
 
 
 class MartingaleConstraintSet:
@@ -448,53 +487,35 @@ class PeriodSpan(MartingaleConstraintSet):
 
     def __init__(self, period, algebra, increments):
         d = algebra.dim
-        self.period = period
-        self.dim = d
+        self.period, self.dim, self._algebra = period, d, algebra
         if algebra.is_factor:
-            m = algebra.factor_dim
-            self._units, self._basis = (m, d // m), None
-            blocks = [x.reshape(m, d // m, m, d // m).transpose(0, 2, 1, 3) for x in increments]
+            m, k = algebra.factor_dim, d // algebra.factor_dim
+            blocks = [x.reshape(m, k, m, k).transpose(0, 2, 1, 3) for x in increments]
         else:
-            self._units, self._basis = None, np.array(algebra.basis)
-            left = self._basis.conj().transpose(0, 2, 1)
-            blocks = [(left @ x)[:, None] @ self._basis[None, :] for x in increments]
+            basis = np.array(algebra.basis)
+            left = basis.conj().transpose(0, 2, 1)
+            blocks = [(left @ x)[:, None] @ basis[None, :] for x in increments]
         hmap, rows = _orthonormal_rows(np.concatenate([_pair_images(b) for b in blocks]))
         self._hmaps = hmap.reshape(len(blocks), len(hmap) // len(blocks), len(rows))
-        if self._basis is not None:
+        if not algebra.is_factor:
             self.vecs, self.rows, self.w = rows, rows, None
         else:
-            m, k = self._units
             self.w = w = vec_to_herm(rows, k)
             units = vec_to_herm(np.eye(m * m), m)
             self.vecs = self.rows = herm_to_vec(kron(units[:, None], w).reshape(-1, d, d))
 
-    def terms(self, coeffs):
-        """Strategy terms {(t, j): [(a, A)]} whose gain is sum_i coeffs_i K_{t,i}."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        # per asset j, the Hermitian coefficient matrix h_j of its share of that gain
-        if self._basis is not None:
-            n = len(self._basis)
-            hs = [vec_to_herm(hmap @ coeffs, n) for hmap in self._hmaps]
-        else:
-            m = self._units[0]
+    def coefficients(self, coeffs):
+        """{(t, j): h}, asset j's share of the gain sum_i coeffs_i K_{t,i}, over A_{t-1}'s basis."""
+        if not self.rank:  # a span of rank 0 attains nothing
+            return {}
+        coeffs, alg = np.asarray(coeffs, dtype=float), self._algebra
+        if alg.is_factor:
+            m = alg.factor_dim
             grid = coeffs.reshape(m * m, -1).T  # (W_t basis, Herm(M_m) unit)
             hs = [_unvec_pair(hmap @ grid, m) for hmap in self._hmaps]
-        out = {}
-        for j, h in enumerate(hs):
-            lam, vecs = np.linalg.eigh(h)
-            keep = np.abs(lam) > 1e-14 * np.abs(lam).max(initial=0.0)
-            if not keep.any():
-                continue
-            # h = sum_k lam_k v_k v_k*, so the gain is sum_k lam_k A_k* dS A_k
-            # with A_k = sum_q conj(v_kq) A_q
-            weights = vecs[:, keep].conj().T
-            if self._basis is not None:
-                mats = np.tensordot(weights, self._basis, axes=1)
-            else:
-                m, k = self._units
-                mats = kron(weights.reshape(-1, m, m), np.eye(k))
-            out[(self.period, j)] = list(zip(lam[keep], mats))
-        return out
+        else:
+            hs = [vec_to_herm(hmap @ coeffs, alg.herm_dim()) for hmap in self._hmaps]
+        return {(self.period, j): h for j, h in enumerate(hs)}
 
 
 class AttainableSpace(MartingaleConstraintSet):
@@ -535,10 +556,10 @@ class AttainableSpace(MartingaleConstraintSet):
     def strategy(self, coeffs):
         """A TradingStrategy whose terminal gain is sum_i coeffs_i K_i."""
         local = self._orthonormal[0] @ np.asarray(coeffs, dtype=float)
-        terms = {}
+        strategy = TradingStrategy()
         for p, lo, hi in zip(self.periods, self._offsets, self._offsets[1:]):
-            terms.update(p.terms(local[lo:hi]))
-        return TradingStrategy(terms)
+            strategy.coefficients.update(p.coefficients(local[lo:hi]))
+        return strategy
 
 
 def attainable_space(market):

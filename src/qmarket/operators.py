@@ -18,6 +18,10 @@ DIM_CAP = 64
 
 HERM_TOL = 1e-12
 
+# the largest entry of a Hermitian operator: below it, the squared Frobenius norm
+# of a DIM_CAP x DIM_CAP operator, and every tolerance scaled by it, stay finite
+ENTRY_CAP = 1e150
+
 # Pauli basis of 2x2 Hermitian operators
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -42,16 +46,20 @@ def check_matrix(m):
 
 
 def as_hermitian(m):
-    """Validate near-Hermiticity and return the symmetrized matrix (M + M*)/2."""
+    """Validate near-Hermiticity and return the symmetrized matrix M/2 + M*/2."""
     a = check_matrix(m)
-    scale = max(1.0, np.abs(a).max())
+    big = np.abs(a).max()
+    if big > ENTRY_CAP:
+        raise ValidationError(f"matrix entry of magnitude {big:.3e} exceeds bound {ENTRY_CAP:.0e}")
+    scale = max(1.0, big)
     dev = np.abs(a - a.conj().T).max()
     if dev > HERM_TOL * scale:
         raise ValidationError(
             f"matrix is not Hermitian: max deviation {dev:.3e} exceeds "
             f"{HERM_TOL * scale:.3e}"
         )
-    return 0.5 * (a + a.conj().T)
+    half = 0.5 * a
+    return half + half.conj().T
 
 
 @dataclass(frozen=True)

@@ -315,11 +315,7 @@ def supermartingale_check(values, rho, market):
     mat = as_hermitian(rho.mat if isinstance(rho, DensityState) else rho)
     require_dim(mat, market.dim, "state")
     for t in range(1, market.horizon + 1):
-        dv = vals[t] - vals[t - 1]
-        basis = np.asarray(market.filtration[t - 1].basis)
-        n = len(basis)
-        # gram[p, q] = tr(rho A_p* dV A_q) = sum_jk conj(A_p[j, k]) (dV A_q rho)[j, k]
-        gram = basis.reshape(n, -1).conj() @ (dv @ basis @ mat).reshape(n, -1).T
+        gram = market.filtration[t - 1].gram(vals[t] - vals[t - 1], mat)
         gram = 0.5 * (gram + gram.conj().T)
         if np.linalg.eigvalsh(gram)[-1] > CONSUMPTION_PSD_TOL:
             return False
@@ -350,7 +346,7 @@ def optional_decomposition(values, market):
         )
 
     consumption = [np.zeros((d, d), dtype=complex)]
-    terms = {}
+    strategy = TradingStrategy()
     for period in attainable_space(market).periods:
         t = period.period
         dv = vals[t] - vals[t - 1]
@@ -364,6 +360,6 @@ def optional_decomposition(values, market):
                 f"one-period super-replication infeasible at t={t}: "
                 f"best minimum eigenvalue {lam:.3e}"
             )
-        terms.update(period.terms(hedge.coeffs))
+        strategy.coefficients.update(period.coefficients(hedge.coeffs))
         consumption.append(consumption[-1] + 0.5 * (dc + dc.conj().T))
-    return OptionalDecompositionResult(v0, TradingStrategy(terms), consumption)
+    return OptionalDecompositionResult(v0, strategy, consumption)

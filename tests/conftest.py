@@ -36,6 +36,11 @@ def random_market(rng, dim, horizon, n_assets=1):
 
 
 def random_strategy(rng, market):
+    return TradingStrategy(random_terms(rng, market))
+
+
+def random_terms(rng, market):
+    """Random pairs {(t, j): [(a, A)]} with A in A_{t-1}, for a market from ``random_market``."""
     terms = {}
     for t in range(1, market.horizon + 1):
         alg = market.filtration[t - 1]
@@ -50,7 +55,7 @@ def random_strategy(rng, market):
                     )
                 pairs.append((float(rng.standard_normal()), mat))
             terms[(t, j)] = pairs
-    return TradingStrategy(terms)
+    return terms
 
 
 def trinomial_market(r=0.05, s0=100.0, rates=(-0.1, 0.05, 0.2)):

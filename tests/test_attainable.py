@@ -278,8 +278,14 @@ def test_space_holds_no_reference_to_its_market():
             todo.extend(vars(obj).values())
 
 
-def _term_bound(market):
-    return sum(len(market.filtration[t - 1].basis) for t in range(1, market.horizon + 1))
+def _assert_coefficients_over_the_bases(strategy, market):
+    """Each h of the strategy is n x n, n = len(A_{t-1}.basis), and Hermitian to 1e-12."""
+    assert strategy.coefficients
+    for (t, j), h in strategy.coefficients.items():
+        assert 1 <= t <= market.horizon and 0 <= j < market.n_assets
+        n = len(market.filtration[t - 1].basis)
+        assert h.shape == (n, n)
+        assert np.abs(h - h.conj().T).max() <= 1e-12 * max(1.0, np.abs(h).max())
 
 
 def test_replicate_strategy_reproduces_the_claim():
@@ -290,7 +296,7 @@ def test_replicate_strategy_reproduces_the_claim():
     assert rep.alpha == pytest.approx(crr_price(3, 100.0, 105.0, 0.05, -0.1, 0.2), abs=1e-9)
     gains = gain_process(rep.strategy, mkt)
     np.testing.assert_allclose(rep.alpha * np.eye(mkt.dim) + gains[-1], claim, atol=1e-8)
-    assert sum(len(p) for p in rep.strategy.terms.values()) <= _term_bound(mkt)
+    _assert_coefficients_over_the_bases(rep.strategy, mkt)
 
 
 def test_replicate_strategy_per_asset_bound_random_markets(rng):
@@ -303,9 +309,7 @@ def test_replicate_strategy_per_asset_bound_random_markets(rng):
         assert rep.attainable
         gains = gain_process(rep.strategy, mkt)
         np.testing.assert_allclose(rep.alpha * np.eye(mkt.dim) + gains[-1], claim, atol=1e-8)
-        for j in range(mkt.n_assets):
-            per_asset = sum(len(p) for (_t, jj), p in rep.strategy.terms.items() if jj == j)
-            assert per_asset <= _term_bound(mkt)
+        _assert_coefficients_over_the_bases(rep.strategy, mkt)
 
 
 def test_dense_route_strategy_reproduces_basis():

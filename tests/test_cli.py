@@ -607,6 +607,33 @@ def test_main_refuses_a_market_whose_discounted_prices_overflow(tmp_path, capsys
     assert capsys.readouterr().err.startswith("error: ")
 
 
+HUGE_MARKETS = [
+    pytest.param("s0: 1.0e308", "matrix entry of magnitude 1.000e+308 exceeds bound 1e+150",
+                 id="operator"),
+    pytest.param("s0: 1.0e10\n  b0: 1.0e-200",
+                 "discounted asset prices S_t / B_t reach magnitude 1.000e+210, "
+                 "above the bound 1e+150", id="quotient"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("market, message", HUGE_MARKETS)
+def test_main_refuses_entries_above_the_bound_without_a_warning(tmp_path, capsys, market, message):
+    scen = write(tmp_path, QUBIT_YAML.replace("s0: 100.0", market))
+    assert main(["price", "--scenario", scen]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# the eigen-term expansion of each h kept 1, 5, 17 and 77 terms for these
+@pytest.mark.parametrize("n, terms", [(1, 1), (2, 5), (3, 17), (4, 77)])
+@pytest.mark.parametrize("command", ["replicate", "decompose"])
+def test_strategy_terms_of_the_atm_call(command, n, terms):
+    text = NPERIOD_YAML.replace("n: 2", f"n: {n}").replace("r: 0.05", "r: 0.0")
+    report, code = run(command, parse_scenario(text))
+    assert code == EXIT_OK
+    assert report["results"]["atm_call"]["strategy_terms"] == terms
+
+
 # one key that no field reads, in each kind of mapping
 UNKNOWN_KEYS = [
     pytest.param("scenario.claim", QUBIT_YAML.replace("claims:", "claim:"), id="top_level"),

@@ -31,16 +31,24 @@ from qmarket.operators import (
     I2,
     SX,
     SZ,
+    apply_function,
     as_hermitian,
     herm_to_vec,
     hs_inner,
     pauli_operator,
     vec_to_herm,
 )
-from qmarket.pricing import supermartingale_check
+from qmarket.pricing import optional_decomposition, replicate, supermartingale_check
 from qmarket.quantum import expectation
 
-from conftest import random_hermitian, random_market, random_positive, random_strategy
+from conftest import (
+    random_hermitian,
+    random_market,
+    random_positive,
+    random_state,
+    random_strategy,
+    random_terms,
+)
 
 SPEC = QubitMarketSpec(0.05, 0.15, 0.0, 0.0, r=0.05, s0=100.0)
 
@@ -386,6 +394,118 @@ def test_strategy_coefficient_of_the_wrong_size_names_both_dimensions():
     h = TradingStrategy({(1, 0): [(1.0, np.eye(3))]})
     with pytest.raises(ValidationError, match="at period 1 is 3 x 3, the market's dimension is 2"):
         gain_process(h, qubit_market())
+
+
+@pytest.mark.parametrize("j", [3, -1])
+def test_a_strategy_on_an_asset_the_market_lacks_is_refused(j):
+    mkt = qubit_market()
+    with pytest.raises(ValidationError, match=f"strategy asset {j} outside 0..0"):
+        gain_process(TradingStrategy({(1, j): [(1.0, I2)]}), mkt)
+    with pytest.raises(ValidationError, match=f"strategy asset {j} outside 0..0"):
+        value_process([1.0, 1.0], TradingStrategy({(1, j): [(1.0, I2)]}), mkt)
+
+
+def pair_by_pair_gains(terms, market):
+    """The gain process summed pair by pair, sum_k a_k A_k* dS A_k: the reference for folding."""
+    d = market.dim
+    gains = [np.zeros((d, d), dtype=complex)]
+    for t in range(1, market.horizon + 1):
+        out = np.zeros((d, d), dtype=complex)
+        for j in range(market.n_assets):
+            ds = market.increment(j, t)
+            for a, mat in terms.get((t, j), []):
+                out += a * (mat.conj().T @ ds @ mat)
+        gains.append(gains[-1] + 0.5 * (out + out.conj().T))
+    return gains
+
+
+def factor_terms(rng, market):
+    """Random pairs (a, Y (x) I_k) over the factor algebras of an N-period market."""
+    terms = {}
+    for t in range(1, market.horizon + 1):
+        m = market.filtration[t - 1].factor_dim
+        mats = rng.standard_normal((3, m, m)) + 1j * rng.standard_normal((3, m, m))
+        eye = np.eye(market.dim // m)
+        terms[(t, 0)] = [(float(rng.standard_normal()), np.kron(y, eye)) for y in mats]
+    return terms
+
+
+def as_frame_market(mkt):
+    """The same market with A_1.. given as explicit bases, so their pairs fold over a frame."""
+    algebras = mkt.filtration.algebras
+    frames = [algebras[0]] + [OperatorAlgebra.from_basis(alg.basis) for alg in algebras[1:]]
+    return MarketModel(Filtration(frames), mkt.bank, mkt.assets)
+
+
+def test_folded_pairs_gain_what_the_pairs_gain(rng):
+    markets = [random_market(rng, int(rng.integers(2, 5)), 2, n_assets=2) for _ in range(4)]
+    markets += [as_frame_market(mkt) for mkt in markets[:2]]
+    cases = [(mkt, random_terms(rng, mkt)) for mkt in markets]
+    nperiod = discount(build_n_period(NPeriodSpec(3, -0.1, 0.2, 0.05, 100.0)))
+    cases += [(nperiod, factor_terms(rng, nperiod)) for _ in range(3)]
+    for mkt, terms in cases:
+        gains = gain_process(TradingStrategy(terms), mkt)
+        for got, want in zip(gains, pair_by_pair_gains(terms, mkt)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
+
+
+def dense_pair_action(hs, xs, basis):
+    return sum(h[p, q] * (bp.conj().T @ x @ bq) for h, x in zip(hs, xs)
+               for p, bp in enumerate(basis) for q, bq in enumerate(basis))
+
+
+def pair_action_algebras():
+    rng = np.random.default_rng(7)
+    unitary, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    factors = [
+        pytest.param(OperatorAlgebra.tensor_factor(m, m * k), id=f"factor_m{m}_k{k}")
+        for m, k in [(1, 3), (2, 1), (2, 2), (3, 2), (2, 4)]
+    ]
+    return factors + [
+        pytest.param(
+            OperatorAlgebra.from_basis([np.diag(e).astype(complex) for e in np.eye(4)]),
+            id="frame_diagonal",
+        ),
+        pytest.param(
+            OperatorAlgebra.from_basis(block_algebra_units([(2, 1), (1, 3)], unitary)),
+            id="frame_block_diagonal",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("alg", pair_action_algebras())
+def test_pair_action_and_gram_are_the_dense_sums_over_the_basis(alg, rng):
+    d, basis = alg.dim, alg.basis
+    n = len(basis)
+    hs = np.array([random_hermitian(rng, n) for _ in range(2)])
+    xs = np.array([random_hermitian(rng, d) for _ in range(2)])
+    rho = random_state(rng, d)
+    want = dense_pair_action(hs, xs, basis)
+    got = alg.pair_action(hs, xs)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    gram = alg.gram(xs[0], rho)
+    dense = np.array([[np.trace(rho @ bp.conj().T @ xs[0] @ bq) for bq in basis] for bp in basis])
+    np.testing.assert_allclose(gram, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
+    # the Gram is the adjoint of the pair action: tr(rho (h # X)) = sum_pq h_pq G_pq
+    pairing = np.trace(rho @ alg.pair_action(hs[:1], xs[:1]))
+    assert abs(pairing - np.sum(hs[0] * gram)) <= 1e-12 * max(1.0, abs(pairing))
+
+
+def test_strategies_and_the_supermartingale_check_never_read_the_basis(monkeypatch):
+    mkt = discount(build_n_period(NPeriodSpec(3, -0.1, 0.2, 0.0, 100.0)))
+
+    def refuse(self):
+        raise AssertionError("OperatorAlgebra.basis was read")
+
+    monkeypatch.setattr(OperatorAlgebra, "basis", property(refuse))
+    payoff = apply_function(mkt.assets[0][-1], lambda s: max(s - 100.0, 0.0))
+    rep = replicate(payoff, mkt)
+    gains = gain_process(rep.strategy, mkt)
+    values = [rep.alpha * np.eye(mkt.dim) + g for g in gains[:-1]] + [payoff]
+    assert supermartingale_check(values, check_no_arbitrage(mkt).witness_state, mkt)
+    dec = optional_decomposition(values, mkt)
+    recon = dec.v0 * np.eye(mkt.dim) + gain_process(dec.strategy, mkt)[-1] - dec.consumption[-1]
+    np.testing.assert_allclose(recon, payoff, atol=1e-8)
 
 
 def test_replication_strategy_gain_matches_payoff_minus_price():
