@@ -266,7 +266,7 @@ def _factor_pieces(constraints):
     if len(rows) <= 1:
         return [(d, vec_to_herm(rows[0], d) if len(rows) else None)]
     periods = constraints.periods
-    if any(p.w is None or len(p.w) > 1 for p in periods):
+    if any(not p.algebra.is_factor or len(p.w) > 1 for p in periods):
         return None
     sizes = [p.w.shape[-1] for p in periods] + [1]  # W_t acts on C^{d / m_{t-1}}
     pieces = []

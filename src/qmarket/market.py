@@ -122,6 +122,18 @@ class OperatorAlgebra:
 
     # -- coordinates and the pair action -------------------------------------
 
+    def pair_blocks(self, xs):
+        """Blocks X_pq, shape (J, n, n, D, D), of a stack (J, d, d): the pair products A_p* X A_q.
+
+        On B(C^m) (x) I_k, A_p* X A_q = E_bd (x) X_ac for A_p = E_ab (x) I, A_q = E_cd (x) I,
+        so the blocks are X's k x k blocks X_ac (n = m); over a frame, the products themselves.
+        """
+        xs = np.asarray(xs).reshape(-1, self.dim, self.dim)
+        if self.is_factor:
+            m, k = self._factor_dim, self.dim // self._factor_dim
+            return xs.reshape(-1, m, k, m, k).swapaxes(2, 3)
+        return (self._frame.conj().transpose(0, 2, 1) @ xs[:, None])[:, :, None] @ self._frame
+
     def coordinates(self, xs):
         """(coords, residuals) of a stack: x = sum_p coords_p A_p + R over ``basis``, and |R|.
 
@@ -131,9 +143,9 @@ class OperatorAlgebra:
         xs = np.asarray(xs, dtype=complex)
         if self.is_factor:
             m, k = self._factor_dim, self.dim // self._factor_dim
-            y = np.trace(xs.reshape(-1, m, k, m, k), axis1=2, axis2=4) / k
+            y = np.trace(self.pair_blocks(xs), axis1=3, axis2=4) / k
             return y.reshape(-1, m * m), np.linalg.norm(xs - kron(y, np.eye(k)), axis=(1, 2))
-        flat, frame = xs.reshape(len(xs), -1), self._frame.reshape(len(self._frame), -1)
+        flat, frame = xs.reshape(-1, self.dim ** 2), self._frame.reshape(len(self._frame), -1)
         coords = flat @ frame.conj().T
         return coords, np.linalg.norm(flat - coords @ frame, axis=1)
 
@@ -147,7 +159,7 @@ class OperatorAlgebra:
         if self.is_factor:
             m, k = self._factor_dim, d // self._factor_dim
             h = hs.reshape(-1, m, m, m, m).transpose(2, 4, 0, 1, 3).reshape(m * m, -1)
-            x = xs.reshape(-1, m, k, m, k).transpose(0, 1, 3, 2, 4).reshape(-1, k * k)
+            x = self.pair_blocks(xs).reshape(-1, k * k)
             return (h @ x).reshape(m, m, k, k).transpose(0, 2, 1, 3).reshape(d, d)
         frame, n = self._frame, len(self._frame)
         left = frame.conj().transpose(0, 2, 1) @ xs.reshape(-1, 1, d, d)  # A_p* X_j
@@ -160,7 +172,7 @@ class OperatorAlgebra:
         if self.is_factor:
             m, k = self._factor_dim, d // self._factor_dim
             # tr(rho (E_bd (x) X_ac)) = sum_il rho[(d, l), (b, i)] X[(a, i), (c, l)]
-            x = x.reshape(m, k, m, k).transpose(0, 2, 1, 3).reshape(m * m, k * k)
+            x = self.pair_blocks(x).reshape(m * m, k * k)
             r = rho.reshape(m, k, m, k).transpose(3, 1, 2, 0).reshape(k * k, m * m)
             return (x @ r).reshape(m, m, m, m).transpose(0, 2, 1, 3).reshape(m * m, m * m)
         frame = self._frame.reshape(len(self._frame), -1)
@@ -183,6 +195,12 @@ class OperatorAlgebra:
             bad = np.flatnonzero(self.coordinates(a @ mats)[1] > SPAN_TOL)
             if len(bad):
                 raise ValidationError(f"algebra not closed under products (elements {i}, {bad[0]})")
+
+    def same_basis(self, other):
+        """Whether ``basis`` is the same in both, so that an h over one reads over the other."""
+        if self.is_factor or other.is_factor:
+            return (self.dim, self._factor_dim) == (other.dim, other._factor_dim)
+        return self._frame.shape == other._frame.shape and np.array_equal(self._frame, other._frame)
 
     def is_trivial(self):
         # an algebra holds I, so it is CI exactly when it is one-dimensional
@@ -311,27 +329,41 @@ class TradingStrategy:
     """Per-period biprocess: one Hermitian coefficient matrix h per (period t, asset j).
 
     ``coefficients`` maps (t, j) to h over ``OperatorAlgebra.basis`` A_p of A_{t-1};
-    h acts as h # X = sum_pq h_pq A_p* X A_q.  The paper's pairs, ``terms`` mapping
-    (t, j) to [(a_k, A_k)] with A_k in A_{t-1}, are input only: a_k A_k* (.) A_k is
-    h = a_k conj(c) c^T for the coordinates c of A_k, folded in when a market first
-    reads the strategy (``fold``).  The scalar h0 enters only the value at time zero.
+    h acts as h # X = sum_pq h_pq A_p* X A_q.  ``algebras`` maps t to the A_{t-1} of
+    the market a hedge was built on (``hold``); no other market's algebra reads those
+    h's.  The paper's pairs, ``terms`` mapping (t, j) to [(a_k, A_k)] with A_k in
+    A_{t-1}, are kept as given: a_k A_k* (.) A_k is h = a_k conj(c) c^T for the
+    coordinates c of A_k over the basis of the market that reads the strategy
+    (``fold``).  The scalar h0 enters only the value at time zero.
     """
 
     def __init__(self, terms=None, h0=0.0):
-        self.coefficients = {}
+        self.coefficients, self.algebras = {}, {}
         self._pairs = {
             (int(t), int(j)): [(float(a), check_matrix(mat)) for a, mat in pairs]
             for (t, j), pairs in (terms or {}).items()
         }
         self.h0 = float(h0)
 
+    def hold(self, span, coeffs):
+        """Take on the h's of the gain sum_i coeffs_i K_{t,i} of ``span``, a PeriodSpan."""
+        self.coefficients.update(span.coefficients(coeffs))
+        self.algebras[span.period] = span.algebra
+
     def fold(self, market):
-        """``coefficients`` over the bases of ``market``'s filtration, with the pairs folded in."""
+        """``coefficients`` over the bases of ``market``'s filtration, with the pairs folded in.
+
+        The strategy is left as it is, so each market folds the pairs over its own bases.
+        """
         for t, j in [*self._pairs, *self.coefficients]:
             if not 1 <= t <= market.horizon:
                 raise ValidationError(f"strategy period {t} outside 1..{market.horizon}")
             if not 0 <= j < market.n_assets:
                 raise ValidationError(f"strategy asset {j} outside 0..{market.n_assets - 1}")
+        for t, _ in self.coefficients:
+            alg = market.filtration[t - 1]
+            if not self.algebras.get(t, alg).same_basis(alg):
+                raise ValidationError(f"strategy coefficients at period {t} are over another A_{t - 1}")
         hs = dict(self.coefficients)
         for (t, j), pairs in self._pairs.items():
             for _a, mat in pairs:
@@ -342,7 +374,6 @@ class TradingStrategy:
                 raise ValidationError(f"strategy coefficient at period {t} is not in A_{t - 1}")
             weights = np.array([a for a, _ in pairs])
             hs[(t, j)] = hs.get((t, j), 0.0) + (coords.conj().T * weights) @ coords
-        self.coefficients, self._pairs = hs, {}
         return hs
 
 
@@ -390,10 +421,11 @@ def value_process(beta, strategy, market):
 
 
 class MartingaleConstraintSet:
-    """Orthonormal Hermitian G_m with tr(rho G_m) = 0 required of a martingale state.
+    """Hermitian G_m with tr(rho G_m) = 0 required of a martingale state.
 
-    ``vecs`` holds the herm-vec rows of the G_m; ``rows`` (here ``vecs``), unit-norm rows
-    spanning K, is all the decision reads.  Subclasses set ``dim``, ``rows`` and ``vecs``.
+    ``vecs`` holds an orthonormal herm-vec basis of their span K; ``rows`` (here ``vecs``),
+    unit-norm rows spanning K, is all the decision reads.  Subclasses set ``dim``, ``rows``
+    and ``vecs``.
     ``perp`` is read-only; ``slice_step`` gives the slice's directions; ``decision`` the result.
     """
 
@@ -401,8 +433,8 @@ class MartingaleConstraintSet:
 
     def __init__(self, dim, operators):
         self.dim = int(dim)
-        mats = np.asarray(operators, dtype=complex).reshape(-1, self.dim, self.dim)
-        self.vecs = self.rows = herm_to_vec(mats)
+        vecs = herm_to_vec(np.asarray(operators, dtype=complex).reshape(-1, self.dim, self.dim))
+        self.vecs = self.rows = _orthonormal_rows(vecs)[1] if len(vecs) else vecs
 
     def __len__(self):
         return len(self.vecs)
@@ -451,71 +483,58 @@ def _orthonormal_rows(mat):
 
     Singular values up to RANK_TOL * max(1, s_max) are dropped.  Each
     singular pair's sign is fixed by its largest coordinate, so the basis
-    does not depend on the sign choices of the LAPACK driver.
+    does not depend on the sign choices of LAPACK.  The scaling is done in
+    place, so no second copy of u or vt is held.
     """
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.count_nonzero(s > RANK_TOL * max(1.0, s[0])))
     u, s, vt = u[:, :rank], s[:rank], vt[:rank]
     signs = np.sign(u[np.abs(u).argmax(axis=0), np.arange(rank)])
-    return u * (signs / s), vt * signs[:, None]
+    return np.multiply(u, signs / s, out=u), np.multiply(vt, signs[:, None], out=vt)
 
 
 def _unvec_pair(f, m):
-    """h[(a,b),(c,d)] = sum_gs f[g, s] E_g[a, c] E_s[b, d] over herm-vec units E of Herm(m)."""
+    """h[(a,b),(c,d)] = sum_gs f[g, s] E_g[a, c] E_s[b, d], over herm-vec units E_g of
+    Herm(n) and E_s of Herm(m); the g side's size n is read from len(f) = n^2."""
+    n = math.isqrt(len(f))
     z = vec_to_herm(f, m).transpose(1, 2, 0)  # (b, d, g)
-    h = vec_to_herm(z.real, m) + 1j * vec_to_herm(z.imag, m)  # (b, d, a, c)
-    return h.transpose(2, 0, 3, 1).reshape(m * m, m * m)
+    h = vec_to_herm(z.real, n) + 1j * vec_to_herm(z.imag, n)  # (b, d, a, c)
+    return h.transpose(2, 0, 3, 1).reshape(n * m, n * m)
 
 
 class PeriodSpan(MartingaleConstraintSet):
     """K_t with an h-matrix preimage for each element.
 
-    A period-t strategy is one Hermitian coefficient matrix h per asset
-    over the basis A_p of A_{t-1}; its gain is sum_pq h_pq A_p* dS A_q.
-    ``vecs`` is an orthonormal herm-vec basis of K_t.  Over a generic
-    basis, ``_hmaps[j]`` sends coefficients over ``vecs`` to the herm-vec
-    of asset j's h.
-
-    For a factor algebra B(C^m) (x) I_k with A_p = E_ab (x) I,
-    A_p* X A_q = E_bd (x) X_ac where X_ac are the k x k blocks of X.  So
-    K_t = Herm(M_m) (x) W_t, with W_t the span of sum_ac g_ac X_ac over
-    Hermitian g, and P (x) w has the preimage h = g (x) P.  The SVD then
-    runs on the m^2 block combinations instead of the m^4 basis pairs, and
-    ``_hmaps[j]`` sends coefficients over the W_t basis to asset j's g, and
-    ``w`` holds that basis as k x k matrices (None over a generic basis).
+    A period-t strategy is one Hermitian h per asset over the basis A_p of
+    A_{t-1}; its gain is sum_pq h_pq A_p* dS A_q.  The algebra hands over the
+    blocks X_pq of each dS (:meth:`OperatorAlgebra.pair_blocks`); one SVD
+    rank-reveals W_t = span{sum_pq g_pq X_pq : g Hermitian}, and ``_hmaps[j]``
+    sends coefficients over its basis (``w`` as matrices) to asset j's g.  On
+    B(C^m) (x) I_k the blocks are dS's k x k blocks, K_t = Herm(M_m) (x) W_t
+    and P (x) w has the preimage h = g (x) P; over a frame m = 1 and K_t = W_t.
+    ``vecs`` is an orthonormal herm-vec basis of K_t.
     """
 
     def __init__(self, period, algebra, increments):
-        d = algebra.dim
-        self.period, self.dim, self._algebra = period, d, algebra
-        if algebra.is_factor:
-            m, k = algebra.factor_dim, d // algebra.factor_dim
-            blocks = [x.reshape(m, k, m, k).transpose(0, 2, 1, 3) for x in increments]
-        else:
-            basis = np.array(algebra.basis)
-            left = basis.conj().transpose(0, 2, 1)
-            blocks = [(left @ x)[:, None] @ basis[None, :] for x in increments]
-        hmap, rows = _orthonormal_rows(np.concatenate([_pair_images(b) for b in blocks]))
-        self._hmaps = hmap.reshape(len(blocks), len(hmap) // len(blocks), len(rows))
-        if not algebra.is_factor:
-            self.vecs, self.rows, self.w = rows, rows, None
-        else:
-            self.w = w = vec_to_herm(rows, k)
-            units = vec_to_herm(np.eye(m * m), m)
-            self.vecs = self.rows = herm_to_vec(kron(units[:, None], w).reshape(-1, d, d))
+        self.period, self.dim, self.algebra = period, algebra.dim, algebra
+        self._m = m = algebra.factor_dim or 1
+        images = np.concatenate([_pair_images(b) for b in algebra.pair_blocks(increments)])
+        hmap, self._w_rows = _orthonormal_rows(images)
+        self._hmaps = hmap.reshape(len(increments), len(hmap) // len(increments), -1)
+        self.vecs = self.rows = self._w_rows
+        if m > 1:  # K_t = Herm(M_m) (x) W_t; for m = 1 the lift is the identity
+            lift = kron(vec_to_herm(np.eye(m * m), m)[:, None], self.w)
+            self.vecs = self.rows = herm_to_vec(lift.reshape(-1, self.dim, self.dim))
+
+    w = cached_property(lambda self: vec_to_herm(self._w_rows, self.dim // self._m))
 
     def coefficients(self, coeffs):
         """{(t, j): h}, asset j's share of the gain sum_i coeffs_i K_{t,i}, over A_{t-1}'s basis."""
         if not self.rank:  # a span of rank 0 attains nothing
             return {}
-        coeffs, alg = np.asarray(coeffs, dtype=float), self._algebra
-        if alg.is_factor:
-            m = alg.factor_dim
-            grid = coeffs.reshape(m * m, -1).T  # (W_t basis, Herm(M_m) unit)
-            hs = [_unvec_pair(hmap @ grid, m) for hmap in self._hmaps]
-        else:
-            hs = [vec_to_herm(hmap @ coeffs, alg.herm_dim()) for hmap in self._hmaps]
-        return {(self.period, j): h for j, h in enumerate(hs)}
+        m = self._m
+        grid = np.asarray(coeffs, dtype=float).reshape(m * m, -1).T  # (W_t basis, Herm(M_m) unit)
+        return {(self.period, j): _unvec_pair(hmap @ grid, m) for j, hmap in enumerate(self._hmaps)}
 
 
 class AttainableSpace(MartingaleConstraintSet):
@@ -558,7 +577,7 @@ class AttainableSpace(MartingaleConstraintSet):
         local = self._orthonormal[0] @ np.asarray(coeffs, dtype=float)
         strategy = TradingStrategy()
         for p, lo, hi in zip(self.periods, self._offsets, self._offsets[1:]):
-            strategy.coefficients.update(p.coefficients(local[lo:hi]))
+            strategy.hold(p, local[lo:hi])
         return strategy
 
 

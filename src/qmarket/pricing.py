@@ -317,7 +317,9 @@ def supermartingale_check(values, rho, market):
     for t in range(1, market.horizon + 1):
         gram = market.filtration[t - 1].gram(vals[t] - vals[t - 1], mat)
         gram = 0.5 * (gram + gram.conj().T)
-        if np.linalg.eigvalsh(gram)[-1] > CONSUMPTION_PSD_TOL:
+        try:  # lambda_max(G) < tol exactly when tol I - G has a Cholesky factor
+            np.linalg.cholesky(CONSUMPTION_PSD_TOL * np.eye(len(gram)) - gram)
+        except np.linalg.LinAlgError:
             return False
     return True
 
@@ -360,6 +362,6 @@ def optional_decomposition(values, market):
                 f"one-period super-replication infeasible at t={t}: "
                 f"best minimum eigenvalue {lam:.3e}"
             )
-        strategy.coefficients.update(period.coefficients(hedge.coeffs))
+        strategy.hold(period, hedge.coeffs)
         consumption.append(consumption[-1] + 0.5 * (dc + dc.conj().T))
     return OptionalDecompositionResult(v0, strategy, consumption)

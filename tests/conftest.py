@@ -5,6 +5,16 @@ from scipy.optimize import linprog
 from qmarket.market import Filtration, MarketModel, OperatorAlgebra, TradingStrategy, discount
 
 
+# Prepended to a child script run by subprocess: ``peak_mb()`` is the child's own peak
+# resident set, the VmHWM line of /proc/self/status.  ``ru_maxrss`` would not do: a
+# child started by subprocess carries its parent's resident size in it.
+PEAK_MB = """
+def peak_mb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024.0
+"""
+
+
 def random_hermitian(rng, dim, scale=1.0):
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return scale * 0.5 * (m + m.conj().T)

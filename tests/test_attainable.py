@@ -54,7 +54,7 @@ from qmarket.pricing import (
     replicate,
 )
 
-from conftest import TWO_PERIOD_CLAIM, random_hermitian, random_market, trinomial_market
+from conftest import PEAK_MB, TWO_PERIOD_CLAIM, random_hermitian, random_market, trinomial_market
 
 PAULI = [[0.15, 0.0, 0.0], [0.0, 0.15, 0.0], [0.09, 0.0, 0.12]]
 # widest interval the super-hedge oracle may report for an attainable claim
@@ -360,8 +360,8 @@ def test_nperiod_5_price_matches_crr():
     assert elapsed < 60.0
 
 
-ENVELOPE_SCRIPT = """
-import json, resource, time
+ENVELOPE_SCRIPT = PEAK_MB + """
+import json, time
 from qmarket.cli import parse_scenario, run
 y = (
     "market: {kind: nperiod, n: 6, a: -0.1, b: 0.2, r: 0.05, s0: 100.0}\\n"
@@ -369,14 +369,13 @@ y = (
 )
 t0 = time.perf_counter()
 check, check_code = run("check-arbitrage", parse_scenario(y))
-check_alone = [time.perf_counter() - t0,
-               resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0]
+check_alone = [time.perf_counter() - t0, peak_mb()]
 price, price_code = run("price", parse_scenario(y))
 off, off_code = run("check-arbitrage", parse_scenario(y.replace("r: 0.05", "r: 0.0")))
 arb, arb_code = run("check-arbitrage", parse_scenario(y.replace("r: 0.05", "r: 0.3")))
 print(json.dumps({
     "wall_s": time.perf_counter() - t0,
-    "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    "peak_mb": peak_mb(),
     "check_alone": check_alone,
     "codes": [check_code, price_code, off_code, arb_code],
     "status": check["results"]["status"],
@@ -390,7 +389,7 @@ print(json.dumps({
 
 
 def test_nperiod_6_check_arbitrage_and_price_fit_the_envelope():
-    # a fresh process, so the peak resident set is this run's alone
+    # a fresh process, which reports its own peak resident set (VmHWM)
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
@@ -409,15 +408,15 @@ def test_nperiod_6_check_arbitrage_and_price_fit_the_envelope():
     assert status == NO_FAITHFUL_STATE and steps == 0
     assert lam == pytest.approx(-1024.0 / 729.0, abs=1e-12)
     assert out["wall_s"] <= 60.0
-    assert out["maxrss_mb"] <= 500.0
+    assert out["peak_mb"] <= 500.0
     # the closed-form decision reads the period rows alone: no SVD of the
     # 1365 x 4096 stacked rows
     check_s, check_mb = out["check_alone"]
     assert check_s <= 1.5 and check_mb <= 260.0
 
 
-INTERVAL_SCRIPT = """
-import json, resource, time
+INTERVAL_SCRIPT = PEAK_MB + """
+import json, time
 import numpy as np
 from qmarket.cli import parse_scenario, run
 d = 32
@@ -436,7 +435,7 @@ except Exception as exc:
     code, result = None, f"{type(exc).__name__}: {exc}"
 print(json.dumps({
     "wall_s": time.perf_counter() - t0,
-    "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    "peak_mb": peak_mb(),
     "code": code,
     "result": result,
     "norm": float(np.linalg.norm(claim, 2)),
@@ -456,7 +455,7 @@ def test_nperiod_5_non_attainable_interval_fits_the_envelope():
     )
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out["wall_s"] <= 30.0
-    assert out["maxrss_mb"] <= 250.0
+    assert out["peak_mb"] <= 250.0
     res = out["result"]
     assert out["code"] == 0, res
     assert not res["attainable"] and res["lower"] < res["upper"]

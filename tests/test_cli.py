@@ -582,6 +582,19 @@ MALFORMED = [
         TWO_PERIOD_EXPLICIT_YAML.replace("[120.0, 0.0]]]\nclaims", f"[0, {10 ** 400}]]]\nclaims"),
         id="asset_matrix_overflow",
     ),
+    # a matrix with one row of two entries
+    pytest.param(
+        "market.assets[0][2]: matrix must be square",
+        TWO_PERIOD_EXPLICIT_YAML.replace(
+            "[[[90.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [120.0, 0.0]]]\nclaims", "[[[90.0, 0.0], [0.0, 0.0]]]\nclaims"
+        ),
+        id="asset_matrix_one_by_two",
+    ),
+    # an integer too large for a float where a float is asked for
+    pytest.param(
+        "market.x0 must be a finite float", QUBIT_YAML.replace("x0: 0.05", f"x0: {10 ** 400}"),
+        id="float_field_overflow",
+    ),
     # a matrix entry is exactly one [re, im] pair
     pytest.param(
         "claims[0].entries",

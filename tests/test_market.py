@@ -42,6 +42,7 @@ from qmarket.pricing import optional_decomposition, replicate, supermartingale_c
 from qmarket.quantum import expectation
 
 from conftest import (
+    PEAK_MB,
     random_hermitian,
     random_market,
     random_positive,
@@ -220,8 +221,8 @@ def test_frame_membership_agrees_with_least_squares(blocks, seed):
         assert alg.contains(off) == lstsq_contains(mats, off) == (n == d * d)
 
 
-DIAGONAL_SCRIPT = """
-import json, resource, time
+DIAGONAL_SCRIPT = PEAK_MB + """
+import json, time
 import numpy as np
 from qmarket.market import Filtration, OperatorAlgebra
 t0 = time.perf_counter()
@@ -229,14 +230,14 @@ diagonal = OperatorAlgebra.from_basis([np.diag(e).astype(complex) for e in np.ey
 filtration = Filtration([OperatorAlgebra.trivial(64), diagonal, OperatorAlgebra.full(64)])
 print(json.dumps({
     "wall_s": time.perf_counter() - t0,
-    "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    "peak_mb": peak_mb(),
     "herm_dims": [a.herm_dim() for a in filtration.algebras],
 }))
 """
 
 
 def test_the_64_element_diagonal_algebra_validates_within_the_envelope():
-    # a fresh process, so the peak resident set is this validation's alone
+    # a fresh process, which reports its own peak resident set (VmHWM)
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
@@ -246,7 +247,19 @@ def test_the_64_element_diagonal_algebra_validates_within_the_envelope():
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out["herm_dims"] == [1, 64, 64 * 64]
     assert out["wall_s"] <= 10.0
-    assert out["maxrss_mb"] <= 200.0
+    assert out["peak_mb"] <= 200.0
+
+
+def test_a_child_reports_its_own_peak_not_its_parents():
+    # ru_maxrss of a child started by subprocess starts from its parent's resident
+    # size; the envelope tests read VmHWM, which a 300 MB parent does not inflate
+    ballast = np.ones(300 * 2 ** 20 // 8)
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_MB + "print(peak_mb())"],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    del ballast
+    assert 0.0 < float(proc.stdout) <= 200.0
 
 
 def test_filtration_validation():
@@ -405,6 +418,62 @@ def test_a_strategy_on_an_asset_the_market_lacks_is_refused(j):
         value_process([1.0, 1.0], TradingStrategy({(1, j): [(1.0, I2)]}), mkt)
 
 
+def test_a_strategy_period_beyond_the_horizon_is_refused():
+    with pytest.raises(ValidationError, match="strategy period 2 outside 1..1"):
+        gain_process(TradingStrategy({(2, 0): [(1.0, I2)]}), qubit_market())
+
+
+def test_the_attainable_space_of_an_undiscounted_market_is_refused():
+    with pytest.raises(ValidationError, match="attainable space requires a discounted market"):
+        attainable_space_basis(build_single_period(SPEC))
+
+
+def one_period_twins():
+    """One one-period market on C^2, over (trivial, full) and over explicit bases.
+
+    The explicit A_0 is from_basis([I]), whose frame element is I / sqrt(2), and A_1
+    is spanned by rotated matrix units.
+    """
+    rng = np.random.default_rng(3)
+    unitary, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    units = unitary @ np.eye(4).reshape(-1, 2, 2) @ unitary.conj().T
+    assets = [[100.0 * I2, np.array([[120.0, 10.0 + 5.0j], [10.0 - 5.0j, 90.0]])]]
+    factor = Filtration([OperatorAlgebra.trivial(2), OperatorAlgebra.full(2)])
+    frame = Filtration([OperatorAlgebra.from_basis([I2]), OperatorAlgebra.from_basis(list(units))])
+    return MarketModel(factor, [1.0, 1.0], assets), MarketModel(frame, [1.0, 1.0], assets)
+
+
+def test_a_strategy_folds_its_pairs_afresh_against_each_market():
+    # the pair 0.7 I is h = 0.49 over the factor basis I, and 0.98 over the frame's I / sqrt(2)
+    factor, frame = one_period_twins()
+    pairs = {(1, 0): [(1.0, 0.7 * I2)]}
+    for order in ((factor, frame), (frame, factor)):
+        strategy = TradingStrategy(pairs)
+        for mkt in order:
+            got, want = gain_process(strategy, mkt), gain_process(TradingStrategy(pairs), mkt)
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-12 * max(1.0, np.abs(w).max()))
+        assert strategy.coefficients == {}
+
+
+def test_a_hedge_built_on_one_market_is_refused_over_another_basis():
+    factor, frame = one_period_twins()
+    claim = factor.assets[0][1]
+    for built, other in ((factor, frame), (frame, factor)):
+        rep = replicate(claim, built)
+        dec = optional_decomposition([rep.alpha * I2, claim], built)
+        for strategy in (rep.strategy, dec.strategy):
+            np.testing.assert_allclose(gain_process(strategy, built)[-1], claim - rep.alpha * I2, atol=1e-10)
+            with pytest.raises(ValidationError, match="coefficients at period 1 are over another A_0"):
+                gain_process(strategy, other)
+            with pytest.raises(ValidationError, match="coefficients at period 1 are over another A_0"):
+                value_process([1.0, 1.0], strategy, other)
+    # a market written over the same bases reads the hedge: the bases are compared, not the objects
+    twin = one_period_twins()[1]
+    np.testing.assert_allclose(gain_process(replicate(claim, frame).strategy, twin)[-1],
+                               claim - rep.alpha * I2, atol=1e-10)
+
+
 def pair_by_pair_gains(terms, market):
     """The gain process summed pair by pair, sum_k a_k A_k* dS A_k: the reference for folding."""
     d = market.dim
@@ -489,6 +558,28 @@ def test_pair_action_and_gram_are_the_dense_sums_over_the_basis(alg, rng):
     # the Gram is the adjoint of the pair action: tr(rho (h # X)) = sum_pq h_pq G_pq
     pairing = np.trace(rho @ alg.pair_action(hs[:1], xs[:1]))
     assert abs(pairing - np.sum(hs[0] * gram)) <= 1e-12 * max(1.0, abs(pairing))
+
+
+@pytest.mark.parametrize("alg", pair_action_algebras())
+def test_pair_blocks_are_the_pair_products_and_stacks_may_be_empty(alg, rng):
+    d, basis = alg.dim, alg.basis
+    n, empty = len(basis), np.zeros((0, d, d), dtype=complex)
+    xs = np.array([random_hermitian(rng, d) for _ in range(2)])
+    blocks = alg.pair_blocks(xs)
+    for x, block in zip(xs, blocks):
+        products = np.array([[bp.conj().T @ x @ bq for bq in basis] for bp in basis])
+        if alg.is_factor:  # A_p* X A_q = E_bd (x) X_ac for A_p = E_ab (x) I, p = am + b
+            m = alg.factor_dim
+            units = np.eye(m * m).reshape(m, m, m, m)  # units[b, d] = E_bd
+            want = np.array([[np.kron(units[p % m, q % m], block[p // m, q // m]) for q in range(n)]
+                             for p in range(n)])
+        else:
+            want = block
+        np.testing.assert_allclose(products, want, rtol=0, atol=1e-12 * np.abs(x).max())
+    assert alg.pair_blocks(empty).shape[:3] == (0,) + blocks.shape[1:3]
+    coords, residuals = alg.coordinates(empty)
+    assert coords.shape == (0, n) and residuals.shape == (0,)
+    assert not alg.pair_action(np.zeros((0, n, n)), empty).any()
 
 
 def test_strategies_and_the_supermartingale_check_never_read_the_basis(monkeypatch):

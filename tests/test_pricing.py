@@ -285,6 +285,37 @@ def test_supermartingale_check_matches_trace_loop(rng):
             assert supermartingale_check(scaled, rho, mkt) == below
 
 
+@pytest.mark.parametrize("n", [1, 4, 16])
+@pytest.mark.parametrize("top,below", [(0.999, True), (1.001, False)])
+def test_the_supermartingale_verdict_at_the_tolerance(n, top, below, monkeypatch, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    spectrum = np.append(-rng.uniform(0.0, 1.0, n - 1), top * CONSUMPTION_PSD_TOL)
+    gram = (q * spectrum) @ q.conj().T
+    assert (np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[-1] <= CONSUMPTION_PSD_TOL) == below
+    monkeypatch.setattr(OperatorAlgebra, "gram", lambda self, x, rho: gram)
+    assert supermartingale_check([np.eye(2)] * 2, DensityState.maximally_mixed(2), qubit_market()) == below
+
+
+def test_a_constraint_set_spans_its_operators_orthonormally():
+    z = np.diag([1.0, -1.0]).astype(complex)
+    assert MartingaleConstraintSet(2, [z, z]).rank == 1
+    assert MartingaleConstraintSet(3, []).rank == 0
+    # Z = -I / 2 + (Z + I / 2): Z is attainable at -1/2 over the one operator Z + I / 2
+    space = MartingaleConstraintSet(2, [z + 0.5 * np.eye(2)])
+    np.testing.assert_allclose(space.vecs @ space.vecs.T, np.eye(1), atol=1e-15)
+    np.testing.assert_allclose(space.perp, [0.4, 1.2, 0.0, 0.0], atol=1e-15)
+    hedge = pricing_mod._split(z, space)
+    assert hedge.alpha == pytest.approx(-0.5, abs=1e-14) and hedge.residual <= 1e-14
+
+
+def test_a_claim_outside_the_terminal_algebra_is_refused():
+    diagonal = OperatorAlgebra.from_basis([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    assets = [[100.0 * np.eye(2), np.diag([90.0, 120.0])]]
+    mkt = MarketModel(Filtration([OperatorAlgebra.trivial(2), diagonal]), [1.0, 1.0], assets)
+    with pytest.raises(ValidationError, match="claim is not adapted to the terminal algebra A_T"):
+        replicate(SX, mkt)
+
+
 def test_optional_decomposition_martingale_case():
     # value process generated by an actual trading strategy: no consumption
     mkt = qubit_market()
