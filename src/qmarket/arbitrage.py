@@ -76,10 +76,11 @@ class FeasibilityResult:
 
 def is_martingale_state(rho, market, tol=1e-8):
     """True iff |tr(rho G)| <= tol for every unit-norm period row G of K (``rows``)."""
-    mat = rho.mat if isinstance(rho, DensityState) else rho
-    require_dim(mat, market.dim, "state")
-    cs = attainable_space(discount(market))
-    return bool(np.all(np.abs(cs.rows @ herm_to_vec(as_hermitian(mat))) <= tol))
+    state = isinstance(rho, DensityState)
+    require_dim(rho.mat if state else rho, market.dim, "state")
+    mat = rho.mat if state else as_hermitian(rho)  # a state is checked when it is built
+    rows = attainable_space(discount(market)).rows
+    return bool(np.abs(rows @ herm_to_vec(mat)).max(initial=0.0) <= tol)
 
 
 # --- the Newton core ---------------------------------------------------------

@@ -188,10 +188,11 @@ class NPeriodSpec:
             if len(pauli) != self.n_periods:
                 raise ValidationError("one Pauli 3-vector required per period")
             half_gap_sq = (self.b - self.a) ** 2 / 4.0
+            tol = 1e-12 * max(1.0, half_gap_sq)  # absolute for b - a <= 2, relative above
             for j, p in enumerate(pauli):
                 if not all(map(math.isfinite, p)):
                     raise ValidationError(f"period {j + 1}: pauli entries must be finite, got {p}")
-                if abs(sum(x * x for x in p) - half_gap_sq) > 1e-12:
+                if abs(sum(x * x for x in p) - half_gap_sq) > tol:
                     raise ValidationError(
                         f"period {j + 1}: |pauli|^2 must equal (b-a)^2/4"
                     )

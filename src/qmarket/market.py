@@ -434,7 +434,7 @@ class MartingaleConstraintSet:
     def __init__(self, dim, operators):
         self.dim = int(dim)
         vecs = herm_to_vec(np.asarray(operators, dtype=complex).reshape(-1, self.dim, self.dim))
-        self.vecs = self.rows = _orthonormal_rows(vecs)[1] if len(vecs) else vecs
+        self.vecs = self.rows = _orthonormal_rows(vecs)[1]
 
     def __len__(self):
         return len(self.vecs)
@@ -484,8 +484,11 @@ def _orthonormal_rows(mat):
     Singular values up to RANK_TOL * max(1, s_max) are dropped.  Each
     singular pair's sign is fixed by its largest coordinate, so the basis
     does not depend on the sign choices of LAPACK.  The scaling is done in
-    place, so no second copy of u or vt is held.
+    place, so no second copy of u or vt is held.  A matrix with no rows has
+    empty factors.
     """
+    if not len(mat):
+        return np.zeros((0, 0)), np.zeros((0, mat.shape[1]))
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.count_nonzero(s > RANK_TOL * max(1.0, s[0])))
     u, s, vt = u[:, :rank], s[:rank], vt[:rank]

@@ -29,27 +29,39 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def check_matrix(m):
-    """Validate a square complex matrix and return it as a complex ndarray.
-
-    Enforces: square, 1 <= dim <= 64, all entries finite.
-    """
+def _square(m):
+    """m as a complex ndarray, refused unless square with 1 <= dim <= 64."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"matrix must be square, got shape {a.shape}")
     d = a.shape[0]
     if d < 1 or d > DIM_CAP:
         raise ValidationError(f"dimension {d} outside [1, {DIM_CAP}]")
+    return a
+
+
+def check_matrix(m):
+    """Validate a square complex matrix and return it as a complex ndarray.
+
+    Enforces: square, 1 <= dim <= 64, all entries finite.
+    """
+    a = _square(m)
     if not np.isfinite(a).all():
         raise ValidationError("matrix has non-finite entries")
     return a
 
 
 def as_hermitian(m):
-    """Validate near-Hermiticity and return the symmetrized matrix M/2 + M*/2."""
-    a = check_matrix(m)
+    """Validate near-Hermiticity and return the symmetrized matrix M/2 + M*/2.
+
+    nan and inf fail the entry bound, so it is the one finiteness pass; only a
+    matrix that fails it is searched for a non-finite entry (check_matrix).
+    A finite entry whose modulus overflows exceeds the bound as magnitude inf.
+    """
+    a = _square(m)
     big = np.abs(a).max()
-    if big > ENTRY_CAP:
+    if not big <= ENTRY_CAP:
+        check_matrix(a)
         raise ValidationError(f"matrix entry of magnitude {big:.3e} exceeds bound {ENTRY_CAP:.0e}")
     scale = max(1.0, big)
     dev = np.abs(a - a.conj().T).max()

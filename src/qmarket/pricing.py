@@ -312,7 +312,7 @@ def _require_values(values, market):
 def supermartingale_check(values, rho, market):
     """Gram-matrix test of E_rho A* V_t A <= E_rho A* V_{t-1} A per period."""
     vals = _require_values(values, market)
-    mat = as_hermitian(rho.mat if isinstance(rho, DensityState) else rho)
+    mat = rho.mat if isinstance(rho, DensityState) else as_hermitian(rho)
     require_dim(mat, market.dim, "state")
     for t in range(1, market.horizon + 1):
         gram = market.filtration[t - 1].gram(vals[t] - vals[t - 1], mat)

@@ -23,7 +23,8 @@ class DensityState:
 
     Violations of positivity or normalization up to STATE_TOL are repaired
     (eigenvalue clipping + renormalization) and flagged via ``repaired``;
-    larger violations are rejected.  Instances are immutable.
+    larger violations are rejected.  Instances are immutable, and so is
+    ``mat``: it is checked once, here, and read as checked thereafter.
     """
 
     __slots__ = ("mat", "repaired")
@@ -46,6 +47,7 @@ class DensityState:
             m2 = (vecs * (vals / s)) @ vecs.conj().T
             repaired = not np.array_equal(m2, m)
             m = 0.5 * (m2 + m2.conj().T)
+        m.flags.writeable = False
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "repaired", repaired)
 

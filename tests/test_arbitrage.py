@@ -22,7 +22,13 @@ from qmarket.arbitrage import (
     max_min_eig_over_slice,
     product_decision,
 )
-from qmarket.binomial import NPeriodSpec, QubitMarketSpec, build_n_period, build_single_period
+from qmarket.binomial import (
+    NPeriodSpec,
+    QubitMarketSpec,
+    build_n_period,
+    build_single_period,
+    product_martingale_state,
+)
 from qmarket.errors import ArbitrageError, ValidationError
 from qmarket.market import Filtration, MarketModel, OperatorAlgebra, attainable_space, discount
 from qmarket.operators import (
@@ -38,7 +44,7 @@ from qmarket.operators import (
 from qmarket.pricing import price_bounds
 from qmarket.quantum import DensityState, is_faithful
 
-from conftest import random_hermitian, random_market, random_positive, trinomial_market
+from conftest import random_hermitian, random_market, random_positive, random_state, trinomial_market
 
 # a certificate's lambda_min over its trace is at least minus this
 CLAIM_PSD_TOL = 1e-8
@@ -276,6 +282,29 @@ def test_is_martingale_state_qubit_plane():
 def test_is_martingale_state_rejects_a_state_of_another_dimension():
     with pytest.raises(ValidationError, match=r"state is 4 x 4, the market's dimension is 2"):
         is_martingale_state(DensityState.maximally_mixed(4), qubit_market())
+    # the size is checked first, on a state and on an array that is not Hermitian
+    with pytest.raises(ValidationError, match=r"state is 3 x 3, the market's dimension is 2"):
+        is_martingale_state(DensityState.maximally_mixed(3), qubit_market())
+    with pytest.raises(ValidationError, match=r"state is 3 x 3, the market's dimension is 2"):
+        is_martingale_state(np.arange(9.0).reshape(3, 3), qubit_market())
+
+
+def test_is_martingale_state_reads_a_state_as_checked(monkeypatch):
+    spec = NPeriodSpec(3, -0.1, 0.2, 0.05, 100.0)
+    mkt = build_n_period(spec)
+    rng = np.random.default_rng(11)
+    states = [
+        product_martingale_state(spec, [[0.0, 0.2, -0.1]] * 3),
+        DensityState.maximally_mixed(8),
+        DensityState(random_state(rng, 8)),
+    ]
+    want = [is_martingale_state(rho.mat.copy(), mkt) for rho in states]  # also builds K
+    assert want == [True, True, False]
+    calls = []
+    real = arbitrage_mod.as_hermitian
+    monkeypatch.setattr(arbitrage_mod, "as_hermitian", lambda m: calls.append(1) or real(m))
+    assert [is_martingale_state(rho, mkt) for rho in states] == want
+    assert calls == []
 
 
 def test_is_martingale_state_checks_the_size_before_it_builds_k(monkeypatch):

@@ -159,6 +159,23 @@ def test_n_period_spec_validation():
     assert ok.pauli[1] == (0.0, 0.0, 0.15)
 
 
+# |p|^2 misses 100.25^2 by 1.8e-12, one unit in the last place of 10050
+WIDE_PAULI = (16.061469838460738, -82.01742489822419, 55.364552736316476)
+
+
+def test_n_period_spec_takes_a_wide_gap_to_the_rounding_of_its_norm():
+    assert NPeriodSpec(1, -0.5, 200.0, 0.0, 100.0, 1.0, [WIDE_PAULI]).pauli == (WIDE_PAULI,)
+    dirs = np.random.default_rng(5).standard_normal((100, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    for b in (200.0, 2000.0):
+        for p in (b + 0.5) / 2.0 * dirs:
+            NPeriodSpec(1, -0.5, b, 0.0, 100.0, 1.0, [tuple(p)])
+    # a norm off by more than rounding is still refused, at any gap
+    for b in (200.0, 0.2):
+        with pytest.raises(ValidationError, match=r"period 1: \|pauli\|\^2 must equal"):
+            NPeriodSpec(1, -0.5, b, 0.0, 100.0, 1.0, [((b + 0.5) / 2.0 * (1.0 + 1e-9), 0.0, 0.0)])
+
+
 NAN, INF = float("nan"), float("inf")
 
 

@@ -103,6 +103,19 @@ def write(tmp_path, text, name="scenario.yaml"):
     return str(p)
 
 
+def test_a_wide_gap_nperiod_scenario_is_accepted(tmp_path):
+    # |pauli|^2 is one unit in the last place of (b - a)^2 / 4, about 10050, off
+    pauli = "[[16.061469838460738, -82.01742489822419, 55.364552736316476]]"
+    text = (
+        NPERIOD_YAML.replace("n: 2", "n: 1")
+        .replace("a: -0.1", "a: -0.5")
+        .replace("b: 0.2", "b: 200.0")
+        .replace("r: 0.05", "r: 0.0")
+        .replace("claims:", f"  pauli: {pauli}\nclaims:")
+    )
+    assert main(["check-arbitrage", "--scenario", write(tmp_path, text)]) == EXIT_OK
+
+
 def test_parse_scenario_canonical():
     sc = parse_scenario(QUBIT_YAML)
     assert sc["market"]["kind"] == "qubit"

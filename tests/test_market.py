@@ -17,6 +17,7 @@ from qmarket.market import (
     SPAN_TOL,
     Filtration,
     MarketModel,
+    MartingaleConstraintSet,
     OperatorAlgebra,
     TradingStrategy,
     attainable_space,
@@ -26,6 +27,7 @@ from qmarket.market import (
     gain_process,
     tensor_qubit_filtration,
     value_process,
+    _orthonormal_rows,
 )
 from qmarket.operators import (
     I2,
@@ -50,6 +52,18 @@ from conftest import (
     random_strategy,
     random_terms,
 )
+
+
+def test_a_matrix_with_no_rows_has_empty_orthonormal_factors():
+    coords, rows = _orthonormal_rows(np.zeros((0, 4)))
+    assert coords.shape == (0, 0) and rows.shape == (0, 4)
+    # no operators: an empty constraint set, which every state satisfies
+    space = MartingaleConstraintSet(2, [])
+    assert space.rows.shape == (0, 4) and space.rank == 0
+    np.testing.assert_array_equal(space.perp, herm_to_vec(np.eye(2)))
+    y = np.array([1.0, 2.0, 3.0, 4.0])
+    np.testing.assert_allclose(space.slice_step(y), [-0.5, 0.5, 3.0, 4.0], atol=1e-15)
+
 
 SPEC = QubitMarketSpec(0.05, 0.15, 0.0, 0.0, r=0.05, s0=100.0)
 

@@ -2,12 +2,15 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qmarket.errors import InternalConsistencyError, ValidationError
 from qmarket.operators import (
+    DIM_CAP,
+    ENTRY_CAP,
+    HERM_TOL,
     I2,
     SX,
     SY,
@@ -119,6 +122,92 @@ def test_check_matrix_rejects_every_non_finite_entry(bad):
     m[1, 2] = bad
     with pytest.raises(ValidationError, match="matrix has non-finite entries"):
         check_matrix(m)
+
+
+def two_pass_as_hermitian(m):
+    """Reference: shape, then a finiteness pass over the entries, then the entry bound."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValidationError(f"matrix must be square, got shape {a.shape}")
+    d = a.shape[0]
+    if d < 1 or d > DIM_CAP:
+        raise ValidationError(f"dimension {d} outside [1, {DIM_CAP}]")
+    if not np.isfinite(a).all():
+        raise ValidationError("matrix has non-finite entries")
+    big = np.abs(a).max()
+    if big > ENTRY_CAP:
+        raise ValidationError(f"matrix entry of magnitude {big:.3e} exceeds bound {ENTRY_CAP:.0e}")
+    scale = max(1.0, big)
+    dev = np.abs(a - a.conj().T).max()
+    if dev > HERM_TOL * scale:
+        raise ValidationError(
+            f"matrix is not Hermitian: max deviation {dev:.3e} exceeds {HERM_TOL * scale:.3e}"
+        )
+    half = 0.5 * a
+    return half + half.conj().T
+
+
+EDGE_PARTS = [np.nan, np.inf, -np.inf, 1.7e308, -1.7e308, 1.1 * ENTRY_CAP, ENTRY_CAP, 1e-13, 0.0, -0.0]
+WRONG_SHAPES = [(3,), (2, 3), (1, 2, 2), (0, 0), (DIM_CAP + 1, DIM_CAP + 1)]
+
+
+@st.composite
+def operator_inputs(draw):
+    """A Hermitian matrix with a few entries replaced and a drawn asymmetry, or a wrong shape.
+
+    Replaced entries take parts that are nan, +-inf, above ENTRY_CAP, or 1.7e308, whose
+    complex modulus overflows; a wrong shape may hold a nan, which its shape must outrank.
+    """
+    shape = draw(st.integers(1, 4).map(lambda d: (d, d)) | st.sampled_from(WRONG_SHAPES))
+    if shape in WRONG_SHAPES:
+        a = np.zeros(shape, dtype=complex)
+        if a.size and draw(st.booleans()):
+            a.flat[0] = np.nan
+        return a
+    d = shape[0]
+    parts = draw(hnp.arrays(float, (2, d, d), elements=st.floats(-1e3, 1e3)))
+    a = parts[0] + 1j * parts[1]
+    a = a + a.conj().T
+    part = st.sampled_from(EDGE_PARTS) | st.floats(-1e3, 1e3)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        a[i, j] = complex(draw(part), draw(part))
+        if draw(st.booleans()):
+            a[j, i] = np.conj(a[i, j])
+    a[0, d - 1] += draw(st.sampled_from([0.0, 1e-14, 1e-11, 1e-3]))
+    return a
+
+
+def outcome(check, m):
+    try:
+        return check(m)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(operator_inputs())
+@example(np.array([[1.7e308 + 1.7e308j, 0.0], [0.0, 1.0]]))  # the modulus overflows: "magnitude inf"
+@example(np.array([[np.inf, np.nan], [np.nan, 1.0]]))
+@example(np.array([[2.0 * ENTRY_CAP, np.inf], [np.inf, 1.0]]))
+@example(np.array([[1.0, 1.0 + 1j], [1.0, np.nan]]))  # not Hermitian, and non-finite
+@example(np.eye(3) * ENTRY_CAP)
+def test_as_hermitian_takes_the_two_pass_checks_to_the_bit(m):
+    got, want = outcome(as_hermitian, m), outcome(two_pass_as_hermitian, m)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert same_bits(got, want)
+
+
+def test_as_hermitian_makes_no_finiteness_pass_over_a_valid_matrix(monkeypatch):
+    def refuse(a):
+        raise AssertionError("a valid matrix needs no np.isfinite pass")
+
+    m = random_hermitian(np.random.default_rng(3), 4)
+    want = as_hermitian(m)
+    monkeypatch.setattr(np, "isfinite", refuse)
+    assert same_bits(as_hermitian(m), want)
 
 def test_apply_function_identity(rng):
     x = random_hermitian(rng, 4)

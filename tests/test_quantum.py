@@ -58,6 +58,15 @@ def test_a_state_is_validated_once(monkeypatch):
         assert rho.min_eigenvalue() == float(np.linalg.eigvalsh(sym)[0])
 
 
+def test_a_state_matrix_is_read_only():
+    given = np.eye(2) / 2
+    for rho in (DensityState(given), DensityState(np.diag([1.0 + 5e-11, -5e-11]))):
+        assert not rho.mat.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rho.mat[0, 0] = 1.0
+    assert given.flags.writeable  # the caller's array is not frozen
+
+
 def test_a_failed_eigensolver_is_a_solver_error(monkeypatch):
     def fail(x):
         raise np.linalg.LinAlgError("no convergence")
